@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import verifier
-from .svcore import pair_index
+from .errors import HypothesisError
+from .svcore import pair_index, phi_batch, s_two_matrix
 
 LD = np.longdouble
 
@@ -69,6 +70,9 @@ def sample_spectra(rng, count, n, m):
                 break
             redraw = np.sort(rng.uniform(0.0, LAM_MAX, (int(bad.sum()), mp)), axis=1)[:, ::-1]
             lam[bad, :mp] = redraw
+        else:
+            raise HypothesisError(
+                f"sample_spectra: top pair products still above {ceiling} after 200 redraws")
         k = int(count * BOUNDARY_FRAC)
         if k:
             target = rng.uniform(*BOUNDARY_RANGE, k)
@@ -131,14 +135,7 @@ def _stilde(lam, m):
 
 
 def phi_values(lam):
-    lam = lam.astype(LD)
-    n = lam.shape[1]
-    sq = lam * lam
-    total = np.zeros(lam.shape[0], dtype=LD)
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += np.log1p(-sq[:, i] * sq[:, j]) - np.log1p(sq[:, i]) - np.log1p(sq[:, j])
-    return total
+    return phi_batch(lam.astype(LD))
 
 
 def logdet_pair_formula(lam):
@@ -150,18 +147,10 @@ def logdet_pair_oracle(lam):
     """Assemble the pair operator of diag(S_ii) per sample and take the
     pivoted-factorization log-determinant (float64 LAPACK)."""
     count, n = lam.shape
-    s = ((1 - lam**2) / (1 + lam**2)).astype(np.float64)
-    pairs = pair_index(n)
-    N = len(pairs)
     S = np.zeros((count, n, n))
     idx = np.arange(n)
-    S[:, idx, idx] = s
-    M = np.zeros((count, N, N))
-    for A, (i, j) in enumerate(pairs):
-        for B, (k, l) in enumerate(pairs):
-            M[:, A, B] = (S[:, i, k] * (j == l) + S[:, j, l] * (i == k)
-                          - S[:, i, l] * (j == k) - S[:, j, k] * (i == l))
-    sign, logdet = np.linalg.slogdet(M)
+    S[:, idx, idx] = (1 - lam**2) / (1 + lam**2)
+    sign, logdet = np.linalg.slogdet(s_two_matrix(S))
     logdet[sign <= 0] = np.nan
     return logdet
 
@@ -175,6 +164,23 @@ def _diag_h(h, n, dtype=LD):
     # advanced indices separated by a slice put the fancy axis first
     dg[:, ii, :] = np.moveaxis(h[:, ii, :, ii], 0, 1)
     return dg
+
+
+def _keep_swap(c, h, n):
+    """Gradient terms of every pair, shape (B, n(n-1)/2) each, and the
+    _diag_h moments D2_i = sum_k dg_ik^2:
+
+        keep = c_i^2 D2_i + 2 c_i c_j DD_ij + c_j^2 D2_j,   DD_ij = sum_k dg_ik dg_jk,
+
+    and swap, the same with c_i and c_j exchanged."""
+    dg = _diag_h(h, n)
+    D2 = np.einsum("bik,bik->bi", dg, dg)
+    DD = np.einsum("bik,bjk->bij", dg, dg)
+    i, j = np.triu_indices(n, 1)   # pair_index order
+    cross = 2 * c[:, i] * c[:, j] * DD[:, i, j]
+    keep = c[:, i] ** 2 * D2[:, i] + cross + c[:, j] ** 2 * D2[:, j]
+    swap = c[:, j] ** 2 * D2[:, i] + cross + c[:, i] ** 2 * D2[:, j]
+    return keep, swap, D2
 
 
 def pair_claim_gaps(lam, h):
@@ -191,34 +197,20 @@ def pair_claim_gaps(lam, h):
     hsq_pad = np.zeros((count, n, n), dtype=LD)
     hsq_pad[:, :min(n, m)] = hsq[:, :min(n, m)]      # (B, l<=n, i)
     tail = hsq[:, n:, :].sum(axis=1) if m > n else np.zeros((count, n), dtype=LD)
-    dg = _diag_h(h, n)
-    D2 = np.einsum("bik,bik->bi", dg, dg)
-    DD = np.einsum("bik,bjk->bij", dg, dg)
-    pairs = pair_index(n)
-    gaps = np.empty((count, len(pairs)), dtype=LD)
-    for A_idx, (i, j) in enumerate(pairs):
-        sij = s[:, i] + s[:, j]
-        term_i = A[:, i] + A[:, j]
-        keep = (c[:, i] ** 2 * D2[:, i] + 2 * c[:, i] * c[:, j] * DD[:, i, j]
-                + c[:, j] ** 2 * D2[:, j])
-        swap = (c[:, j] ** 2 * D2[:, i] + 2 * c[:, i] * c[:, j] * DD[:, i, j]
-                + c[:, i] ** 2 * D2[:, j])
-        cross = hsq_pad[:, j, i] + hsq_pad[:, i, j] + D2[:, i] + D2[:, j] \
-            + tail[:, i] + tail[:, j]
-        gaps[:, A_idx] = term_i + keep / sij - sij * cross - swap / sij
-    return gaps
+    keep, swap, D2 = _keep_swap(c, h, n)
+    i, j = np.triu_indices(n, 1)
+    sij = s[:, i] + s[:, j]
+    cross = hsq_pad[:, j, i] + hsq_pad[:, i, j] + D2[:, i] + D2[:, j] \
+        + tail[:, i] + tail[:, j]
+    return A[:, i] + A[:, j] + keep / sij - sij * cross - swap / sij
 
 
 def key_identity_residuals(lam):
     """Residual of the S^2 + C^2 = 1 consequence used by the pair claim."""
-    count, n = lam.shape
     s, c = _srest(lam)
-    pairs = pair_index(n)
-    out = np.empty((count, len(pairs)), dtype=LD)
-    for A, (i, j) in enumerate(pairs):
-        sij = s[:, i] + s[:, j]
-        out[:, A] = 2 * s[:, i] + c[:, i] ** 2 / sij - sij - c[:, j] ** 2 / sij
-    return np.abs(out)
+    i, j = np.triu_indices(lam.shape[1], 1)
+    sij = s[:, i] + s[:, j]
+    return np.abs(2 * s[:, i] + c[:, i] ** 2 / sij - sij - c[:, j] ** 2 / sij)
 
 
 def curvature_terms(lam, sec1, sec2):
@@ -229,10 +221,8 @@ def curvature_terms(lam, sec1, sec2):
     row = np.einsum("bik,bk->bi", sec1, 1 + s) - np.einsum("bik,bk->bi", sec2, 1 - s)
     n = lam.shape[1]
     total = np.zeros(lam.shape[0], dtype=LD)
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += (c[:, i] ** 2 * row[:, i] + c[:, j] ** 2 * row[:, j]) \
-                / (4 * (s[:, i] + s[:, j]))
+    for i, j in pair_index(n):
+        total += (c[:, i] ** 2 * row[:, i] + c[:, j] ** 2 * row[:, j]) / (4 * (s[:, i] + s[:, j]))
     return total
 
 
@@ -240,18 +230,12 @@ def gradient_square_terms(lam, h):
     """Q_S."""
     count, n = lam.shape
     s, c = _srest(lam)
-    dg = _diag_h(h.astype(LD), n)
-    D2 = np.einsum("bik,bik->bi", dg, dg)
-    DD = np.einsum("bik,bjk->bij", dg, dg)
+    keep, swap, _ = _keep_swap(c, h.astype(LD), n)
+    i, j = np.triu_indices(n, 1)
+    terms = (keep + swap) / (s[:, i] + s[:, j]) ** 2
     total = np.zeros(count, dtype=LD)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sij2 = (s[:, i] + s[:, j]) ** 2
-            keep = (c[:, i] ** 2 * D2[:, i] + 2 * c[:, i] * c[:, j] * DD[:, i, j]
-                    + c[:, j] ** 2 * D2[:, j])
-            swap = (c[:, j] ** 2 * D2[:, i] + 2 * c[:, i] * c[:, j] * DD[:, i, j]
-                    + c[:, i] ** 2 * D2[:, j])
-            total += (keep + swap) / sij2
+    for col in terms.T:
+        total += col
     return total
 
 
@@ -265,8 +249,8 @@ def master_gaps(lam, h, sec1, sec2):
     hld = h.astype(LD)
     sec1 = sec1.astype(LD)
     sec2 = sec2.astype(LD)
-    pairs = pair_index(n)
-    P = len(pairs)
+    iA, jA = np.triu_indices(n, 1)
+    P = iA.size
 
     # diagonal of the evolution right side
     hsq = np.einsum("blki,blki->bli", hld, hld)
@@ -274,17 +258,14 @@ def master_gaps(lam, h, sec1, sec2):
     row = np.einsum("bik,bk->bi", sec1, 1 + s) - np.einsum("bik,bk->bi", sec2, 1 - s)
     rhs_diag = rhs_diag + c * c * row / 2
 
-    q = np.stack([1 / (s[:, i] + s[:, j]) for i, j in pairs], axis=1)
-    energy = np.einsum("ba,ba->b", q,
-                       np.stack([rhs_diag[:, i] + rhs_diag[:, j] for i, j in pairs], axis=1))
+    q = 1 / (s[:, iA] + s[:, jA])
+    energy = np.einsum("ba,ba->b", q, rhs_diag[:, iA] + rhs_diag[:, jA])
 
     # gradient of the restriction, zero-padded beyond the m normal directions
     dpad = np.zeros((count, n, n, n), dtype=LD)
     mp = min(n, m)
     dpad[:, :mp] = hld[:, :mp]
     grad = -(np.einsum("bjki,bj->bijk", dpad, c) + np.einsum("bikj,bi->bijk", dpad, c))
-    iA = np.array([p[0] for p in pairs])
-    jA = np.array([p[1] for p in pairs])
     dj = (jA[:, None] == jA[None, :])
     di = (iA[:, None] == iA[None, :])
     djk = (jA[:, None] == iA[None, :])
@@ -319,42 +300,51 @@ def triple_weight_values_expanded(li, lj, lk):
     return (1 + lk**2) * num / den
 
 
-def regrouped_curvature_terms(lam, sec1, sec2):
-    """R_S regrouped into Ricci, pair and weighted-triple terms."""
+def _regrouped_sum(lam, X, W):
+    """Ricci, pair and weighted-triple terms of the regrouped R_S:
+
+        sum_{i<j} [(c_i^2 X_i + c_j^2 X_j) / (4 (S_ii + S_jj)) + pair weight W_ij]
+        + sum_{i<j<k} triple weights times W_ij, W_jk, W_ik,
+
+    with X = Ric1 - Ric2 and W = sec1 + sec2 for R_S itself."""
     lamld = lam.astype(LD)
     s, c = _srest(lam)
+    n = lam.shape[1]
+    total = np.zeros(lam.shape[0], dtype=LD)
+    for i, j in pair_index(n):
+        total += (c[:, i] ** 2 * X[:, i] + c[:, j] ** 2 * X[:, j]) / (4 * (s[:, i] + s[:, j]))
+        li, lj = lamld[:, i], lamld[:, j]
+        total += (li**2 + lj**2) / (2 * (1 + li**2) * (1 + lj**2)) * W[:, i, j]
+    for i, j in pair_index(n):
+        for k in range(j + 1, n):
+            li, lj, lk = lamld[:, i], lamld[:, j], lamld[:, k]
+            total += triple_weight_values(li, lj, lk) * W[:, i, j]
+            total += triple_weight_values(lj, lk, li) * W[:, j, k]
+            total += triple_weight_values(li, lk, lj) * W[:, i, k]
+    return total
+
+
+def regrouped_curvature_terms(lam, sec1, sec2):
+    """R_S regrouped into Ricci, pair and weighted-triple terms."""
     sec1 = sec1.astype(LD)
     sec2 = sec2.astype(LD)
-    n = lam.shape[1]
-    ric1 = sec1.sum(axis=2)
-    ric2 = sec2.sum(axis=2)
-    total = np.zeros(lam.shape[0], dtype=LD)
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += (c[:, i] ** 2 * (ric1[:, i] - ric2[:, i])
-                      + c[:, j] ** 2 * (ric1[:, j] - ric2[:, j])) / (4 * (s[:, i] + s[:, j]))
-            li, lj = lamld[:, i], lamld[:, j]
-            total += (li**2 + lj**2) / (2 * (1 + li**2) * (1 + lj**2)) \
-                * (sec1[:, i, j] + sec2[:, i, j])
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                li, lj, lk = lamld[:, i], lamld[:, j], lamld[:, k]
-                total += triple_weight_values(li, lj, lk) * (sec1[:, i, j] + sec2[:, i, j])
-                total += triple_weight_values(lj, lk, li) * (sec1[:, j, k] + sec2[:, j, k])
-                total += triple_weight_values(li, lk, lj) * (sec1[:, i, k] + sec2[:, i, k])
-    return total
+    return _regrouped_sum(lam, sec1.sum(axis=2) - sec2.sum(axis=2), sec1 + sec2)
+
+
+def _sectional_coeff(lam):
+    """sum_{i<j} (c_i^2 + c_j^2) / (4 (S_ii + S_jj)), the factor of the
+    sectional lower bound."""
+    s, c = _srest(lam)
+    coeff = np.zeros(lam.shape[0], dtype=LD)
+    for i, j in pair_index(lam.shape[1]):
+        coeff += (c[:, i] ** 2 + c[:, j] ** 2) / (4 * (s[:, i] + s[:, j]))
+    return coeff
 
 
 def sectional_gaps(lam, sec1, sec2, tau, m):
     """R_S minus the ((2n-m-1) - (m-1) tau) lower bound; tau per sample."""
     n = lam.shape[1]
-    s, c = _srest(lam)
-    coeff = np.zeros(lam.shape[0], dtype=LD)
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeff += (c[:, i] ** 2 + c[:, j] ** 2) / (4 * (s[:, i] + s[:, j]))
-    bound = coeff * ((2 * n - m - 1) - (m - 1) * tau.astype(LD))
+    bound = _sectional_coeff(lam) * ((2 * n - m - 1) - (m - 1) * tau.astype(LD))
     return curvature_terms(lam, sec1, sec2) - bound
 
 
@@ -373,26 +363,11 @@ def m2_claim_displays(lam):
 
 def ricci_gaps(lam, sec1, sec2, sigma):
     """(gap, bound) for the sigma-pinched Ricci lower bound on R_S."""
-    lamld = lam.astype(LD)
-    s, c = _srest(lam)
     sec1 = sec1.astype(LD)
     n = lam.shape[1]
     sig = sigma.astype(LD)
-    ric1 = sec1.sum(axis=2)
-    bound = np.zeros(lam.shape[0], dtype=LD)
-    for i in range(n):
-        for j in range(i + 1, n):
-            bound += (c[:, i] ** 2 * (ric1[:, i] - (n - 1) * sig)
-                      + c[:, j] ** 2 * (ric1[:, j] - (n - 1) * sig)) / (4 * (s[:, i] + s[:, j]))
-            li, lj = lamld[:, i], lamld[:, j]
-            bound += (li**2 + lj**2) / (2 * (1 + li**2) * (1 + lj**2)) * (sec1[:, i, j] + sig)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                li, lj, lk = lamld[:, i], lamld[:, j], lamld[:, k]
-                bound += triple_weight_values(li, lj, lk) * (sec1[:, i, j] + sig)
-                bound += triple_weight_values(lj, lk, li) * (sec1[:, j, k] + sig)
-                bound += triple_weight_values(li, lk, lj) * (sec1[:, i, k] + sig)
+    bound = _regrouped_sum(lam, sec1.sum(axis=2) - (n - 1) * sig[:, None],
+                           sec1 + sig[:, None, None])
     return curvature_terms(lam, sec1, sec2) - bound, bound
 
 
@@ -403,12 +378,10 @@ def log_det_gradient_sq(lam, h):
     dg = _diag_h(h.astype(LD), n)
     w = lamld / (1 + lamld * lamld)               # (B, n)
     grad = np.zeros((count, n), dtype=LD)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pref = (1 + lamld[:, i] ** 2) * (1 + lamld[:, j] ** 2) \
-                / (1 - lamld[:, i] ** 2 * lamld[:, j] ** 2)
-            grad += (pref * w[:, i])[:, None] * dg[:, i, :] \
-                + (pref * w[:, j])[:, None] * dg[:, j, :]
+    for i, j in pair_index(n):
+        pref = (1 + lamld[:, i] ** 2) * (1 + lamld[:, j] ** 2) \
+            / (1 - lamld[:, i] ** 2 * lamld[:, j] ** 2)
+        grad += (pref * w[:, i])[:, None] * dg[:, i, :] + (pref * w[:, j])[:, None] * dg[:, j, :]
     grad *= -2
     return np.einsum("bk,bk->b", grad, grad)
 
@@ -719,11 +692,7 @@ def suite_sectional(n, m, samples, seed, tol=-1e-10):
         dmin = float(min(paird.min(), crossd.min()))
         if res["m2_display_min"] is None or dmin < res["m2_display_min"]:
             res["m2_display_min"] = dmin
-        s, c = _srest(lam)
-        coeff = np.zeros(lam.shape[0], dtype=LD)
-        for i in range(n):
-            for j in range(i + 1, n):
-                coeff += (c[:, i] ** 2 + c[:, j] ** 2) / (4 * (s[:, i] + s[:, j]))
+        coeff = _sectional_coeff(lam)
         bracket = (2 * n - m - 1) - (m - 1) * tau
         lam_sq = (lam.astype(LD) ** 2).sum(axis=1)
         mask = (bracket > 0) & (lam_sq > 1e-12)
@@ -754,6 +723,9 @@ def suite_ricci(n, m, samples, seed, tol=-1e-10):
             fresh = _sym_zero_diag(rng.uniform(-sigma[:, None, None] * 0.999,
                                                3 * sigma[:, None, None] + 2.0, (size, n, n)))
             sec1[redo] = fresh[redo]
+        else:
+            raise HypothesisError("suite_ricci: rows with Ric1 < (n-1) sigma remain "
+                                  "after 400 redraws")
         block = rng.uniform(sigma[:, None, None] - 3.0, sigma[:, None, None],
                             (size, min(n, m), min(n, m)))
         block = _sym_zero_diag(block)
@@ -808,13 +780,10 @@ def run_suite(name, n=None, m=None, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
     name = canonical_suite(name)
     fn, configs = SUITES[name]
     if n is not None:
-        mm = m if m is not None else (n if name != "gradient_bound" else None)
-        configs = [(n, mm)]
+        configs = [(n, m if m is not None else n)]
     results = []
     t0 = time.perf_counter()
     for cn, cm in configs:
-        if cm is None:
-            cm = cn
         kwargs = {} if tol is None else {"tol": tol}
         results.append(fn(cn, cm, samples, seed, **kwargs))
     report = {

@@ -165,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="add exact-rational spot checks (n <= 3)")
     p.add_argument("--out", default=None, help="directory for report + manifest")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface stability; results are "
-                        "independent of the worker count")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("criteria", help="evaluate a homotopy criterion")
@@ -177,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True,
                    choices=["13", "14", "sectional", "ricci"],
                    help="13/sectional or 14/ricci")
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_criteria)
 
@@ -190,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="descriptor, e.g. 'cp(3) scaled 1.0408'")
     p.add_argument("--plane", type=float, nargs="+", default=None,
                    help="plane invariant(s): one value for cp, three for hp")
-    p.add_argument("--json", action="store_true", help="JSON output (default)")
     p.set_defaults(func=_cmd_curvature)
     return parser
 

@@ -195,13 +195,11 @@ def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
     Returns rho = None when the interval is empty.
     """
     criterion = THEOREM_NAMES[str(criterion)]
+    if not (profile.source.dim >= profile.target.dim >= 2):
+        raise ValueError("need dim(source) >= dim(target) >= 2")
     if criterion == "sectional":
-        if not (profile.source.dim >= profile.target.dim >= 2):
-            raise ValueError("need dim(source) >= dim(target) >= 2")
         interval = _sectional_interval(profile.source, profile.target)
     else:
-        if not (profile.source.dim >= profile.target.dim >= 2):
-            raise ValueError("need dim(source) >= dim(target) >= 2")
         interval = _ricci_interval(profile.source, profile.target)
     sup = profile.sup_two_dilation
     details = {"sup_two_dilation": sup, "profile": profile.name,

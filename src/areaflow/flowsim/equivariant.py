@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, GraphicalBreakdownError
+from ..svcore import PAIR_PRODUCT_GUARD
 from .state import CFL_MAX, EquivariantState, MonitorRecord
 
 RHO_PRIME_BREAKDOWN = 1e3
@@ -167,10 +168,10 @@ def max_step(state: EquivariantState, cfl: float) -> float:
     return cfl * state.h**2 * float(np.min(1.0 + rhop**2))
 
 
-def step_equivariant(state: EquivariantState, dt: float, cfl: float = CFL_MAX,
-                     scheme: str = "euler") -> EquivariantState:
-    """One explicit step of the profile flow; the CFL budget folds in the
-    meridian metric coefficient 1/(1 + rho'^2)."""
+def step_equivariant(state: EquivariantState, dt: float,
+                     cfl: float = CFL_MAX) -> EquivariantState:
+    """One explicit Euler step of the profile flow; the CFL budget folds in
+    the meridian metric coefficient 1/(1 + rho'^2)."""
     if not 0 < cfl <= CFL_MAX:
         raise ConfigurationError(f"cfl must lie in (0, {CFL_MAX}]")
     rhop = profile_derivative(state)
@@ -180,18 +181,7 @@ def step_equivariant(state: EquivariantState, dt: float, cfl: float = CFL_MAX,
     if dt > max_step(state, cfl) * (1 + 1e-12):
         raise ConfigurationError(
             f"dt = {dt:g} violates the equivariant CFL bound {max_step(state, cfl):g}")
-    if scheme == "euler":
-        rho_new = state.rho + dt * profile_velocity(state)
-    elif scheme == "rk4":
-        def vel(rho):
-            return profile_velocity(EquivariantState(state.resolution, rho))
-        k1 = vel(state.rho)
-        k2 = vel(state.rho + 0.5 * dt * k1)
-        k3 = vel(state.rho + 0.5 * dt * k2)
-        k4 = vel(state.rho + dt * k3)
-        rho_new = state.rho + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    else:
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
+    rho_new = state.rho + dt * profile_velocity(state)
     if not np.all(np.isfinite(rho_new)):
         raise DivergenceError("non-finite values in equivariant flow",
                               last_record=equivariant_monitors(state))
@@ -213,6 +203,22 @@ def profile_spectrum(state: EquivariantState):
     return lam1, lam2
 
 
+def pointwise_phi_stats(lam1, lam2):
+    """(min_phi, max_pair, max_lambda, flagged) of the (lambda_1, lambda_2)
+    fields.
+
+    The pair product enters as (l1 l2)^2, not l1^2 l2^2: the two round
+    differently in the last bit, and the flow outputs are pinned to this
+    form.
+    """
+    pair = lam1 * lam2
+    flagged = bool((pair**2 >= 1.0 - PAIR_PRODUCT_GUARD).any())
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.log1p(-(pair**2)) - np.log1p(lam1**2) - np.log1p(lam2**2)
+    min_phi = float("nan") if flagged else float(phi.min())
+    return min_phi, float(pair.max()), float(max(lam1.max(), lam2.max())), flagged
+
+
 def second_fundamental_norm_sq(state: EquivariantState) -> np.ndarray:
     """|A|^2 on interior nodes (poles excluded) from the projected
     second-derivative vectors."""
@@ -227,14 +233,7 @@ def second_fundamental_norm_sq(state: EquivariantState) -> np.ndarray:
 
 
 def equivariant_monitors(state: EquivariantState) -> MonitorRecord:
-    lam1, lam2 = profile_spectrum(state)
-    pair = lam1 * lam2
-    flagged = bool((pair**2 >= 1.0 - 1e-14).any())
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phi = np.log1p(-(pair**2)) - np.log1p(lam1**2) - np.log1p(lam2**2)
-    min_phi = float("nan") if flagged else float(phi.min())
+    min_phi, max_pair, max_lam, flagged = pointwise_phi_stats(*profile_spectrum(state))
     sup_a2 = float(second_fundamental_norm_sq(state).max())
-    return MonitorRecord(t=state.t, min_phi=min_phi,
-                         max_two_dilation=float(pair.max()),
-                         max_lambda=float(max(lam1.max(), lam2.max())),
-                         sup_a2=sup_a2, flagged=flagged)
+    return MonitorRecord(t=state.t, min_phi=min_phi, max_two_dilation=max_pair,
+                         max_lambda=max_lam, sup_a2=sup_a2, flagged=flagged)

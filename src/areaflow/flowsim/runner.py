@@ -13,18 +13,13 @@ from .state import (EquivariantState, MonitorRecord, ScenarioConfig,
 
 
 def _light_min_phi(state):
-    """Cheap per-step (min_phi, flagged) without |A|^2."""
+    """Cheap per-step (min_phi, max_lambda, flagged) without |A|^2."""
     if isinstance(state, TorusState):
-        df = torus.first_derivatives(state)
-        min_phi, _, max_lam, flagged = torus.pointwise_phi_stats(df)
-        return min_phi, max_lam, flagged
-    lam1, lam2 = equivariant.profile_spectrum(state)
-    pair = lam1 * lam2
-    flagged = bool((pair**2 >= 1.0 - 1e-14).any())
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phi = np.log1p(-(pair**2)) - np.log1p(lam1**2) - np.log1p(lam2**2)
-    min_phi = float("nan") if flagged else float(phi.min())
-    return min_phi, float(max(lam1.max(), lam2.max())), flagged
+        stats = torus.pointwise_phi_stats(torus.first_derivatives(state))
+    else:
+        stats = equivariant.pointwise_phi_stats(*equivariant.profile_spectrum(state))
+    min_phi, _, max_lam, flagged = stats
+    return min_phi, max_lam, flagged
 
 
 def _monitor(state):
@@ -71,10 +66,10 @@ def run(config: ScenarioConfig, state=None):
         state = initial_state(config)
     if isinstance(state, TorusState):
         dt = torus.max_step(state, config.cfl)
-        stepper = lambda s: torus.step_torus(s, dt, config.cfl, config.scheme)
+        stepper = lambda s: torus.step_torus(s, dt, config.cfl)
     else:
         dt = config.cfl * state.h**2
-        stepper = lambda s: equivariant.step_equivariant(s, dt, config.cfl, config.scheme)
+        stepper = lambda s: equivariant.step_equivariant(s, dt, config.cfl)
     tol = config.monotonicity_c * (state.h**2 + dt)
     steady_tol = config.steady_c * state.h**2
 

@@ -70,7 +70,6 @@ class MonitorRecord:
     max_lambda: float
     sup_a2: float
     flagged: bool = False
-    residual_evol_s: float | None = None
 
     def row(self):
         return (self.t, self.min_phi, self.max_two_dilation,
@@ -91,7 +90,6 @@ class ScenarioConfig:
     cadence: int = 25
     monotonicity_c: float = 10.0   # per-step tolerance C*(h^2 + dt); artifact calibration
     steady_c: float = 1.0          # steady threshold C*h^2; artifact calibration
-    scheme: str = "euler"
     plots: bool = False
 
     def __post_init__(self):
@@ -101,8 +99,6 @@ class ScenarioConfig:
             raise ConfigurationError("equivariant backend is the sphere pair n = m = 2")
         if not 0 < self.cfl <= CFL_MAX:
             raise ConfigurationError(f"cfl must lie in (0, {CFL_MAX}]")
-        if self.scheme not in ("euler", "rk4"):
-            raise ConfigurationError("scheme must be euler or rk4")
         if self.resolution < 8:
             raise ConfigurationError("resolution must be at least 8")
 
@@ -111,8 +107,7 @@ _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0":
 _FIELD_TYPES = {
     "backend": str, "n": int, "m": int, "resolution": int, "initial": str,
     "amplitude": float, "cfl": float, "t_max": float, "lambda_stop": float,
-    "cadence": int, "monotonicity_c": float, "steady_c": float,
-    "scheme": str, "plots": bool,
+    "cadence": int, "monotonicity_c": float, "steady_c": float, "plots": bool,
 }
 
 

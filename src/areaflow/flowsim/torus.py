@@ -11,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
+from ..svcore import PAIR_PRODUCT_GUARD, phi_batch
 from .state import CFL_MAX, MonitorRecord, TorusState
-
-PAIR_FLAG_GUARD = 1e-14
 
 
 def first_derivatives(state: TorusState) -> np.ndarray:
@@ -77,27 +76,14 @@ def max_step(state: TorusState, cfl: float) -> float:
     return cfl * state.h**2 / state.n
 
 
-def step_torus(state: TorusState, dt: float, cfl: float = CFL_MAX,
-               scheme: str = "euler") -> TorusState:
-    """One explicit step; dt must respect dt <= cfl h^2 / n, cfl <= 0.25."""
+def step_torus(state: TorusState, dt: float, cfl: float = CFL_MAX) -> TorusState:
+    """One explicit Euler step; dt must respect dt <= cfl h^2 / n, cfl <= 0.25."""
     if not 0 < cfl <= CFL_MAX:
         raise ConfigurationError(f"cfl must lie in (0, {CFL_MAX}]")
     if dt > max_step(state, cfl) * (1 + 1e-12):
         raise ConfigurationError(
             f"dt = {dt:g} violates dt <= cfl h^2 / n = {max_step(state, cfl):g}")
-    if scheme == "euler":
-        u_new = state.u + dt * flow_velocity(state)
-    elif scheme == "rk4":
-        def vel(u):
-            return flow_velocity(TorusState(state.n, state.m, state.resolution,
-                                            state.winding, u))
-        k1 = vel(state.u)
-        k2 = vel(state.u + 0.5 * dt * k1)
-        k3 = vel(state.u + 0.5 * dt * k2)
-        k4 = vel(state.u + dt * k3)
-        u_new = state.u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    else:
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
+    u_new = state.u + dt * flow_velocity(state)
     if not np.all(np.isfinite(u_new)):
         raise DivergenceError("non-finite values in torus flow",
                               last_record=torus_monitors(state))
@@ -126,7 +112,7 @@ def pointwise_phi_stats(df: np.ndarray):
         D2 = D * D
         disc = np.sqrt(np.maximum(T * T - 4.0 * D2, 0.0))
         max_lam = np.sqrt((T + disc) / 2.0)
-        flagged = D2 >= 1.0 - PAIR_FLAG_GUARD
+        flagged = D2 >= 1.0 - PAIR_PRODUCT_GUARD
         with np.errstate(invalid="ignore", divide="ignore"):
             phi = np.log1p(-D2) - np.log1p(T + D2)
         min_phi = float("nan") if flagged.any() else float(phi.min())
@@ -136,13 +122,9 @@ def pointwise_phi_stats(df: np.ndarray):
     lam = np.zeros((sv.shape[0], n))
     lam[:, :sv.shape[1]] = sv
     pair = lam[:, 0] * lam[:, 1] if n >= 2 else np.zeros(sv.shape[0])
-    flagged = bool((pair**2 >= 1.0 - PAIR_FLAG_GUARD).any())
-    sq = lam**2
+    flagged = bool((pair**2 >= 1.0 - PAIR_PRODUCT_GUARD).any())
     with np.errstate(invalid="ignore", divide="ignore"):
-        phi = np.zeros(sv.shape[0])
-        for i in range(n):
-            for j in range(i + 1, n):
-                phi += np.log1p(-sq[:, i] * sq[:, j]) - np.log1p(sq[:, i]) - np.log1p(sq[:, j])
+        phi = phi_batch(lam)
     min_phi = float("nan") if flagged else float(phi.min())
     return min_phi, float(pair.max()), float(lam.max()), flagged
 
@@ -150,7 +132,8 @@ def pointwise_phi_stats(df: np.ndarray):
 def graph_frames(df: np.ndarray, d2: np.ndarray):
     """Orthonormal adapted frames and frame components per node.
 
-    Returns a dict with the tangent frame coefficients, the restriction
+    Returns a dict with the tangent and normal frames E, N, the change of
+    frame M (E_a = T M_a for the coordinate tangents T), the restriction
     blocks S_T (tangent-tangent), S_N (normal-normal), S_X (normal-tangent)
     of the ambient split tensor diag(I_n, -I_m), and the frame components
     h[alpha, a, b] of the second fundamental form.
@@ -180,8 +163,7 @@ def graph_frames(df: np.ndarray, d2: np.ndarray):
     F[:, n:, :, :] = d2.reshape(m, n, n, -1).transpose(3, 0, 1, 2)
     h_coord = np.einsum("pca,pcij->paij", N, F)
     h_frame = np.einsum("pia,pjb,pxij->pxab", M, M, h_coord)
-    return {"T": T, "E": E, "N": N, "S_T": S_T, "S_N": S_N, "S_X": S_X,
-            "h": h_frame, "G": G, "M": M}
+    return {"E": E, "N": N, "S_T": S_T, "S_N": S_N, "S_X": S_X, "h": h_frame, "M": M}
 
 
 def second_fundamental_norm_sq(state: TorusState) -> np.ndarray:
@@ -190,9 +172,9 @@ def second_fundamental_norm_sq(state: TorusState) -> np.ndarray:
     return np.einsum("pxab,pxab->p", frames["h"], frames["h"])
 
 
-def torus_monitors(state: TorusState, with_a2: bool = True) -> MonitorRecord:
+def torus_monitors(state: TorusState) -> MonitorRecord:
     df = first_derivatives(state)
     min_phi, max_pair, max_lam, flagged = pointwise_phi_stats(df)
-    sup_a2 = float(second_fundamental_norm_sq(state).max()) if with_a2 else float("nan")
+    sup_a2 = float(second_fundamental_norm_sq(state).max())
     return MonitorRecord(t=state.t, min_phi=min_phi, max_two_dilation=max_pair,
                          max_lambda=max_lam, sup_a2=sup_a2, flagged=flagged)

@@ -119,24 +119,24 @@ def pair_index(n: int):
 
 
 def s_two_matrix(S) -> np.ndarray:
-    """Assemble the pair operator of a symmetric matrix S.
+    """Assemble the pair operator of a symmetric matrix S, or of each matrix
+    in a (..., n, n) stack.
 
     Entry for rows (ij), (kl) is S_ik d_jl + S_jl d_ik - S_il d_jk - S_jk d_il;
     rows with all four indices distinct vanish.
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
         raise ValueError("S must be square")
-    if not np.allclose(S, S.T, atol=1e-12, rtol=0.0):
+    if not np.allclose(S, np.swapaxes(S, -1, -2), atol=1e-12, rtol=0.0):
         raise ValueError("S must be symmetric to 1e-12")
-    n = S.shape[0]
-    pairs = pair_index(n)
+    pairs = pair_index(S.shape[-1])
     N = len(pairs)
-    out = np.zeros((N, N))
+    out = np.zeros(S.shape[:-2] + (N, N))
     for A, (i, j) in enumerate(pairs):
         for B, (k, l) in enumerate(pairs):
-            out[A, B] = (S[i, k] * (j == l) + S[j, l] * (i == k)
-                         - S[i, l] * (j == k) - S[j, k] * (i == l))
+            out[..., A, B] = (S[..., i, k] * (j == l) + S[..., j, l] * (i == k)
+                              - S[..., i, l] * (j == k) - S[..., j, k] * (i == l))
     return out
 
 
@@ -148,20 +148,28 @@ def _check_pairs(lam):
                 f"pair product {worst:.17g} is not strictly area-decreasing")
 
 
+def phi_batch(lam) -> np.ndarray:
+    """Phi of every row of a (B, n) stack of spectra, in the dtype of lam.
+
+    Pairs are summed in the row order of pair_index.  No pair guard is
+    applied: rows with a pair product at or above one give nan or -inf.
+    """
+    n = lam.shape[1]
+    sq = lam * lam
+    total = np.zeros(lam.shape[0], dtype=lam.dtype)
+    for i, j in pair_index(n):
+        total += np.log1p(-sq[:, i] * sq[:, j]) - np.log1p(sq[:, i]) - np.log1p(sq[:, j])
+    return total
+
+
 def phi(spec: SingularSpectrum) -> float:
     """The monotone quantity, evaluated as a sum of logs.
 
     Phi <= 0 always; Phi = 0 iff all singular values vanish (n >= 2); the
     empty product at n = 1 gives 0.
     """
-    lam = spec.lam
-    _check_pairs(lam)
-    sq = lam**2
-    total = 0.0
-    for i in range(spec.n):
-        for j in range(i + 1, spec.n):
-            total += math.log1p(-sq[i] * sq[j]) - math.log1p(sq[i]) - math.log1p(sq[j])
-    return total
+    _check_pairs(spec.lam)
+    return float(phi_batch(spec.lam[None, :])[0])
 
 
 def log_det_s2(spec: SingularSpectrum) -> float:

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from areaflow import campaigns as cp
+from areaflow.errors import HypothesisError
 
 
 def test_sample_spectra_properties():
@@ -14,6 +16,18 @@ def test_sample_spectra_properties():
     assert pair.max() <= cp.BOUNDARY_RANGE[1] + 1e-12
     stratum = pair[: int(4096 * cp.BOUNDARY_FRAC)]
     assert np.all(stratum >= cp.BOUNDARY_RANGE[0] - 1e-12)
+
+
+def test_sample_spectra_raises_when_rejection_runs_out():
+    class TopHeavy:
+        """Every draw is LAM_MAX, so every top pair product exceeds the ceiling."""
+
+        def uniform(self, low, high, size=None):
+            return np.full(size, cp.LAM_MAX)
+
+    assert cp.LAM_MAX**2 > cp.BOUNDARY_RANGE[1]
+    with pytest.raises(HypothesisError):
+        cp.sample_spectra(TopHeavy(), 64, 3, 3)
 
 
 def test_sample_h_symmetry():
@@ -88,3 +102,46 @@ def test_exact_checks_dimensions_guard():
         pass
     else:
         raise AssertionError("exact mode must reject n > 4")
+
+
+def _pair_loop_reference(lam, h):
+    """The per-pair loops that the vectorized kernels replaced: pair-claim
+    gaps, key-identity residuals and Q_S, in extended precision."""
+    count, n = lam.shape
+    m = h.shape[1]
+    s, c = cp._srest(lam)
+    st = cp._stilde(lam, m)
+    h = h.astype(cp.LD)
+    hsq = np.einsum("blki,blki->bli", h, h)
+    A = s * hsq.sum(axis=1) + np.einsum("bli,bl->bi", hsq, st)
+    hsq_pad = np.zeros((count, n, n), dtype=cp.LD)
+    hsq_pad[:, :min(n, m)] = hsq[:, :min(n, m)]
+    tail = hsq[:, n:, :].sum(axis=1) if m > n else np.zeros((count, n), dtype=cp.LD)
+    dg = cp._diag_h(h, n)
+    D2 = np.einsum("bik,bik->bi", dg, dg)
+    DD = np.einsum("bik,bjk->bij", dg, dg)
+    gaps, keys, q_s = [], [], np.zeros(count, dtype=cp.LD)
+    for i in range(n):
+        for j in range(i + 1, n):
+            sij = s[:, i] + s[:, j]
+            keep = (c[:, i] ** 2 * D2[:, i] + 2 * c[:, i] * c[:, j] * DD[:, i, j]
+                    + c[:, j] ** 2 * D2[:, j])
+            swap = (c[:, j] ** 2 * D2[:, i] + 2 * c[:, i] * c[:, j] * DD[:, i, j]
+                    + c[:, i] ** 2 * D2[:, j])
+            cross = hsq_pad[:, j, i] + hsq_pad[:, i, j] + D2[:, i] + D2[:, j] \
+                + tail[:, i] + tail[:, j]
+            gaps.append(A[:, i] + A[:, j] + keep / sij - sij * cross - swap / sij)
+            keys.append(np.abs(2 * s[:, i] + c[:, i] ** 2 / sij - sij - c[:, j] ** 2 / sij))
+            q_s += (keep + swap) / sij ** 2
+    return np.stack(gaps, axis=1), np.stack(keys, axis=1), q_s
+
+
+def test_vectorized_pair_kernels_match_pair_loops():
+    rng = np.random.default_rng(8)
+    for n, m in ((2, 2), (4, 2), (4, 4), (5, 7)):
+        lam = cp.sample_spectra(rng, 256, n, m)
+        h = cp.sample_h(rng, 256, n, m)
+        gaps, keys, q_s = _pair_loop_reference(lam, h)
+        assert np.array_equal(cp.pair_claim_gaps(lam, h), gaps)
+        assert np.array_equal(cp.key_identity_residuals(lam), keys)
+        assert np.array_equal(cp.gradient_square_terms(lam, h), q_s)

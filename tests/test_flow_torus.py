@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from areaflow import svcore
 from areaflow.errors import ConfigurationError
 from areaflow.flowsim import (ScenarioConfig, initial_state, run, step_torus,
                               torus_monitors)
@@ -93,14 +94,6 @@ def test_general_dimensions_path():
     assert records[0].max_lambda <= 0.31
 
 
-def test_rk4_matches_euler_to_higher_order():
-    config, state = make_state(resolution=16, amplitude=0.4)
-    dt = torus.max_step(state, 0.2)
-    euler = step_torus(state, dt, scheme="euler")
-    rk4 = step_torus(state, dt, scheme="rk4")
-    assert np.abs(euler.u - rk4.u).max() <= 10 * dt**2
-
-
 def test_winding_preserved_and_periodic():
     config, state = make_state(initial="linear", amplitude=1.0, resolution=16)
     state2 = TorusState(n=2, m=2, resolution=16, winding=state.winding,
@@ -121,3 +114,33 @@ def test_csv_round_trip_format():
     parsed = [float(x) for x in lines[1].split(",")]
     assert parsed[0] == records[0].t
     assert float(f"{records[1].min_phi:.17g}") == records[1].min_phi
+
+
+def _svd_phi_stats(df):
+    """Reference for pointwise_phi_stats: SVD spectra through the shared
+    spectrum kernel."""
+    lam = np.linalg.svd(torus._node_matrices(df), compute_uv=False)
+    pair = lam[:, 0] * lam[:, 1]
+    flagged = bool((pair**2 >= 1.0 - svcore.PAIR_PRODUCT_GUARD).any())
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = svcore.phi_batch(lam)
+    min_phi = float("nan") if flagged else float(phi.min())
+    return min_phi, float(pair.max()), float(lam.max()), flagged
+
+
+def test_closed_form_phi_matches_spectrum_kernel():
+    rng = np.random.default_rng(2024)
+    fields = [rng.normal(0.0, 0.3, (2, 2, 9, 7)) for _ in range(6)]
+    flagged_field = rng.normal(0.0, 0.3, (2, 2, 9, 7))
+    flagged_field[:, :, 4, 3] = [[1.3, 0.2], [-0.1, 0.9]]   # l1 l2 = det = 1.19
+    fields.append(flagged_field)
+    for k, df in enumerate(fields):
+        closed = torus.pointwise_phi_stats(df)
+        ref = _svd_phi_stats(df)
+        assert closed[3] == ref[3] == (k == len(fields) - 1)
+        if ref[3]:
+            assert math.isnan(closed[0]) and math.isnan(ref[0])
+        else:
+            assert math.isclose(closed[0], ref[0], rel_tol=1e-13)
+        assert math.isclose(closed[1], ref[1], rel_tol=1e-13)
+        assert math.isclose(closed[2], ref[2], rel_tol=1e-13)

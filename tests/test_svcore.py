@@ -109,6 +109,25 @@ def test_s_two_matrix_single_off_diagonal():
     assert math.isclose(out[B, A], t)
 
 
+def test_s_two_matrix_stack_matches_single():
+    rng = np.random.default_rng(3)
+    S = rng.normal(size=(5, 4, 4))
+    S = S + np.swapaxes(S, -1, -2)
+    out = svcore.s_two_matrix(S)
+    assert out.shape == (5, 6, 6)
+    for b in range(5):
+        assert np.array_equal(out[b], svcore.s_two_matrix(S[b]))
+
+
+def test_phi_batch_keeps_dtype_and_matches_phi():
+    lam = np.array([[0.5, 0.5, 0.0], [0.9, 0.3, 0.1]])
+    out = svcore.phi_batch(lam.astype(np.longdouble))
+    assert out.dtype == np.longdouble
+    for row, value in zip(lam, svcore.phi_batch(lam)):
+        assert value == svcore.phi(svcore.spectrum(row))
+    assert math.isclose(float(out[0]), math.log(0.6) - 2 * math.log(1.25))
+
+
 def test_s_two_matrix_requires_symmetry():
     S = np.zeros((3, 3))
     S[0, 1] = 1e-6
