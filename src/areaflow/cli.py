@@ -20,6 +20,7 @@ import datetime
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import __version__, campaigns, criteria, geometry
@@ -113,7 +114,9 @@ def _cmd_criteria(args) -> int:
 def _cmd_flow(args) -> int:
     started = _now()
     config = parse_scenario(args.scenario)
+    t0 = time.perf_counter()
     records, verdict = run_flow(config)
+    elapsed = time.perf_counter() - t0
     csv_text = records_to_csv(records)
     files = {"timeseries.csv": csv_text, "verdict.json": _json_bytes(verdict)}
     if config.plots:
@@ -121,7 +124,8 @@ def _cmd_flow(args) -> int:
         files["max_lambda.svg"] = records_to_svg(records, "max_lambda")
     out_dir = args.out or "flow_out"
     _write_outputs(out_dir, files, "flow",
-                   {"scenario": str(args.scenario), **config.__dict__},
+                   {"scenario": str(args.scenario), **config.__dict__,
+                    "elapsed_s": elapsed, "steps_per_s": verdict["steps"] / elapsed},
                    started=started)
     sys.stdout.write(_json_bytes(verdict).decode())
     healthy = verdict["outcome"] in ("converged", "steady") \

@@ -67,9 +67,7 @@ def _invariant_fields(df):
 
 def _algebraic_sides(state: TorusState):
     """Frame contractions of the evolution right side and gradient identity."""
-    df = torus.first_derivatives(state)
-    d2 = torus.second_derivatives(state)
-    fr = torus.graph_frames(df, d2)
+    fr = torus.graph_frames(state.df, torus.second_derivatives(state))
     S_T, S_N, S_X, h = fr["S_T"], fr["S_N"], fr["S_X"], fr["h"]
     HtH = np.einsum("pxka,pxkb->pab", h, h)
     HSNH = np.einsum("pxka,pxy,pykb->pab", h, S_N, h)
@@ -91,10 +89,9 @@ def _christoffels(g, ginv, h, n):
 
 def _measured_grad_sq(state: TorusState):
     """|grad S|^2 by covariant differencing of the coordinate components."""
-    df = torus.first_derivatives(state)
-    g, ginv = torus.induced_metric(df)
+    g, ginv = torus.induced_metric(state.df)
     n, h = state.n, state.h
-    shat = _restriction_coordinate(df)
+    shat = _restriction_coordinate(state.df)
     dS = np.stack([_roll_diff(shat, 2 + k, h) for k in range(n)])  # dS[k, i, j]
     gamma = _christoffels(g, ginv, h, n)
     covd = dS - np.einsum("lki...,lj...->kij...", gamma, shat) \
@@ -112,22 +109,18 @@ def consistency_residuals(state: TorusState, dt: float, cfl: float = 0.25):
     if not isinstance(state, TorusState):
         raise ValueError("consistency checks support only the torus backend")
     n, h = state.n, state.h
-    prev = state
-    mid = torus.step_torus(prev, dt, cfl)
-    nxt = torus.step_torus(mid, dt, cfl)
-
-    fields = []
-    for st in (prev, mid, nxt):
-        fields.append(_invariant_fields(torus.first_derivatives(st)))
-    (u1p, u2p), (u1c, u2c), (u1n, u2n) = fields
+    mid = torus.step_torus(state, dt, cfl)
+    u1p, u2p = _invariant_fields(state.df)
+    u1c, u2c = _invariant_fields(mid.df)
+    # the third state is not kept, so its cached df is freed at once
+    u1n, u2n = _invariant_fields(torus.step_torus(mid, dt, cfl).df)
     du1 = (u1n - u1p) / (2.0 * dt)
     du2 = (u2n - u2p) / (2.0 * dt)
 
-    df = torus.first_derivatives(mid)
-    g, ginv = torus.induced_metric(df)
+    g, ginv = torus.induced_metric(mid.df)
     ft = torus.flow_velocity(mid)
     # tangential transport of the graphical parametrization
-    b = np.einsum("ai...,a...->i...", df, ft)
+    b = np.einsum("ai...,a...->i...", mid.df, ft)
     v = np.einsum("ij...,j...->i...", ginv, b)
 
     def measured(u, du):

@@ -78,7 +78,7 @@ def _geometry(state: EquivariantState):
 
     X = embed(ext_r, ext_rho)
     Xc, Xp, Xm = X[1:-1], X[2:], X[:-2]
-    rhop = profile_derivative(state)
+    rhop = state.rhop
     X_rr = (Xp - 2.0 * Xc + Xm) / dr**2
     sr, sp = np.sin(r), np.sin(rho)
     zeros = np.zeros_like(r)
@@ -108,7 +108,7 @@ def _geometry(state: EquivariantState):
     II_rt = project(X_rt)
     nu = np.concatenate([-rhop[:, None] * pr, qr], axis=-1) / np.sqrt(g_rr)[:, None]
     mu = np.stack([zeros, zeros, -sp, zeros, zeros, sr], axis=-1) / np.sqrt(safe_tt)[:, None]
-    return {"rhop": rhop, "g_rr": g_rr, "g_tt": g_tt, "II_rr": II_rr,
+    return {"g_rr": g_rr, "g_tt": g_tt, "II_rr": II_rr,
             "II_tt": II_tt, "II_rt": II_rt, "nu": nu, "mu": mu}
 
 
@@ -130,8 +130,7 @@ def normal_velocity(state: EquivariantState):
 def profile_velocity(state: EquivariantState) -> np.ndarray:
     """d rho / dt = sqrt(1 + rho'^2) <H, nu>, zero at the poles."""
     h_nu, _, _ = normal_velocity(state)
-    rhop = profile_derivative(state)
-    v = np.sqrt(1.0 + rhop**2) * h_nu
+    v = np.sqrt(1.0 + state.rhop**2) * h_nu
     v[0] = v[-1] = 0.0
     return v
 
@@ -150,7 +149,7 @@ def closed_form_velocity(state: EquivariantState, rhop=None, rhopp=None) -> np.n
     r = state.r
     rho = state.rho
     if rhop is None:
-        rhop = profile_derivative(state)
+        rhop = state.rhop
     if rhopp is None:
         ext = _extended(state)
         rhopp = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / state.h**2
@@ -164,8 +163,7 @@ def closed_form_velocity(state: EquivariantState, rhop=None, rhopp=None) -> np.n
 
 
 def max_step(state: EquivariantState, cfl: float) -> float:
-    rhop = profile_derivative(state)
-    return cfl * state.h**2 * float(np.min(1.0 + rhop**2))
+    return cfl * state.h**2 * float(np.min(1.0 + state.rhop**2))
 
 
 def step_equivariant(state: EquivariantState, dt: float,
@@ -174,8 +172,7 @@ def step_equivariant(state: EquivariantState, dt: float,
     the meridian metric coefficient 1/(1 + rho'^2)."""
     if not 0 < cfl <= CFL_MAX:
         raise ConfigurationError(f"cfl must lie in (0, {CFL_MAX}]")
-    rhop = profile_derivative(state)
-    if np.abs(rhop).max() > RHO_PRIME_BREAKDOWN:
+    if np.abs(state.rhop).max() > RHO_PRIME_BREAKDOWN:
         raise GraphicalBreakdownError("profile derivative blow-up",
                                       last_record=equivariant_monitors(state))
     if dt > max_step(state, cfl) * (1 + 1e-12):
@@ -192,10 +189,8 @@ def step_equivariant(state: EquivariantState, dt: float,
 def profile_spectrum(state: EquivariantState):
     """(lambda_1, lambda_2) fields: |rho'| and |sin rho / sin r| with the
     analytic pole limit lambda_2 = |rho'|."""
-    r = state.r
-    rhop = profile_derivative(state)
-    lam1 = np.abs(rhop)
-    sr = np.sin(r)
+    lam1 = np.abs(state.rhop)
+    sr = np.sin(state.r)
     lam2 = np.empty_like(lam1)
     interior = sr > 1e-12
     lam2[interior] = np.abs(np.sin(state.rho[interior]) / sr[interior])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .state import (EquivariantState, MonitorRecord, ScenarioConfig,
 def _light_min_phi(state):
     """Cheap per-step (min_phi, max_lambda, flagged) without |A|^2."""
     if isinstance(state, TorusState):
-        stats = torus.pointwise_phi_stats(torus.first_derivatives(state))
+        stats = torus.pointwise_phi_stats(state.df)
     else:
         stats = equivariant.pointwise_phi_stats(*equivariant.profile_spectrum(state))
     min_phi, _, max_lam, flagged = stats
@@ -62,8 +63,9 @@ def run(config: ScenarioConfig, state=None):
     beyond C (h^2 + dt), the fitted tail decay rate of -min Phi, and the
     equivariant symmetry self-check when applicable.
     """
-    if state is None:
-        state = initial_state(config)
+    # a caller's state is copied, so the fields derived during the run are
+    # freed with the run rather than left cached on the caller's object
+    state = initial_state(config) if state is None else replace(state)
     if isinstance(state, TorusState):
         dt = torus.max_step(state, config.cfl)
         stepper = lambda s: torus.step_torus(s, dt, config.cfl)

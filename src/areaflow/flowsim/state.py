@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,14 @@ from ..errors import ConfigurationError
 CFL_MAX = 0.25
 
 
-@dataclass
+@dataclass(frozen=True)
 class TorusState:
     """Periodic graph map T^n -> T^m, stored as winding + periodic residual.
 
     The lift is f(x) = winding @ x + u(x); the flow equation acts on the
     lift, so any real-valued winding matrix is admissible (integer windings
-    are the homotopically distinct classes).
+    are the homotopically distinct classes).  States are frozen and derive
+    ``df`` once; writing into ``u`` after reading ``df`` is unsupported.
     """
 
     n: int
@@ -34,16 +36,23 @@ class TorusState:
     def h(self):
         return 2.0 * math.pi / self.resolution
 
+    @cached_property
+    def df(self):
+        from . import torus
+        return torus.first_derivatives(self)
+
     backend = "torus"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivariantState:
     """Rotationally symmetric sphere-pair profile rho(r) on r_j = j pi / J.
 
     rho(0) = 0 and rho(pi) is 0 (trivial class) or pi (identity class);
     both poles are held fixed and ghost values extend the profile by odd
-    reflection about the pole values.
+    reflection about the pole values.  States are frozen and derive ``r``
+    and ``rhop`` once; writing into ``rho`` after reading ``rhop`` is
+    unsupported.
     """
 
     resolution: int              # J: number of intervals
@@ -55,9 +64,14 @@ class EquivariantState:
     def h(self):
         return math.pi / self.resolution
 
-    @property
+    @cached_property
     def r(self):
         return np.linspace(0.0, math.pi, self.resolution + 1)
+
+    @cached_property
+    def rhop(self):
+        from . import equivariant
+        return equivariant.profile_derivative(self)
 
     backend = "equivariant_sphere"
 

@@ -66,10 +66,8 @@ def induced_metric(df: np.ndarray):
 
 def flow_velocity(state: TorusState) -> np.ndarray:
     """g^{ij} d2_{ij} f^a for every component and node."""
-    df = first_derivatives(state)
-    d2 = second_derivatives(state)
-    _, ginv = induced_metric(df)
-    return np.einsum("ij...,aij...->a...", ginv, d2)
+    _, ginv = induced_metric(state.df)
+    return np.einsum("ij...,aij...->a...", ginv, second_derivatives(state))
 
 
 def max_step(state: TorusState, cfl: float) -> float:
@@ -166,15 +164,10 @@ def graph_frames(df: np.ndarray, d2: np.ndarray):
     return {"E": E, "N": N, "S_T": S_T, "S_N": S_N, "S_X": S_X, "h": h_frame, "M": M}
 
 
-def second_fundamental_norm_sq(state: TorusState) -> np.ndarray:
-    """|A|^2 per node from the frame components of the graph."""
-    frames = graph_frames(first_derivatives(state), second_derivatives(state))
-    return np.einsum("pxab,pxab->p", frames["h"], frames["h"])
-
-
 def torus_monitors(state: TorusState) -> MonitorRecord:
-    df = first_derivatives(state)
-    min_phi, max_pair, max_lam, flagged = pointwise_phi_stats(df)
-    sup_a2 = float(second_fundamental_norm_sq(state).max())
+    """Phi stats and sup |A|^2, the latter from the frame components h."""
+    min_phi, max_pair, max_lam, flagged = pointwise_phi_stats(state.df)
+    h = graph_frames(state.df, second_derivatives(state))["h"]
+    sup_a2 = float(np.einsum("pxab,pxab->p", h, h).max())
     return MonitorRecord(t=state.t, min_phi=min_phi, max_two_dilation=max_pair,
                          max_lambda=max_lam, sup_a2=sup_a2, flagged=flagged)

@@ -194,12 +194,3 @@ def rescale_spectrum(spec: SingularSpectrum, rho: float) -> SingularSpectrum:
     if not rho > 0:
         raise ValueError("rho must be positive")
     return SingularSpectrum(n=spec.n, m=spec.m, lam=spec.lam * rho)
-
-
-def spectrum_to_json(spec: SingularSpectrum) -> list:
-    """Flat JSON array of the singular values."""
-    return [float(v) for v in spec.lam]
-
-
-def spectrum_from_json(data, m=None) -> SingularSpectrum:
-    return spectrum(list(data), m=m)

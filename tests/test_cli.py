@@ -135,6 +135,20 @@ def test_flow_subcommand_outputs_and_determinism(capsys, tmp_path):
     assert set(manifest["outputs"]) == {"timeseries.csv", "verdict.json"}
 
 
+def test_flow_timings_go_to_manifest_only(capsys, tmp_path):
+    scenario = tmp_path / "tiny.cfg"
+    scenario.write_text(TINY_SCENARIO)
+    rc, out = run_cli(capsys, "flow", str(scenario), "--out", str(tmp_path / "o"))
+    assert rc == 0
+    config = json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]
+    assert config["elapsed_s"] > 0 and config["steps_per_s"] > 0
+    verdict = json.loads((tmp_path / "o" / "verdict.json").read_text())
+    assert json.loads(out) == verdict
+    csv_text = (tmp_path / "o" / "timeseries.csv").read_text()
+    for key in ("elapsed_s", "steps_per_s"):
+        assert key not in verdict and key not in csv_text
+
+
 def test_flow_svg_outputs(capsys, tmp_path):
     scenario = tmp_path / "tiny.cfg"
     scenario.write_text(TINY_SCENARIO + "plots = true\n")

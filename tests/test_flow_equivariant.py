@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -100,3 +101,32 @@ def test_initial_area_decreasing_preserved():
     # 0.9 sin r has pair product <= 0.81 <= 0.9: no record may flag
     assert all(not r.flagged for r in records)
     assert max(r.max_two_dilation for r in records) < 1.0
+
+
+def test_profile_derivative_runs_once_per_state(monkeypatch):
+    calls = []
+    original = eq.profile_derivative
+
+    def counted(state):
+        calls.append(state.steps)
+        return original(state)
+
+    monkeypatch.setattr(eq, "profile_derivative", counted)
+    config = ScenarioConfig(backend="equivariant_sphere", resolution=32,
+                            initial="sine", amplitude=0.3, t_max=0.05,
+                            cadence=5)
+    _, verdict = run(config)
+    assert verdict["steps"] >= 10
+    assert len(calls) == verdict["steps"] + 1
+
+
+def test_cached_rhop_is_exact_and_belongs_to_one_state():
+    state = profile_state(32, lambda r: 0.3 * np.sin(r))
+    out = step_equivariant(state, 0.2 * state.h**2, 0.2)
+    assert out.rhop is out.rhop and out.r is out.r
+    assert np.array_equal(out.rhop, eq.profile_derivative(out))
+    moved = dataclasses.replace(out, rho=0.5 * out.rho)
+    assert not np.array_equal(moved.rhop, out.rhop)
+    assert np.array_equal(moved.rhop, eq.profile_derivative(moved))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.rho = state.rho

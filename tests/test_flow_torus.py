@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -144,3 +145,34 @@ def test_closed_form_phi_matches_spectrum_kernel():
             assert math.isclose(closed[0], ref[0], rel_tol=1e-13)
         assert math.isclose(closed[1], ref[1], rel_tol=1e-13)
         assert math.isclose(closed[2], ref[2], rel_tol=1e-13)
+
+
+def test_first_derivatives_run_once_per_state(monkeypatch):
+    calls = []
+    original = torus.first_derivatives
+
+    def counted(state):
+        calls.append(state.steps)
+        return original(state)
+
+    monkeypatch.setattr(torus, "first_derivatives", counted)
+    config = ScenarioConfig(backend="torus", resolution=16, initial="sine",
+                            amplitude=0.4, t_max=0.2, cadence=5)
+    state = initial_state(config)
+    _, verdict = run(config, state)
+    assert verdict["steps"] >= 10
+    assert len(calls) == verdict["steps"] + 1
+    # the run derives its fields on its own copy, not on the caller's state
+    assert "df" not in vars(state)
+
+
+def test_cached_df_is_exact_and_belongs_to_one_state():
+    _, state = make_state(resolution=16)
+    out = step_torus(state, torus.max_step(state, 0.2), 0.2)
+    assert out.df is out.df
+    assert np.array_equal(out.df, torus.first_derivatives(out))
+    moved = dataclasses.replace(out, u=0.5 * out.u)
+    assert not np.array_equal(moved.df, out.df)
+    assert np.array_equal(moved.df, torus.first_derivatives(moved))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.u = state.u

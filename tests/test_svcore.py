@@ -219,11 +219,3 @@ def test_two_dilation_scales_quadratically(spec, rho):
     scaled = svcore.rescale_spectrum(spec, rho)
     assert math.isclose(svcore.two_dilation(scaled),
                         rho**2 * svcore.two_dilation(spec), rel_tol=1e-12)
-
-
-def test_json_round_trip():
-    spec = svcore.spectrum([1.2, 0.3, 0.0], m=2)
-    data = svcore.spectrum_to_json(spec)
-    assert data == [1.2, 0.3, 0.0]
-    back = svcore.spectrum_from_json(data, m=2)
-    assert back.n == 3 and back.m == 2 and np.allclose(back.lam, spec.lam)
