@@ -6,18 +6,21 @@ the polar angle; its graph sits in S^2 x S^2 embedded in R^6 as
     X(r, theta) = (cos r, sin r cos th, sin r sin th,
                    cos rho, sin rho cos th, sin rho sin th).
 
-The normal velocity is computed geometrically: Euclidean second-derivative
-vectors of X by finite differences along the meridian (theta-derivatives are
-closed-form), minus their components along the two sphere normals (p, 0) and
-(0, q), minus the tangential part, traced with the inverse induced metric
-diag(1 + rho'^2, sin^2 r + sin^2 rho).  By the reflection symmetry
-theta -> -theta the mean curvature is parallel to
+The geometric route (``normal_velocity``, ``second_fundamental_norm_sq``)
+takes Euclidean second-derivative vectors of X by finite differences along
+the meridian (theta-derivatives are closed-form), minus their components
+along the two sphere normals (p, 0) and (0, q), minus the tangential part,
+traced with the inverse induced metric diag(1 + rho'^2, sin^2 r + sin^2 rho).
+By the reflection symmetry theta -> -theta the mean curvature is parallel to
 
     nu = (-rho' p_r, q_rho) / sqrt(1 + rho'^2),
 
 so the profile obeys d rho/dt = sqrt(1 + rho'^2) <H, nu>; the component
 along the other unit normal mu (the theta-direction combination) is
-monitored as a symmetry self-check.
+monitored as a symmetry self-check.  The step reads <H, nu> without the
+projections (``profile_velocity``): nu is orthogonal to both sphere normals
+and both tangents, so projecting a vector first leaves its inner product
+with nu unchanged.
 
 Singular values: lambda_1 = |rho'|, lambda_2 = |sin rho / sin r| with the
 pole limit lambda_2 = |rho'| at r in {0, pi}.
@@ -51,9 +54,7 @@ def profile_derivative(state: EquivariantState) -> np.ndarray:
     the velocity operator to first order in the max norm.
     """
     ext = _extended(state, ghosts=2)
-    J = state.resolution
-    j = np.arange(J + 1) + 2
-    return (-ext[j + 2] + 8.0 * ext[j + 1] - 8.0 * ext[j - 1] + ext[j - 2]) \
+    return (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) \
         / (12.0 * state.h)
 
 
@@ -128,10 +129,24 @@ def normal_velocity(state: EquivariantState):
 
 
 def profile_velocity(state: EquivariantState) -> np.ndarray:
-    """d rho / dt = sqrt(1 + rho'^2) <H, nu>, zero at the poles."""
-    h_nu, _, _ = normal_velocity(state)
-    v = np.sqrt(1.0 + state.rhop**2) * h_nu
-    v[0] = v[-1] = 0.0
+    """d rho / dt = sqrt(1 + rho'^2) <H, nu>, zero at the poles.
+
+    With n = sqrt(1 + rho'^2) nu = (rho' sin r, -rho' cos r, 0, -sin rho,
+    cos rho, 0) this is <X_rr, n> / g_rr + <X_tt, n> / g_tt: nu is
+    orthogonal to the sphere normals and the tangents, so the projections of
+    the geometric route drop out.  X_rr is the same centered second
+    difference of the embedding, on its four nonzero components; the X_tt
+    term is the closed form's
+    (rho' sin r cos r - sin rho cos rho) / (sin^2 r + sin^2 rho).
+    """
+    X = (np.cos(state.r), np.sin(state.r), np.cos(state.rho), np.sin(state.rho))
+    cr, sr, cp, sp = (x[1:-1] for x in X)
+    X_rr = [(x[2:] - 2.0 * x[1:-1] + x[:-2]) / state.h**2 for x in X]
+    p = state.rhop[1:-1]
+    v = np.zeros_like(state.rho)
+    v[1:-1] = ((p * sr * X_rr[0] - p * cr * X_rr[1] - sp * X_rr[2] + cp * X_rr[3])
+               / (1.0 + p**2)
+               + (p * sr * cr - sp * cp) / (sr**2 + sp**2))
     return v
 
 
@@ -191,10 +206,8 @@ def profile_spectrum(state: EquivariantState):
     analytic pole limit lambda_2 = |rho'|."""
     lam1 = np.abs(state.rhop)
     sr = np.sin(state.r)
-    lam2 = np.empty_like(lam1)
-    interior = sr > 1e-12
-    lam2[interior] = np.abs(np.sin(state.rho[interior]) / sr[interior])
-    lam2[~interior] = lam1[~interior]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam2 = np.where(sr > 1e-12, np.abs(np.sin(state.rho) / sr), lam1)
     return lam1, lam2
 
 

@@ -29,6 +29,14 @@ def _monitor(state):
     return equivariant.equivariant_monitors(state)
 
 
+def _mu_rel(state):
+    """Largest |<H, mu>| / |H| on the interior nodes of an equivariant state:
+    the symmetry self-check taken with each monitor record."""
+    _, h_mu, h_norm = equivariant.normal_velocity(state)
+    floor = 1e-12 + 1e-9 * state.h**2
+    return float((np.abs(h_mu[1:-1]) / (np.abs(h_norm[1:-1]) + floor)).max())
+
+
 def _velocity_max(state):
     if isinstance(state, TorusState):
         return float(np.abs(torus.flow_velocity(state)).max())
@@ -75,11 +83,12 @@ def run(config: ScenarioConfig, state=None):
     tol = config.monotonicity_c * (state.h**2 + dt)
     steady_tol = config.steady_c * state.h**2
 
+    equivariant_run = isinstance(state, EquivariantState)
     records = [_monitor(state)]
+    mu_rel_max = _mu_rel(state) if equivariant_run else 0.0
     prev_phi, _, ever_flagged = _light_min_phi(state)
     violations = 0
     worst_drop = 0.0
-    mu_rel_max = 0.0
     outcome = "timeout"
     light_t = [state.t]
     light_phi = [prev_phi]
@@ -104,17 +113,16 @@ def run(config: ScenarioConfig, state=None):
         light_phi.append(min_phi)
         if state.steps % config.cadence == 0:
             records.append(_monitor(state))
-            if isinstance(state, EquivariantState):
-                h_nu, h_mu, h_norm = equivariant.normal_velocity(state)
-                floor = 1e-12 + 1e-9 * state.h**2
-                rel = np.abs(h_mu[1:-1]) / (np.abs(h_norm[1:-1]) + floor)
-                mu_rel_max = max(mu_rel_max, float(rel.max()))
+            if equivariant_run:
+                mu_rel_max = max(mu_rel_max, _mu_rel(state))
         if max_lam < config.lambda_stop:
             outcome = "converged"
             break
 
     if records[-1].t != state.t and outcome != "diverged":
         records.append(_monitor(state))
+        if equivariant_run:
+            mu_rel_max = max(mu_rel_max, _mu_rel(state))
     if outcome == "timeout" and _velocity_max(state) <= steady_tol:
         outcome = "steady"
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -44,15 +44,25 @@ class TorusState:
     backend = "torus"
 
 
+@lru_cache(maxsize=None)
+def node_angles(resolution: int) -> np.ndarray:
+    """r_j = j pi / J: one read-only array per resolution, shared by every
+    state of that resolution."""
+    r = np.linspace(0.0, math.pi, resolution + 1)
+    r.flags.writeable = False
+    return r
+
+
 @dataclass(frozen=True)
 class EquivariantState:
     """Rotationally symmetric sphere-pair profile rho(r) on r_j = j pi / J.
 
     rho(0) = 0 and rho(pi) is 0 (trivial class) or pi (identity class);
     both poles are held fixed and ghost values extend the profile by odd
-    reflection about the pole values.  States are frozen and derive ``r``
-    and ``rhop`` once; writing into ``rho`` after reading ``rhop`` is
-    unsupported.
+    reflection about the pole values.  States are frozen and derive
+    ``rhop`` once; writing into ``rho`` after reading ``rhop`` is
+    unsupported.  ``r`` is the read-only node array that all states of a
+    resolution share.
     """
 
     resolution: int              # J: number of intervals
@@ -64,9 +74,9 @@ class EquivariantState:
     def h(self):
         return math.pi / self.resolution
 
-    @cached_property
+    @property
     def r(self):
-        return np.linspace(0.0, math.pi, self.resolution + 1)
+        return node_angles(self.resolution)
 
     @cached_property
     def rhop(self):
@@ -182,7 +192,7 @@ def _torus_initial(config: ScenarioConfig) -> TorusState:
 
 def _equivariant_initial(config: ScenarioConfig) -> EquivariantState:
     J = config.resolution
-    r = np.linspace(0.0, math.pi, J + 1)
+    r = node_angles(J)
     if config.initial == "sine":
         rho = config.amplitude * np.sin(r)
     elif config.initial == "identity":

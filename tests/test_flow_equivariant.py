@@ -53,6 +53,39 @@ def test_velocity_matches_closed_form_at_order_two():
     assert order1 >= 1.5 and order2 >= 1.5
 
 
+PROFILES = {
+    "sine_03": lambda r: 0.3 * np.sin(r),
+    "two_mode": lambda r: 0.4 * np.sin(r) + 0.05 * np.sin(2 * r),
+    "identity": lambda r: r.copy(),
+    "sine_cubed_09": lambda r: 0.9 * np.sin(r) ** 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_profile_velocity_matches_geometric_route(name):
+    # the step's inner product against sqrt(1 + rho'^2) <H, nu> of the
+    # projected second-derivative vectors
+    for J in (64, 128, 256):
+        state = profile_state(J, PROFILES[name])
+        h_nu, _, _ = eq.normal_velocity(state)
+        geometric = np.sqrt(1.0 + state.rhop**2) * h_nu
+        geometric[0] = geometric[-1] = 0.0
+        v = eq.profile_velocity(state)
+        assert v[0] == v[-1] == 0.0
+        assert np.abs(v - geometric).max() <= 1e-12
+
+
+def test_node_angles_are_shared_and_read_only():
+    a = profile_state(64, lambda r: 0.3 * np.sin(r))
+    b = step_equivariant(a, 0.2 * a.h**2, 0.2)
+    assert a.r is b.r
+    assert a.r is EquivariantState(resolution=64, rho=np.zeros(65)).r
+    assert a.r is not profile_state(32, np.zeros_like).r
+    assert np.array_equal(a.r, np.linspace(0.0, math.pi, 65))
+    with pytest.raises(ValueError):
+        a.r[1] = 0.0
+
+
 def test_mu_component_vanishes_by_symmetry():
     state = profile_state(96, lambda r: 0.4 * np.sin(r) + 0.05 * np.sin(2 * r))
     _, h_mu, h_norm = eq.normal_velocity(state)
@@ -118,6 +151,25 @@ def test_profile_derivative_runs_once_per_state(monkeypatch):
     _, verdict = run(config)
     assert verdict["steps"] >= 10
     assert len(calls) == verdict["steps"] + 1
+
+
+def test_mu_check_runs_with_every_record_and_never_in_the_step(monkeypatch):
+    checked = []
+    original = eq.normal_velocity
+
+    def counted(state):
+        checked.append(state.t)
+        return original(state)
+
+    monkeypatch.setattr(eq, "normal_velocity", counted)
+    config = ScenarioConfig(backend="equivariant_sphere", resolution=32,
+                            initial="sine", amplitude=0.3, t_max=0.05,
+                            cadence=7)
+    records, verdict = run(config)
+    # the initial record, the cadence records and the final off-cadence one
+    assert verdict["steps"] % config.cadence != 0
+    assert checked == [rec.t for rec in records]
+    assert verdict["mu_orthogonality_max_rel"] <= 1e-6
 
 
 def test_cached_rhop_is_exact_and_belongs_to_one_state():

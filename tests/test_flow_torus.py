@@ -100,9 +100,17 @@ def test_winding_preserved_and_periodic():
     state2 = TorusState(n=2, m=2, resolution=16, winding=state.winding,
                         u=state.u + 0.1 * np.sin(np.arange(16) * 2 * np.pi / 16)[None, :, None],
                         t=0.0)
-    out = step_torus(state2, torus.max_step(state2, 0.2), 0.2)
-    assert np.shares_memory(out.winding, state2.winding) or np.allclose(
-        out.winding, state2.winding)
+    dt = torus.max_step(state2, 0.2)
+    out = step_torus(state2, dt, 0.2)
+    assert np.array_equal(out.winding, state2.winding)
+    # the stencil is periodic: stepping a shifted residual shifts the step
+    x = np.arange(16) * 2 * np.pi / 16
+    u = state2.u + 0.05 * np.cos(2 * x[None, None, :] + x[None, :, None]
+                                 + np.arange(2)[:, None, None])
+    state3 = dataclasses.replace(state2, u=u)
+    shifted = dataclasses.replace(state2, u=np.roll(u, (3, 5), axis=(1, 2)))
+    assert np.array_equal(step_torus(shifted, dt, 0.2).u,
+                          np.roll(step_torus(state3, dt, 0.2).u, (3, 5), axis=(1, 2)))
 
 
 def test_csv_round_trip_format():
