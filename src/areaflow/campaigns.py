@@ -16,8 +16,12 @@ checks both routes agree.
 
 from __future__ import annotations
 
+import copy
+import functools
+import operator
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -470,76 +474,36 @@ def _chunks(total):
         idx += 1
 
 
-def _suite_result(name, n, m, samples, seed, tol, kind):
-    return {
-        "suite": name, "n": n, "m": m, "samples": samples, "seed": seed,
-        "tolerance": tol, "kind": kind, "violations": 0,
-        "worst": None, "failing_sample": None, "passed": True,
-    }
+# Chunk bodies draw one chunk of samples from ``rng`` and evaluate it. Each
+# returns (checked values, replay arrays, extra-field values): row b of the
+# replay arrays is the failing-sample payload, and the extra values are
+# folded into the report fields the suite declares in SPECS.
 
 
-def _update_worst(res, values, kind, payload_fn):
-    values = np.asarray(values, dtype=float)
-    if kind == "min_gap":
-        worst = float(values.min())
-        better = res["worst"] is None or worst < res["worst"]
-        bad = values < res["tolerance"]
-    else:
-        worst = float(values.max())
-        better = res["worst"] is None or worst > res["worst"]
-        bad = values > res["tolerance"]
-    if better:
-        res["worst"] = worst
-    if bad.any():
-        res["violations"] += int(bad.sum())
-        if res["failing_sample"] is None:
-            res["failing_sample"] = payload_fn(int(np.argmax(bad)))
-
-
-def suite_oracle(n, m, samples, seed, tol=1e-10):
+def _oracle_chunk(rng, size, n, m):
     """Sum-of-logs formula vs assembled-operator log-determinant."""
-    res = _suite_result("oracle", n, m, samples, seed, tol, "max_residual")
-    for chunk, size in _chunks(samples):
-        rng = _rng(seed, "oracle", n, m, chunk)
-        lam = sample_spectra(rng, size, n, m)
-        diff = np.abs(logdet_pair_formula(lam).astype(float) - logdet_pair_oracle(lam))
-        _update_worst(res, diff, "max_residual", lambda b: {"lambda": lam[b].tolist()})
-    res["passed"] = res["violations"] == 0
-    return res
+    lam = sample_spectra(rng, size, n, m)
+    diff = np.abs(logdet_pair_formula(lam).astype(float) - logdet_pair_oracle(lam))
+    return diff, {"lambda": lam}, {}
 
 
-def suite_master(n, m, samples, seed, tol=-1e-10):
+def _master_chunk(rng, size, n, m):
     """Evolution inequality for log det S^[2]."""
-    res = _suite_result("master", n, m, samples, seed, tol, "min_gap")
-    for chunk, size in _chunks(samples):
-        rng = _rng(seed, "master", n, m, chunk)
-        lam = sample_spectra(rng, size, n, m)
-        h = sample_h(rng, size, n, m)
-        sec1 = sample_sec(rng, size, n, -2.0, 2.0)
-        sec2 = pad_sec2(sample_sec(rng, size, min(n, m), -2.0, 2.0), n)
-        gaps = master_gaps(lam, h, sec1, sec2)
-        _update_worst(res, gaps, "min_gap",
-                      lambda b: {"lambda": lam[b].tolist(), "h": h[b].tolist(),
-                                 "sec1": sec1[b].tolist(), "sec2": sec2[b].tolist()})
-    res["passed"] = res["violations"] == 0
-    return res
+    lam = sample_spectra(rng, size, n, m)
+    h = sample_h(rng, size, n, m)
+    sec1 = sample_sec(rng, size, n, -2.0, 2.0)
+    sec2 = pad_sec2(sample_sec(rng, size, min(n, m), -2.0, 2.0), n)
+    gaps = master_gaps(lam, h, sec1, sec2)
+    return gaps, {"lambda": lam, "h": h, "sec1": sec1, "sec2": sec2}, {}
 
 
-def suite_pair_claim(n, m, samples, seed, tol=-1e-12):
+def _pair_claim_chunk(rng, size, n, m):
     """Per-pair grouping claim, all pairs per sample, plus the key identity."""
-    res = _suite_result("pair_claim", n, m, samples, seed, tol, "min_gap")
-    res["key_identity_max"] = 0.0
-    for chunk, size in _chunks(samples):
-        rng = _rng(seed, "pair_claim", n, m, chunk)
-        lam = sample_spectra(rng, size, n, m)
-        h = sample_h(rng, size, n, m)
-        gaps = pair_claim_gaps(lam, h).min(axis=1)
-        _update_worst(res, gaps, "min_gap",
-                      lambda b: {"lambda": lam[b].tolist(), "h": h[b].tolist()})
-        res["key_identity_max"] = max(res["key_identity_max"],
-                                      float(key_identity_residuals(lam).max()))
-    res["passed"] = res["violations"] == 0 and res["key_identity_max"] <= 1e-12
-    return res
+    lam = sample_spectra(rng, size, n, m)
+    h = sample_h(rng, size, n, m)
+    gaps = pair_claim_gaps(lam, h).min(axis=1)
+    key = float(key_identity_residuals(lam).max())
+    return gaps, {"lambda": lam, "h": h}, {"key_identity_max": key}
 
 
 def sample_phi_level(rng, count, n, m, delta):
@@ -580,86 +544,58 @@ def sample_phi_level(rng, count, n, m, delta):
     return d * lo[:, None]
 
 
-def suite_pinch(n, m, samples, seed, tol=0.0, deltas=(0.1, 1.0, 3.0)):
+# Each pinch level is its own seeded stream, run in full before the next.
+PINCH_DELTAS = (0.1, 1.0, 3.0)
+
+
+def _pinch_chunk(rng, size, n, m, delta):
     """Quantitative bounds from Phi >= -delta with the constructive c1."""
-    res = _suite_result("pinch", n, m, samples, seed, tol, "max_residual")
-    res["deltas"] = list(deltas)
-    for delta in deltas:
-        lam2_max, pair_max, c1 = verifier.phi_pinch_bounds(n, delta)
-        for chunk, size in _chunks(samples):
-            rng = _rng(seed, f"pinch{delta}", n, m, chunk)
-            lam = sample_phi_level(rng, size, n, m, delta)
-            vals = phi_values(lam).astype(float)
-            sq = lam**2
-            viol = sq.max(axis=1) - lam2_max
-            if n >= 2:
-                viol = np.maximum(viol, sq[:, 0] * sq[:, 1] - pair_max)
-            viol = np.maximum(viol, np.abs(vals) - c1 * sq.sum(axis=1))
-            _update_worst(res, viol, "max_residual", lambda b: {"lambda": lam[b].tolist()})
-    res["passed"] = res["violations"] == 0
-    return res
+    lam2_max, pair_max, c1 = verifier.phi_pinch_bounds(n, delta)
+    lam = sample_phi_level(rng, size, n, m, delta)
+    vals = phi_values(lam).astype(float)
+    sq = lam**2
+    viol = np.maximum(sq.max(axis=1) - lam2_max, sq[:, 0] * sq[:, 1] - pair_max)
+    viol = np.maximum(viol, np.abs(vals) - c1 * sq.sum(axis=1))
+    return viol, {"lambda": lam}, {}
 
 
-def suite_gradient_bound(n, m, samples, seed, tol=0.0):
+def _gradient_bound_chunk(rng, size, n, m):
     """|grad log det S^[2]|^2 against c2 e^{4d}(e^d-1)|A|^2."""
-    res = _suite_result("gradient_bound", n, m, samples, seed, tol, "max_residual")
     c2 = 4.0 * n**2 * (n - 1) ** 2
-    for chunk, size in _chunks(samples):
-        rng = _rng(seed, "gradient_bound", n, m, chunk)
-        lam = sample_spectra(rng, size, n, m)
-        h = sample_h(rng, size, n, m)
-        vals = phi_values(lam).astype(float)
-        delta = -vals + rng.uniform(0.0, 2.0, size)
-        delta = np.maximum(delta, 1e-9)
-        lhs = log_det_gradient_sq(lam, h).astype(float)
-        a2 = np.einsum("blki,blki->b", h, h)
-        rhs = c2 * np.exp(4 * delta) * np.expm1(delta) * a2
-        _update_worst(res, lhs - rhs, "max_residual",
-                      lambda b: {"lambda": lam[b].tolist(), "h": h[b].tolist(),
-                                 "delta": float(delta[b])})
-    res["passed"] = res["violations"] == 0
-    return res
+    lam = sample_spectra(rng, size, n, m)
+    h = sample_h(rng, size, n, m)
+    vals = phi_values(lam).astype(float)
+    delta = -vals + rng.uniform(0.0, 2.0, size)
+    delta = np.maximum(delta, 1e-9)
+    lhs = log_det_gradient_sq(lam, h).astype(float)
+    a2 = np.einsum("blki,blki->b", h, h)
+    rhs = c2 * np.exp(4 * delta) * np.expm1(delta) * a2
+    return lhs - rhs, {"lambda": lam, "h": h, "delta": delta}, {}
 
 
-def suite_triple_weight(n, m, samples, seed, tol=1e-12):
+def _triple_weight_chunk(rng, size, n, m):
     """Non-negativity of the regrouping weight and agreement of its two
-    algebraic forms (n is ignored; triples are sampled directly)."""
-    res = _suite_result("triple_weight", 3, 3, samples, seed, tol, "max_residual")
-    res["min_weight"] = None
-    for chunk, size in _chunks(samples):
-        rng = _rng(seed, "triple_weight", 3, 3, chunk)
-        lam = sample_spectra(rng, size, 3, 3)
-        li, lj, lk = (lam[:, col].astype(LD) for col in range(3))
-        v1 = triple_weight_values(li, lj, lk)
-        v2 = triple_weight_values_expanded(li, lj, lk)
-        vmin = float(v1.min())
-        if res["min_weight"] is None or vmin < res["min_weight"]:
-            res["min_weight"] = vmin
-        res["violations"] += int((v1 < 0).sum())
-        diff = np.abs(v1 - v2).astype(float)
-        _update_worst(res, diff, "max_residual", lambda b: {"lambda": lam[b].tolist()})
-    res["passed"] = res["violations"] == 0 and res["min_weight"] >= 0
-    return res
+    algebraic forms, on triples of sampled spectra (n = m = 3)."""
+    lam = sample_spectra(rng, size, n, m)
+    li, lj, lk = (lam[:, col].astype(LD) for col in range(3))
+    v1 = triple_weight_values(li, lj, lk)
+    v2 = triple_weight_values_expanded(li, lj, lk)
+    diff = np.abs(v1 - v2).astype(float)
+    return diff, {"lambda": lam}, {"min_weight": float(v1.min()),
+                                   "violations": int((v1 < 0).sum())}
 
 
-def suite_regroup(n, m, samples, seed, tol=1e-10):
+def _regroup_chunk(rng, size, n, m):
     """Direct vs regrouped R_S."""
-    res = _suite_result("regroup", n, m, samples, seed, tol, "max_residual")
-    for chunk, size in _chunks(samples):
-        rng = _rng(seed, "regroup", n, m, chunk)
-        lam = sample_spectra(rng, size, n, m)
-        sec1 = sample_sec(rng, size, n, -2.0, 2.0)
-        sec2 = pad_sec2(sample_sec(rng, size, min(n, m), -2.0, 2.0), n)
-        diff = np.abs(curvature_terms(lam, sec1, sec2)
-                      - regrouped_curvature_terms(lam, sec1, sec2)).astype(float)
-        _update_worst(res, diff, "max_residual",
-                      lambda b: {"lambda": lam[b].tolist(), "sec1": sec1[b].tolist(),
-                                 "sec2": sec2[b].tolist()})
-    res["passed"] = res["violations"] == 0
-    return res
+    lam = sample_spectra(rng, size, n, m)
+    sec1 = sample_sec(rng, size, n, -2.0, 2.0)
+    sec2 = pad_sec2(sample_sec(rng, size, min(n, m), -2.0, 2.0), n)
+    diff = np.abs(curvature_terms(lam, sec1, sec2)
+                  - regrouped_curvature_terms(lam, sec1, sec2)).astype(float)
+    return diff, {"lambda": lam, "sec1": sec1, "sec2": sec2}, {}
 
 
-def suite_sectional(n, m, samples, seed, tol=-1e-10):
+def _sectional_chunk(rng, size, n, m):
     """Lower bound of R_S under sec1 >= 1, sec2 <= tau, including the tight
     family sec1 = 1, sec2 = tau and the m = 2 displays.
 
@@ -667,95 +603,144 @@ def suite_sectional(n, m, samples, seed, tol=-1e-10):
     over samples with a positive bracket (2n-m-1) - (m-1) tau: the decay-rate
     constant is existence-only, so the ratio is reported, never asserted.
     """
-    res = _suite_result("sectional", n, m, samples, seed, tol, "min_gap")
-    res["m2_display_min"] = None
-    res["c3_empirical_min_ratio"] = None
-    for chunk, size in _chunks(samples):
-        rng = _rng(seed, "sectional", n, m, chunk)
-        lam = sample_spectra(rng, size, n, m)
-        tau = rng.uniform(0.02, 2.0 * (2 * n - m - 1) / (m - 1), size)
-        sec1 = sample_sec(rng, size, n, 1.0, 3.0)
-        block = _sym_zero_diag(np.minimum(
-            rng.uniform(-1.0, 1.0, (size, min(n, m), min(n, m))), tau[:, None, None]))
-        # tight family sec1 = 1, sec2 = tau saturates the bound
-        tight = slice(0, size // 8)
-        sec1[tight] = 1.0
-        block[tight] = tau[tight, None, None]
-        sec1 = _sym_zero_diag(sec1)
-        block = _sym_zero_diag(block)
-        sec2 = pad_sec2(block, n)
-        gaps = sectional_gaps(lam, sec1, sec2, tau, m)
-        _update_worst(res, gaps, "min_gap",
-                      lambda b: {"lambda": lam[b].tolist(), "tau": float(tau[b]),
-                                 "sec1": sec1[b].tolist(), "sec2": sec2[b].tolist()})
-        paird, crossd = m2_claim_displays(lam)
-        dmin = float(min(paird.min(), crossd.min()))
-        if res["m2_display_min"] is None or dmin < res["m2_display_min"]:
-            res["m2_display_min"] = dmin
-        coeff = _sectional_coeff(lam)
-        bracket = (2 * n - m - 1) - (m - 1) * tau
-        lam_sq = (lam.astype(LD) ** 2).sum(axis=1)
-        mask = (bracket > 0) & (lam_sq > 1e-12)
-        if mask.any():
-            ratio = float((coeff[mask] * bracket[mask] / lam_sq[mask]).min())
-            if res["c3_empirical_min_ratio"] is None or ratio < res["c3_empirical_min_ratio"]:
-                res["c3_empirical_min_ratio"] = ratio
-    res["passed"] = res["violations"] == 0 and res["m2_display_min"] >= -1e-15
-    return res
+    lam = sample_spectra(rng, size, n, m)
+    tau = rng.uniform(0.02, 2.0 * (2 * n - m - 1) / (m - 1), size)
+    sec1 = sample_sec(rng, size, n, 1.0, 3.0)
+    block = _sym_zero_diag(np.minimum(
+        rng.uniform(-1.0, 1.0, (size, min(n, m), min(n, m))), tau[:, None, None]))
+    # tight family sec1 = 1, sec2 = tau saturates the bound
+    tight = slice(0, size // 8)
+    sec1[tight] = 1.0
+    block[tight] = tau[tight, None, None]
+    sec1 = _sym_zero_diag(sec1)
+    block = _sym_zero_diag(block)
+    sec2 = pad_sec2(block, n)
+    gaps = sectional_gaps(lam, sec1, sec2, tau, m)
+    paird, crossd = m2_claim_displays(lam)
+    coeff = _sectional_coeff(lam)
+    bracket = (2 * n - m - 1) - (m - 1) * tau
+    lam_sq = (lam.astype(LD) ** 2).sum(axis=1)
+    mask = (bracket > 0) & (lam_sq > 1e-12)
+    ratio = float((coeff[mask] * bracket[mask] / lam_sq[mask]).min()) if mask.any() else None
+    return gaps, {"lambda": lam, "tau": tau, "sec1": sec1, "sec2": sec2}, {
+        "m2_display_min": float(min(paird.min(), crossd.min())),
+        "c3_empirical_min_ratio": ratio}
 
 
-def suite_ricci(n, m, samples, seed, tol=-1e-10):
+def _ricci_chunk(rng, size, n, m):
     """Lower bound of R_S under the sigma-pinched Ricci hypotheses; also
     requires the bound itself to be non-negative."""
-    res = _suite_result("ricci", n, m, samples, seed, tol, "min_gap")
-    res["bound_min"] = None
-    for chunk, size in _chunks(samples):
-        rng = _rng(seed, "ricci", n, m, chunk)
-        lam = sample_spectra(rng, size, n, m)
-        sigma = rng.uniform(0.05, 2.0, size)
-        # rejection to rows with Ric1 >= (n-1) sigma
-        sec1 = _sym_zero_diag(rng.uniform(-sigma[:, None, None] * 0.999,
-                                          3 * sigma[:, None, None] + 2.0, (size, n, n)))
-        for _round in range(400):
-            redo = (sec1.sum(axis=2) < (n - 1) * sigma[:, None]).any(axis=1)
-            if not redo.any():
-                break
-            fresh = _sym_zero_diag(rng.uniform(-sigma[:, None, None] * 0.999,
-                                               3 * sigma[:, None, None] + 2.0, (size, n, n)))
-            sec1[redo] = fresh[redo]
-        else:
-            raise HypothesisError("suite_ricci: rows with Ric1 < (n-1) sigma remain "
-                                  "after 400 redraws")
-        block = rng.uniform(sigma[:, None, None] - 3.0, sigma[:, None, None],
-                            (size, min(n, m), min(n, m)))
-        block = _sym_zero_diag(block)
-        tight = slice(0, size // 8)
-        block[tight] = sigma[tight, None, None]
-        block = _sym_zero_diag(block)
-        sec2 = pad_sec2(block, n)
-        gaps, bounds = ricci_gaps(lam, sec1, sec2, sigma)
-        _update_worst(res, gaps, "min_gap",
-                      lambda b: {"lambda": lam[b].tolist(), "sigma": float(sigma[b]),
-                                 "sec1": sec1[b].tolist(), "sec2": sec2[b].tolist()})
-        bmin = float(bounds.min())
-        if res["bound_min"] is None or bmin < res["bound_min"]:
-            res["bound_min"] = bmin
-    res["passed"] = res["violations"] == 0 and res["bound_min"] >= -1e-12
+    lam = sample_spectra(rng, size, n, m)
+    sigma = rng.uniform(0.05, 2.0, size)
+    # rejection to rows with Ric1 >= (n-1) sigma
+    sec1 = _sym_zero_diag(rng.uniform(-sigma[:, None, None] * 0.999,
+                                      3 * sigma[:, None, None] + 2.0, (size, n, n)))
+    for _round in range(400):
+        redo = (sec1.sum(axis=2) < (n - 1) * sigma[:, None]).any(axis=1)
+        if not redo.any():
+            break
+        fresh = _sym_zero_diag(rng.uniform(-sigma[:, None, None] * 0.999,
+                                           3 * sigma[:, None, None] + 2.0, (size, n, n)))
+        sec1[redo] = fresh[redo]
+    else:
+        raise HypothesisError("ricci: rows with Ric1 < (n-1) sigma remain "
+                              "after 400 redraws")
+    block = rng.uniform(sigma[:, None, None] - 3.0, sigma[:, None, None],
+                        (size, min(n, m), min(n, m)))
+    block = _sym_zero_diag(block)
+    tight = slice(0, size // 8)
+    block[tight] = sigma[tight, None, None]
+    block = _sym_zero_diag(block)
+    sec2 = pad_sec2(block, n)
+    gaps, bounds = ricci_gaps(lam, sec1, sec2, sigma)
+    return gaps, {"lambda": lam, "sigma": sigma, "sec1": sec1, "sec2": sec2}, {
+        "bound_min": float(bounds.min())}
+
+
+class Suite(NamedTuple):
+    """One suite's declaration.
+
+    streams  rng tag -> chunk body; streams run one after another
+    kind     "min_gap" (violation: value < tol) or "max_residual" (value > tol)
+    tol      default tolerance
+    configs  the (n, m) sweep; a forced configuration must lie in it
+    extras   report field -> (start value, fold, pass limit or None); a fold
+             of min needs value >= limit to pass, any other value <= limit
+    exact    whether ``run_suite(exact=True)`` adds the exact-rational checks
+    """
+
+    streams: dict
+    kind: str
+    tol: float
+    configs: list
+    extras: dict = {}
+    exact: bool = False
+
+
+_PAIRS = [(n, m) for n in range(2, 7) for m in range(2, n + 1)]
+
+SPECS = {
+    "oracle": Suite({"oracle": _oracle_chunk}, "max_residual", 1e-10,
+                    [(n, n) for n in range(2, 9)]),
+    "master": Suite({"master": _master_chunk}, "min_gap", -1e-10, _PAIRS, exact=True),
+    "pair_claim": Suite({"pair_claim": _pair_claim_chunk}, "min_gap", -1e-12, _PAIRS,
+                        {"key_identity_max": (0.0, max, 1e-12)}, exact=True),
+    "pinch": Suite({f"pinch{d}": functools.partial(_pinch_chunk, delta=d)
+                    for d in PINCH_DELTAS}, "max_residual", 0.0,
+                   [(n, n) for n in range(2, 7)],
+                   {"deltas": (list(PINCH_DELTAS), None, None)}),
+    "gradient_bound": Suite({"gradient_bound": _gradient_bound_chunk}, "max_residual", 0.0,
+                            list(dict.fromkeys((n, m) for n in range(2, 7) for m in (2, n)))),
+    "triple_weight": Suite({"triple_weight": _triple_weight_chunk}, "max_residual", 1e-12,
+                           [(3, 3)], {"min_weight": (None, min, 0.0),
+                                      "violations": (0, operator.add, None)}),
+    "regroup": Suite({"regroup": _regroup_chunk}, "max_residual", 1e-10, _PAIRS, exact=True),
+    "sectional": Suite({"sectional": _sectional_chunk}, "min_gap", -1e-10, _PAIRS,
+                       {"m2_display_min": (None, min, -1e-15),
+                        "c3_empirical_min_ratio": (None, min, None)}),
+    "ricci": Suite({"ricci": _ricci_chunk}, "min_gap", -1e-10,
+                   [(n, m) for n in range(2, 6) for m in range(2, n + 1)],
+                   {"bound_min": (None, min, -1e-12)}),
+}
+
+
+def run_config(name, n, m, samples, seed, tol=None):
+    """Run suite ``name`` on one (n, m) configuration; returns its report."""
+    spec = SPECS[name]
+    tol = spec.tol if tol is None else tol
+    pick, beyond = (np.min, np.less) if spec.kind == "min_gap" else (np.max, np.greater)
+    res = {
+        "suite": name, "n": n, "m": m, "samples": samples, "seed": seed,
+        "tolerance": tol, "kind": spec.kind, "violations": 0,
+        "worst": None, "failing_sample": None,
+        **{field: copy.copy(start) for field, (start, _, _) in spec.extras.items()},
+    }
+    for tag, body in spec.streams.items():
+        for chunk, size in _chunks(samples):
+            values, replay, extras = body(_rng(seed, tag, n, m, chunk), size, n, m)
+            values = np.asarray(values, dtype=float)
+            worst = float(pick(values))
+            if res["worst"] is None or beyond(worst, res["worst"]):
+                res["worst"] = worst
+            bad = beyond(values, tol)
+            if bad.any():
+                res["violations"] += int(bad.sum())
+                if res["failing_sample"] is None:
+                    b = int(np.argmax(bad))
+                    res["failing_sample"] = {k: v[b].tolist() for k, v in replay.items()}
+            for field, value in extras.items():
+                fold = spec.extras[field][1]
+                if value is not None:
+                    res[field] = value if res[field] is None else fold(res[field], value)
+    res["passed"] = res["violations"] == 0 and all(
+        limit is None or (res[field] >= limit if fold is min else res[field] <= limit)
+        for field, (_, fold, limit) in spec.extras.items())
     return res
 
 
-SUITES = {
-    "oracle": (suite_oracle, [(n, n) for n in range(2, 9)]),
-    "master": (suite_master, [(n, m) for n in range(2, 7) for m in range(2, n + 1)]),
-    "pair_claim": (suite_pair_claim, [(n, m) for n in range(2, 7) for m in range(2, n + 1)]),
-    "pinch": (suite_pinch, [(n, n) for n in range(2, 7)]),
-    "gradient_bound": (suite_gradient_bound,
-                       list(dict.fromkeys((n, m) for n in range(2, 7) for m in (2, n)))),
-    "triple_weight": (suite_triple_weight, [(3, 3)]),
-    "regroup": (suite_regroup, [(n, m) for n in range(2, 7) for m in range(2, n + 1)]),
-    "sectional": (suite_sectional, [(n, m) for n in range(2, 7) for m in range(2, n + 1)]),
-    "ricci": (suite_ricci, [(n, m) for n in range(2, 6) for m in range(2, n + 1)]),
-}
+# name -> (callable(n, m, samples, seed, tol=None), configs)
+SUITES = {name: (functools.partial(run_config, name), spec.configs)
+          for name, spec in SPECS.items()}
 
 # legacy-facing alias kept for the documented CLI surface
 SUITE_ALIASES = {
@@ -773,19 +758,30 @@ def canonical_suite(name):
 
 def run_suite(name, n=None, m=None, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
               tol=None, exact=False):
-    """Run one suite over its (n, m) configurations (or a single forced one).
+    """Run one suite over its (n, m) configurations, or over the one forced
+    by ``n`` (with ``m``, default ``n``), which must lie in the suite's sweep:
+    the tolerances are calibrated on the sweeps.
 
     Returns a JSON-ready report dict with per-configuration results.
+    Raises ValueError for samples < 1, for ``m`` without ``n`` and for a
+    forced configuration outside the sweep.
     """
     name = canonical_suite(name)
     fn, configs = SUITES[name]
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if n is None and m is not None:
+        raise ValueError("m can only be forced together with n")
     if n is not None:
-        configs = [(n, m if m is not None else n)]
+        forced = (n, n if m is None else m)
+        if forced not in configs:
+            raise ValueError(f"{name} has no configuration (n, m) = {forced}; "
+                             f"its sweep is {configs}")
+        configs = [forced]
     results = []
     t0 = time.perf_counter()
     for cn, cm in configs:
-        kwargs = {} if tol is None else {"tol": tol}
-        results.append(fn(cn, cm, samples, seed, **kwargs))
+        results.append(fn(cn, cm, samples, seed, tol=tol))
     report = {
         "suite": name,
         "samples": samples,
@@ -794,7 +790,7 @@ def run_suite(name, n=None, m=None, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
         "configs": results,
         "passed": all(r["passed"] for r in results),
     }
-    if exact and name in ("master", "pair_claim", "regroup"):
+    if exact and SPECS[name].exact:
         ex = []
         for cn in (2, 3):
             for cm in range(2, cn + 1):

@@ -2,7 +2,9 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
+from areaflow import campaigns
 from areaflow.cli import main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
@@ -113,6 +115,39 @@ def test_verify_subcommand_report_and_violation(capsys, tmp_path):
     payload = json.loads(out)
     jsonschema.validate(payload, schema("verify_report.schema.json"))
     assert payload["configs"][0]["failing_sample"] is not None
+
+
+@pytest.mark.parametrize("suite", sorted(campaigns.SUITES))
+def test_every_suite_report_matches_schema(capsys, suite):
+    n, m = min(campaigns.SUITES[suite][1])
+    argv = ("verify", suite, "--n", str(n), "--m", str(m), "--samples", "1000", "--exact")
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    jsonschema.validate(json.loads(out), schema("verify_report.schema.json"))
+    # a tolerance every sample violates: the report carries a replay payload
+    forcing = "1e6" if campaigns.SPECS[suite].kind == "min_gap" else "-1e6"
+    rc, out = run_cli(capsys, *argv, f"--tol={forcing}")
+    assert rc == 1
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema("verify_report.schema.json"))
+    assert payload["configs"][0]["failing_sample"] is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ("master", "--samples", "0"),
+    ("pinch", "--samples", "-5"),
+    ("triple_weight", "--samples", "0"),
+    ("sectional", "--samples", "0"),
+    ("master", "--n", "1", "--samples", "100"),
+    ("sectional", "--n", "3", "--m", "1", "--samples", "100"),
+    ("pair_claim", "--n", "3", "--m", "0", "--samples", "100"),
+    ("regroup", "--m", "2", "--samples", "100"),
+    ("triple_weight", "--n", "7", "--samples", "100"),
+])
+def test_verify_rejects_vacuous_or_out_of_sweep_input(capsys, argv):
+    rc, out = run_cli(capsys, "verify", *argv)
+    assert rc == 2
+    assert out == ""
 
 
 def test_flow_subcommand_outputs_and_determinism(capsys, tmp_path):
