@@ -194,10 +194,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_tol(argv):
+    """Rewrite '--tol <number>' as '--tol=<number>'.
+
+    argparse takes a word such as '-1e-10' for an option, because its
+    negative-number rule knows no exponent form; every shipped gap
+    tolerance is negative and in exponent form.
+    """
+    out = []
+    for word in argv:
+        if out and out[-1] == "--tol":
+            try:
+                float(word)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--tol={word}"
+                continue
+        out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_tol(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)

@@ -15,35 +15,89 @@ from ..svcore import PAIR_PRODUCT_GUARD, phi_batch
 from .state import CFL_MAX, MonitorRecord, TorusState
 
 
+def _padded(u: np.ndarray, n: int) -> np.ndarray:
+    """u with one periodic ghost layer on each of its n grid axes.
+
+    The ghosts are copied by slice assignment, one axis after the other
+    over the full extent of the axes already padded, so the corners the
+    cross differences read are filled too.
+    """
+    p = np.empty(u.shape[:1] + tuple(s + 2 for s in u.shape[1:]))
+    p[(slice(None),) + (slice(1, -1),) * n] = u
+    for i in range(n):
+        lead = (slice(None),) * (1 + i)
+        p[lead + (0,)] = p[lead + (-2,)]
+        p[lead + (-1,)] = p[lead + (1,)]
+    return p
+
+
+def _shifted(p: np.ndarray, shift: dict) -> np.ndarray:
+    """View of the padded p at the nodes x + shift, shift = {grid axis: +-1}:
+    the slice form of np.roll(u, -shift[i], 1 + i) taken over those axes."""
+    return p[(slice(None),) + tuple(
+        slice(1 + shift.get(i, 0), p.shape[1 + i] - 1 + shift.get(i, 0))
+        for i in range(p.ndim - 1))]
+
+
 def first_derivatives(state: TorusState) -> np.ndarray:
     """df[a, i, ...grid] of the lift (winding + centered residual)."""
     u, h = state.u, state.h
     n, m = state.n, state.m
+    p = _padded(u, n)
     df = np.empty((m, n) + u.shape[1:])
     for i in range(n):
-        ax = 1 + i
-        df[:, i] = (np.roll(u, -1, ax) - np.roll(u, 1, ax)) / (2.0 * h)
-        df[:, i] += state.winding[:, i][(slice(None),) + (None,) * n]
+        di = df[:, i]
+        np.subtract(_shifted(p, {i: 1}), _shifted(p, {i: -1}), out=di)
+        di /= 2.0 * h
+        di += state.winding[:, i][(slice(None),) + (None,) * n]
     return df
+
+
+def _second_differences(state: TorusState) -> dict:
+    """{(i, j): d2_ij f} for i <= j, centered and cross-centered."""
+    h, n = state.h, state.n
+    p = _padded(state.u, n)
+    two_u = 2.0 * state.u
+    out = {}
+    # in-place updates in the order of (f+ - 2f + f-) / h^2 and
+    # (f++ - f+- - f-+ + f--) / (4 h^2): the same roundings, fewer temporaries
+    for i in range(n):
+        d = _shifted(p, {i: 1}) - two_u
+        d += _shifted(p, {i: -1})
+        d /= h**2
+        out[i, i] = d
+        for j in range(i + 1, n):
+            d = _shifted(p, {i: 1, j: 1}) - _shifted(p, {i: 1, j: -1})
+            d -= _shifted(p, {i: -1, j: 1})
+            d += _shifted(p, {i: -1, j: -1})
+            d /= 4.0 * h**2
+            out[i, j] = d
+    return out
 
 
 def second_derivatives(state: TorusState) -> np.ndarray:
     """d2f[a, i, j, ...grid] by centered (and cross-centered) differences."""
-    u, h = state.u, state.h
-    n, m = state.n, state.m
-    d2 = np.empty((m, n, n) + u.shape[1:])
-    for i in range(n):
-        ax = 1 + i
-        d2[:, i, i] = (np.roll(u, -1, ax) - 2.0 * u + np.roll(u, 1, ax)) / h**2
-        for j in range(i + 1, n):
-            ay = 1 + j
-            cross = (np.roll(np.roll(u, -1, ax), -1, ay)
-                     - np.roll(np.roll(u, -1, ax), 1, ay)
-                     - np.roll(np.roll(u, 1, ax), -1, ay)
-                     + np.roll(np.roll(u, 1, ax), 1, ay)) / (4.0 * h**2)
-            d2[:, i, j] = cross
-            d2[:, j, i] = cross
+    n, u = state.n, state.u
+    d2 = np.empty((state.m, n, n) + u.shape[1:])
+    for (i, j), v in _second_differences(state).items():
+        d2[:, i, j] = v
+        d2[:, j, i] = v
     return d2
+
+
+def _inverse(g: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric (k, k, ...grid) field: closed form for k = 2,
+    a batched inverse otherwise."""
+    if g.shape[0] == 2:
+        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        inv = np.empty_like(g)
+        inv[0, 0] = g[1, 1] / det
+        inv[1, 1] = g[0, 0] / det
+        inv[0, 1] = inv[1, 0] = -g[0, 1] / det
+        return inv
+    gm = np.moveaxis(np.moveaxis(g, 0, -1), 0, -1)
+    inv = np.linalg.inv(gm)
+    return np.moveaxis(np.moveaxis(inv, -1, 0), -1, 0)
 
 
 def induced_metric(df: np.ndarray):
@@ -52,20 +106,37 @@ def induced_metric(df: np.ndarray):
     g = np.einsum("ai...,aj...->ij...", df, df)
     for i in range(n):
         g[i, i] += 1.0
-    if n == 2:
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        inv = np.empty_like(g)
-        inv[0, 0] = g[1, 1] / det
-        inv[1, 1] = g[0, 0] / det
-        inv[0, 1] = inv[1, 0] = -g[0, 1] / det
-        return g, inv
-    gm = np.moveaxis(np.moveaxis(g, 0, -1), 0, -1)
-    inv = np.linalg.inv(gm)
-    return g, np.moveaxis(np.moveaxis(inv, -1, 0), -1, 0)
+    return g, _inverse(g)
 
 
 def flow_velocity(state: TorusState) -> np.ndarray:
-    """g^{ij} d2_{ij} f^a for every component and node."""
+    """g^{ij} d2_{ij} f^a for every component and node.
+
+    For n = 2 this is (g_11 f_xx - 2 g_01 f_xy + g_00 f_yy) / det g, read
+    from the metric entries without forming g^{-1} or the d2 stack.
+    """
+    if state.n == 2:
+        x, y = state.df[:, 0], state.df[:, 1]
+        g00, g11, g01 = x[0] * x[0], y[0] * y[0], x[0] * y[0]
+        for a in range(1, state.m):
+            g00 += x[a] * x[a]
+            g11 += y[a] * y[a]
+            g01 += x[a] * y[a]
+        g00 += 1.0
+        g11 += 1.0
+        # the difference arrays are this call's own, so they are scaled in
+        # place (products commute bitwise: the roundings of the formula)
+        d2 = _second_differences(state)
+        v = d2[0, 0]
+        v *= g11
+        d2[0, 1] *= 2.0 * g01
+        v -= d2[0, 1]
+        d2[1, 1] *= g00
+        v += d2[1, 1]
+        det = g00 * g11
+        det -= g01 * g01
+        v /= det
+        return v
     _, ginv = induced_metric(state.df)
     return np.einsum("ij...,aij...->a...", ginv, second_derivatives(state))
 
@@ -96,25 +167,45 @@ def _node_matrices(df: np.ndarray) -> np.ndarray:
     return df.reshape(m, n, -1).transpose(2, 0, 1)
 
 
+def _norm2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sqrt(x^2 + y^2), overwriting the temporaries x and y."""
+    x *= x
+    y *= y
+    x += y
+    return np.sqrt(x, out=x)
+
+
 def pointwise_phi_stats(df: np.ndarray):
     """(min_phi, max_pair, max_lambda, flagged) over all nodes.
 
     For n = m = 2 the invariants T = |df|_F^2 and D = det df give the
     closed forms (l1 l2)^2 = D^2 and (1+l1^2)(1+l2^2) = 1 + T + D^2, so
     Phi = log(1 - D^2) - log(1 + T + D^2) without per-node factorizations.
+    The largest singular value of [[a, b], [c, d]] is read as
+    (|(a + d, c - b)| + |(a - d, b + c)|) / 2, a sum of two norms that keeps
+    its digits where l1 ~ l2 (sqrt((T + sqrt(T^2 - 4 D^2)) / 2) cancels
+    there).  The norms are sqrt(x^2 + y^2), not np.hypot, which is several
+    times slower and needs no overflow guard at these magnitudes.
     """
     m, n = df.shape[:2]
     if (m, n) == (2, 2):
+        # in-place updates in the order of the closed forms (same roundings,
+        # fewer fresh temporaries, which dominate the cost on large grids)
         T = np.einsum("ai...,ai...->...", df, df)
-        D = df[0, 0] * df[1, 1] - df[0, 1] * df[1, 0]
-        D2 = D * D
-        disc = np.sqrt(np.maximum(T * T - 4.0 * D2, 0.0))
-        max_lam = np.sqrt((T + disc) / 2.0)
+        a, b, c, d = df[0, 0], df[0, 1], df[1, 0], df[1, 1]
+        D2 = a * d
+        D2 -= b * c
+        D2 *= D2
+        two_lam = _norm2(a + d, c - b)
+        two_lam += _norm2(a - d, b + c)
         flagged = D2 >= 1.0 - PAIR_PRODUCT_GUARD
         with np.errstate(invalid="ignore", divide="ignore"):
-            phi = np.log1p(-D2) - np.log1p(T + D2)
+            phi = np.log1p(-D2)
+            T += D2
+            phi -= np.log1p(T)
         min_phi = float("nan") if flagged.any() else float(phi.min())
-        return min_phi, float(np.sqrt(D2.max())), float(max_lam.max()), bool(flagged.any())
+        return (min_phi, float(np.sqrt(D2.max())), float(two_lam.max()) / 2.0,
+                bool(flagged.any()))
     mats = _node_matrices(df)
     sv = np.linalg.svd(mats, compute_uv=False)   # (P, min(m, n)) descending
     lam = np.zeros((sv.shape[0], n))
@@ -130,11 +221,12 @@ def pointwise_phi_stats(df: np.ndarray):
 def graph_frames(df: np.ndarray, d2: np.ndarray):
     """Orthonormal adapted frames and frame components per node.
 
-    Returns a dict with the tangent and normal frames E, N, the change of
-    frame M (E_a = T M_a for the coordinate tangents T), the restriction
-    blocks S_T (tangent-tangent), S_N (normal-normal), S_X (normal-tangent)
-    of the ambient split tensor diag(I_n, -I_m), and the frame components
-    h[alpha, a, b] of the second fundamental form.
+    Returns a dict with the restriction blocks S_T (tangent-tangent), S_N
+    (normal-normal) and S_X (normal-tangent) of the ambient split tensor
+    diag(I_n, -I_m) in orthonormal tangent and normal frames (QR of the
+    coordinate tangents and of the projected coordinate normals), and the
+    frame components h[alpha, a, b] of the second fundamental form.  Serves
+    `consistency` and is the QR-frame oracle for `second_fundamental_sq`.
     """
     m, n = df.shape[:2]
     P = int(np.prod(df.shape[2:]))
@@ -161,13 +253,29 @@ def graph_frames(df: np.ndarray, d2: np.ndarray):
     F[:, n:, :, :] = d2.reshape(m, n, n, -1).transpose(3, 0, 1, 2)
     h_coord = np.einsum("pca,pcij->paij", N, F)
     h_frame = np.einsum("pia,pjb,pxij->pxab", M, M, h_coord)
-    return {"E": E, "N": N, "S_T": S_T, "S_N": S_N, "S_X": S_X, "h": h_frame, "M": M}
+    return {"S_T": S_T, "S_N": S_N, "S_X": S_X, "h": h_frame}
+
+
+def second_fundamental_sq(df: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """|A|^2 per node, in closed form for a graph.
+
+    The coordinate normals nu_a = (-d f^a, e_a) have Gram matrix
+    I_m + df df^T and <(0, v), nu_a> = v_a, so the normal part of
+    (0, f_ij) pairs as <f_ij, (I_m + df df^T)^{-1} f_kl> and
+    |A|^2 = g^{ik} g^{jl} <f_ij, (I_m + df df^T)^{-1} f_kl>.
+    """
+    _, ginv = induced_metric(df)
+    nm = np.einsum("ai...,bi...->ab...", df, df)
+    for a in range(df.shape[0]):
+        nm[a, a] += 1.0
+    x = np.einsum("ik...,akj...->aij...", ginv, d2)        # g^-1 f_ij per a
+    q = np.einsum("aij...,bji...->ab...", x, x)            # tr(x^a x^b)
+    return np.einsum("ab...,ab...->...", _inverse(nm), q)
 
 
 def torus_monitors(state: TorusState) -> MonitorRecord:
-    """Phi stats and sup |A|^2, the latter from the frame components h."""
+    """Phi stats and sup |A|^2, the latter in closed form."""
     min_phi, max_pair, max_lam, flagged = pointwise_phi_stats(state.df)
-    h = graph_frames(state.df, second_derivatives(state))["h"]
-    sup_a2 = float(np.einsum("pxab,pxab->p", h, h).max())
+    sup_a2 = float(second_fundamental_sq(state.df, second_derivatives(state)).max())
     return MonitorRecord(t=state.t, min_phi=min_phi, max_two_dilation=max_pair,
                          max_lambda=max_lam, sup_a2=sup_a2, flagged=flagged)

@@ -133,6 +133,15 @@ def test_every_suite_report_matches_schema(capsys, suite):
     assert payload["configs"][0]["failing_sample"] is not None
 
 
+def test_negative_exponent_tol_as_separate_word(capsys):
+    argv = ("verify", "master", "--n", "2", "--m", "2", "--samples", "1000")
+    rc_attached, attached = run_cli(capsys, *argv, "--tol=-1e-10")
+    rc_separate, separate = run_cli(capsys, *argv, "--tol", "-1e-10")
+    assert rc_attached == rc_separate == 0
+    assert separate == attached
+    assert json.loads(separate)["configs"][0]["tolerance"] == -1e-10
+
+
 @pytest.mark.parametrize("argv", [
     ("master", "--samples", "0"),
     ("pinch", "--samples", "-5"),

@@ -184,3 +184,102 @@ def test_cached_df_is_exact_and_belongs_to_one_state():
     assert np.array_equal(moved.df, torus.first_derivatives(moved))
     with pytest.raises(dataclasses.FrozenInstanceError):
         out.u = state.u
+
+
+def _roll_first(u, h, n):
+    """np.roll reference for the centered first differences of u."""
+    return np.stack([(np.roll(u, -1, 1 + i) - np.roll(u, 1, 1 + i)) / (2.0 * h)
+                     for i in range(n)], axis=1)
+
+
+def _roll_second(u, h, n):
+    """np.roll reference for the centered and cross-centered second
+    differences of u."""
+    d2 = np.empty((u.shape[0], n, n) + u.shape[1:])
+    for i in range(n):
+        ax = 1 + i
+        d2[:, i, i] = (np.roll(u, -1, ax) - 2.0 * u + np.roll(u, 1, ax)) / h**2
+        for j in range(i + 1, n):
+            ay = 1 + j
+            d2[:, i, j] = d2[:, j, i] = (
+                np.roll(np.roll(u, -1, ax), -1, ay) - np.roll(np.roll(u, -1, ax), 1, ay)
+                - np.roll(np.roll(u, 1, ax), -1, ay)
+                + np.roll(np.roll(u, 1, ax), 1, ay)) / (4.0 * h**2)
+    return d2
+
+
+def _rough_state(n, m, resolution, seed, winding_scale=0.0):
+    """Sine data plus a random residual, with a random winding of the
+    given scale (zero winding for scale 0)."""
+    _, state = make_state(n=n, m=m, resolution=resolution)
+    rng = np.random.default_rng(seed)
+    return dataclasses.replace(
+        state, winding=winding_scale * rng.normal(size=(m, n)),
+        u=state.u + 0.05 * rng.normal(size=state.u.shape))
+
+
+@pytest.mark.parametrize("n, m, resolution", [(2, 2, 20), (2, 3, 13), (3, 2, 9), (3, 3, 8)])
+def test_padded_stencils_match_roll_bit_for_bit(n, m, resolution):
+    state = _rough_state(n, m, resolution, seed=11, winding_scale=0.3)
+    ref_df = _roll_first(state.u, state.h, n) \
+        + state.winding[(slice(None), slice(None)) + (None,) * n]
+    assert np.array_equal(torus.first_derivatives(state), ref_df)
+    assert np.array_equal(torus.second_derivatives(state),
+                          _roll_second(state.u, state.h, n))
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("winding_scale", [0.0, 0.7])
+def test_closed_form_a2_matches_qr_frames(n, m, winding_scale):
+    state = _rough_state(n, m, 12 if n == 2 else 8, seed=5,
+                         winding_scale=winding_scale)
+    d2 = torus.second_derivatives(state)
+    frames = torus.graph_frames(state.df, d2)
+    assert set(frames) == {"S_T", "S_N", "S_X", "h"}
+    h = frames["h"]
+    oracle = np.einsum("pxab,pxab->p", h, h)
+    closed = torus.second_fundamental_sq(state.df, d2).reshape(-1)
+    assert oracle.min() > 0
+    assert np.all(np.abs(closed - oracle) <= 1e-13 * oracle)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_two_dimensional_velocity_matches_metric_route(m):
+    state = _rough_state(2, m, 24, seed=3, winding_scale=0.5)
+    _, ginv = torus.induced_metric(state.df)
+    ref = np.einsum("ij...,aij...->a...", ginv, torus.second_derivatives(state))
+    assert np.abs(torus.flow_velocity(state) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_max_lambda_keeps_digits_at_near_conformal_nodes():
+    """l1 ~ l2: sqrt((T + sqrt(T^2 - 4 D^2)) / 2) loses half the digits."""
+    rng = np.random.default_rng(17)
+    K = 4000
+    scale = rng.uniform(0.05, 0.9, K)
+    angle = rng.uniform(0.0, 2.0 * np.pi, K)
+    conformal = scale * np.array([[np.cos(angle), -np.sin(angle)],
+                                  [np.sin(angle), np.cos(angle)]])
+    df = conformal + 10.0 ** rng.uniform(-12, -6, K) * rng.normal(size=(2, 2, K))
+    worst = 0.0
+    for k in range(K):
+        node = df[:, :, k:k + 1]
+        ref = np.linalg.svd(node[:, :, 0], compute_uv=False)[0]
+        worst = max(worst, abs(torus.pointwise_phi_stats(node)[2] - ref) / ref)
+    assert worst <= 1e-14
+
+
+def test_min_phi_refinement_drift_is_second_order():
+    """Observed order of the min-Phi drift over 32/64/128, read at the 32^2
+    record times (the cadences keep those times common to all three)."""
+    curves = {}
+    for N, cadence in ((32, 4), (64, 16), (128, 64)):
+        config = ScenarioConfig(backend="torus", resolution=N, initial="sine",
+                                amplitude=0.5, t_max=0.25, cadence=cadence)
+        records, verdict = run(config)
+        assert verdict["monotonicity_violations"] == 0
+        curves[N] = (np.array([r.t for r in records]),
+                     np.array([r.min_phi for r in records]))
+    t32 = curves[32][0]
+    at32 = {N: np.interp(t32, *curves[N]) for N in curves}
+    drifts = [np.abs(at32[32] - at32[64]).max(), np.abs(at32[64] - at32[128]).max()]
+    assert math.log2(drifts[0] / drifts[1]) >= 1.5
