@@ -243,10 +243,53 @@ def gradient_square_terms(lam, h):
     return total
 
 
+def gradient_energy(lam, h):
+    """The gradient-square term of the evolution of log det S^[2],
+
+        sum_k sum_{A,B} q_A q_B (G_k)_AB^2,   q_A = 1 / (S_ii + S_jj),
+
+    with G_k the pair operator of the symmetric matrix g_k of the
+    restriction's gradient in direction k, g_k[i, j] = -(c_i h_ijk + c_j h_jik)
+    (h zero-padded beyond the m normal directions).
+
+    G_k holds g_ii + g_jj on the diagonal entry of pair (i, j), +-g_xy
+    between pairs {s, x} and {s, y} that share one index s, and 0 between
+    disjoint pairs.  With Q the symmetric n x n matrix of the q values
+    (Q_ij = q_(ij), Q_ii = 0), the term is therefore
+
+        sum_k [ sum_A q_A^2 (g_ii + g_jj)^2 + sum_{x != y} (Q Q)_xy g_xy^2 ],
+
+    O(n^3) per direction without assembling G_k.
+    """
+    count, n = lam.shape
+    m = h.shape[1]
+    s, c = _srest(lam)
+    iA, jA = np.triu_indices(n, 1)
+    q = 1 / (s[:, iA] + s[:, jA])
+    # g[b, i, k, j] = c_i h_ikj + c_j h_jki = -g_k[i, j]; the sign drops out
+    mp = min(n, m)
+    T = np.zeros((count, n, n, n), dtype=LD)
+    np.multiply(c[:, :mp, None, None], h[:, :mp], out=T[:, :mp])
+    g = T + T.transpose(0, 3, 2, 1)
+    Q = np.zeros((count, n, n), dtype=LD)
+    Q[:, iA, jA] = q
+    Q[:, jA, iA] = q
+    M = Q @ Q
+    idx = np.arange(n)
+    M[:, idx, idx] = 0
+    gdiag = np.einsum("biki->bik", g)
+    pair_diag = gdiag[:, iA] + gdiag[:, jA]
+    # summing over k before the q_A^2 factor rounds at n = 2 (M = 0) exactly
+    # like the assembled pair-operator route, where the gap is rounding noise
+    diag_sq = np.einsum("bak,bak->ba", pair_diag, pair_diag)
+    return np.einsum("ba,ba->b", q * q, diag_sq) + np.einsum("bxy,bxky,bxky->b", M, g, g)
+
+
 def master_gaps(lam, h, sec1, sec2):
     """Slack of the evolution inequality for log det S^[2] (curvature terms
-    cancel identically between the two sides; kept for fidelity)."""
-    count, n = lam.shape
+    cancel identically between the two sides; kept for fidelity).  The
+    gradient-square term is ``gradient_energy``'s closed form."""
+    n = lam.shape[1]
     m = h.shape[1]
     s, c = _srest(lam)
     st = _stilde(lam, m)
@@ -254,7 +297,6 @@ def master_gaps(lam, h, sec1, sec2):
     sec1 = sec1.astype(LD)
     sec2 = sec2.astype(LD)
     iA, jA = np.triu_indices(n, 1)
-    P = iA.size
 
     # diagonal of the evolution right side
     hsq = np.einsum("blki,blki->bli", hld, hld)
@@ -263,24 +305,8 @@ def master_gaps(lam, h, sec1, sec2):
     rhs_diag = rhs_diag + c * c * row / 2
 
     q = 1 / (s[:, iA] + s[:, jA])
-    energy = np.einsum("ba,ba->b", q, rhs_diag[:, iA] + rhs_diag[:, jA])
-
-    # gradient of the restriction, zero-padded beyond the m normal directions
-    dpad = np.zeros((count, n, n, n), dtype=LD)
-    mp = min(n, m)
-    dpad[:, :mp] = hld[:, :mp]
-    grad = -(np.einsum("bjki,bj->bijk", dpad, c) + np.einsum("bikj,bi->bijk", dpad, c))
-    dj = (jA[:, None] == jA[None, :])
-    di = (iA[:, None] == iA[None, :])
-    djk = (jA[:, None] == iA[None, :])
-    dil = (iA[:, None] == jA[None, :])
-    gsq = np.zeros((count, P, P), dtype=LD)
-    for k in range(n):
-        gk = grad[:, :, :, k]
-        G = (gk[:, iA[:, None], iA[None, :]] * dj + gk[:, jA[:, None], jA[None, :]] * di
-             - gk[:, iA[:, None], jA[None, :]] * djk - gk[:, jA[:, None], iA[None, :]] * dil)
-        gsq += G * G
-    energy = energy + np.einsum("bi,bj,bij->b", q, q, gsq)
+    energy = (np.einsum("ba,ba->b", q, rhs_diag[:, iA] + rhs_diag[:, jA])
+              + gradient_energy(lam, hld))
 
     a2 = np.einsum("blki,blki->b", hld, hld)
     diag_h = _diag_h(hld, n)
@@ -506,13 +532,51 @@ def _pair_claim_chunk(rng, size, n, m):
     return gaps, {"lambda": lam, "h": h}, {"key_identity_max": key}
 
 
+# Budgets of sample_phi_level: safeguarded Newton steps per ray, and rounds
+# of stepping a row down after the extended-precision check.
+RAY_NEWTON_STEPS = 60
+RAY_CHECK_ROUNDS = 60
+
+
+def _ray_phi(t, a, p, n):
+    """Phi(t d) and d/dt Phi(t d) in float64, from a = d^2 (B, n) and the
+    pair products p = a_i a_j (B, n(n-1)/2):
+
+        Phi = sum_{i<j} log1p(-t^4 p_ij) - (n-1) sum_i log1p(t^2 a_i),
+
+    strictly decreasing in t on [0, cap] wherever d is nonzero."""
+    u = (t * t)[:, None]
+    x = u * u * p
+    y = u * a
+    val = np.log1p(-x).sum(axis=1) - (n - 1) * np.log1p(y).sum(axis=1)
+    slope = -(4 * t**3 * (p / (1 - x)).sum(axis=1)
+              + 2 * (n - 1) * t * (a / (1 + y)).sum(axis=1))
+    return val, slope
+
+
 def sample_phi_level(rng, count, n, m, delta):
-    """Spectra with Phi in [-delta, 0): a random direction is scaled by
-    bisection onto a uniformly drawn Phi level.
+    """Spectra with Phi in [-delta, 0]: a random direction d is scaled onto
+    a uniformly drawn Phi level.
 
     Plain box rejection is hopeless for small delta and large n (the
     admissible region is a vanishing corner of the box); scaling along rays
     hits the whole region including the Phi = -delta boundary.
+
+    The scale t of each row solves Phi(t d) = level by safeguarded Newton
+    in float64 on the bracket [lo, hi]: lo = 0, hi the smaller of the pair
+    cap and the root of -(n-1) log1p(t^2 d_0^2) = level (Phi lies below
+    that term).  A Newton step that leaves the bracket is replaced by the
+    bracket's midpoint.  A row stops on a residual within 4 ulps of |level|,
+    on a Newton correction below half an ulp of t, on a bracket a few ulps
+    wide, or at its start when Phi >= level there (the cap rows).  One
+    extended-precision ``phi_values`` call then checks Phi(t d) >= level on
+    the returned rows exactly as the campaign reads it; rows that fail step
+    down (by the extended-precision residual over the slope, plus a
+    doubling number of ulps) and are checked again.  So every row has
+    float(Phi) >= level >= -delta, and t lies within a few ulps of the
+    largest such t <= cap.
+
+    Raises HypothesisError when either loop runs out of its budget.
     """
     mp = min(n, m)
     d = np.zeros((count, n))
@@ -521,27 +585,56 @@ def sample_phi_level(rng, count, n, m, delta):
     d /= top[:, None]
     level = -rng.uniform(0.0, delta, count)
 
-    def phi_at(t):
-        return phi_values(d * t[:, None]).astype(float)
-
-    lo = np.zeros(count)
-    hi = np.ones(count)
     if mp >= 2:
         cap = 0.9999 / np.sqrt(np.maximum(d[:, 0] * d[:, 1], 1e-300))
     else:
         cap = np.full(count, 1e6)
-    for _ in range(40):
-        need = phi_at(hi) > level
-        if not need.any():
+    a = d * d
+    i, j = np.triu_indices(n, 1)
+    p = a[:, i] * a[:, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top_root = np.sqrt(np.expm1(-level / (n - 1)) / a[:, 0])
+    start = np.fmin(cap, top_root)       # a nan root (d = 0) leaves cap
+    lo = np.zeros(count)
+    hi = start.copy()
+    t = start.copy()
+    rows = np.arange(count)
+    for _ in range(RAY_NEWTON_STEPS):
+        val, slope = _ray_phi(t[rows], a[rows], p[rows], n)
+        res = val - level[rows]
+        above = res >= 0
+        lo[rows[above]] = t[rows[above]]
+        hi[rows[~above]] = t[rows[~above]]
+        with np.errstate(divide="ignore", invalid="ignore"):   # zero slope: d = 0 or t = 0
+            step = t[rows] - res / slope
+        done = ((np.abs(res) <= 4 * np.spacing(-level[rows]))
+                | (step == t[rows])
+                | (above & (t[rows] == start[rows]))
+                | (hi[rows] - lo[rows] <= 4 * np.spacing(hi[rows])))
+        rows, step = rows[~done], step[~done]
+        if not rows.size:
             break
-        hi[need] = np.minimum(hi[need] * 2.0, cap[need])
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        high_phi = phi_at(mid) >= level
-        lo[high_phi] = mid[high_phi]
-        hi[~high_phi] = mid[~high_phi]
-    # the lower endpoint keeps Phi >= level >= -delta
-    return d * lo[:, None]
+        inside = (step > lo[rows]) & (step < hi[rows])
+        t[rows] = np.where(inside, step, 0.5 * (lo[rows] + hi[rows]))
+    else:
+        raise HypothesisError(f"sample_phi_level: {rows.size} rays unresolved after "
+                              f"{RAY_NEWTON_STEPS} Newton steps")
+
+    rows = np.arange(count)
+    ulps = 1.0
+    for _ in range(RAY_CHECK_ROUNDS):
+        res = phi_values(d[rows] * t[rows, None]).astype(float) - level[rows]
+        low = res < 0
+        if not low.any():
+            break
+        rows, res = rows[low], res[low]
+        _, slope = _ray_phi(t[rows], a[rows], p[rows], n)
+        t[rows] = np.maximum(t[rows] - res / slope - ulps * np.spacing(t[rows]), 0.0)
+        ulps *= 2
+    else:
+        raise HypothesisError(f"sample_phi_level: {rows.size} rows below their Phi "
+                              f"level after {RAY_CHECK_ROUNDS} check rounds")
+    return d * t[:, None]
 
 
 # Each pinch level is its own seeded stream, run in full before the next.

@@ -1,3 +1,6 @@
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
@@ -84,15 +87,80 @@ def test_violation_reports_replay_payload():
     assert "lambda" in conf["failing_sample"] and "h" in conf["failing_sample"]
 
 
+def _bisection_phi_level(d, level, cap):
+    """The ray scaling that the Newton sampler replaced: up to 40 doublings
+    of an upper end, then 48 bisection steps, each an extended-precision
+    Phi evaluation; the lower end keeps Phi >= level."""
+    def phi_at(t):
+        return cp.phi_values(d * t[:, None]).astype(float)
+
+    lo = np.zeros(len(level))
+    hi = np.ones(len(level))
+    for _ in range(40):
+        need = phi_at(hi) > level
+        if not need.any():
+            break
+        hi[need] = np.minimum(hi[need] * 2.0, cap[need])
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        high_phi = phi_at(mid) >= level
+        lo[high_phi] = mid[high_phi]
+        hi[~high_phi] = mid[~high_phi]
+    return d * lo[:, None]
+
+
+def _replay_rays(rng, count, n, m, delta):
+    """The direction, Phi level and cap that sample_phi_level draws from a
+    generator in this state."""
+    mp = min(n, m)
+    d = np.zeros((count, n))
+    d[:, :mp] = np.sort(rng.uniform(0.0, 1.0, (count, mp)), axis=1)[:, ::-1]
+    d /= np.maximum(d[:, 0], 1e-12)[:, None]
+    level = -rng.uniform(0.0, delta, count)
+    cap = 0.9999 / np.sqrt(np.maximum(d[:, 0] * d[:, 1], 1e-300))
+    return d, level, cap
+
+
 def test_phi_level_sampler_respects_hypothesis():
     rng = np.random.default_rng(4)
-    for delta in (0.1, 1.0, 3.0):
-        lam = cp.sample_phi_level(rng, 2000, 4, 4, delta)
+    for n, delta in itertools.product((2, 4, 6), cp.PINCH_DELTAS):
+        d, level, cap = _replay_rays(copy.deepcopy(rng), 2000, n, n, delta)
+        lam = cp.sample_phi_level(rng, 2000, n, n, delta)
         vals = cp.phi_values(lam).astype(float)
-        assert np.all(vals >= -delta - 1e-12)
+        # the hypothesis Phi >= level >= -delta, exactly as the campaign reads Phi
+        assert np.all(vals >= level)
         assert np.all(vals <= 0.0)
+        # and the largest such scale: tight against the level below the cap
+        t = lam[:, 0] / d[:, 0]
+        below = t < cap
+        assert below.any()
+        assert np.all(vals[below] - level[below]
+                      <= 1e-12 * np.maximum(1.0, np.abs(level[below])))
+        ref = _bisection_phi_level(d, level, cap)
+        assert np.all(np.abs(lam - ref) <= 1e-11 * np.abs(ref))
         # levels spread over the strip, including near the floor
         assert vals.min() < -0.8 * delta
+
+
+def test_phi_level_sampler_stops_at_cap():
+    # delta = 12 reaches below Phi at the pair cap (about -9.2 for d_1 = 1),
+    # so some rays end at the cap; none may pass it
+    rng = np.random.default_rng(5)
+    d, level, cap = _replay_rays(copy.deepcopy(rng), 2000, 2, 2, 12.0)
+    lam = cp.sample_phi_level(rng, 2000, 2, 2, 12.0)
+    t = lam[:, 0]
+    at_cap = cp.phi_values(d * cap[:, None]).astype(float) >= level
+    assert 0 < at_cap.sum() < 2000
+    assert np.array_equal(t[at_cap], cap[at_cap])
+    assert np.all(t <= cap)
+    assert np.all(cp.phi_values(lam).astype(float) >= level)
+
+
+@pytest.mark.parametrize("budget", ["RAY_NEWTON_STEPS", "RAY_CHECK_ROUNDS"])
+def test_phi_level_sampler_raises_when_budget_runs_out(monkeypatch, budget):
+    monkeypatch.setattr(cp, budget, 1)
+    with pytest.raises(HypothesisError):
+        cp.sample_phi_level(np.random.default_rng(4), 2000, 4, 4, 1.0)
 
 
 def test_exact_checks_dimensions_guard():
@@ -101,7 +169,44 @@ def test_exact_checks_dimensions_guard():
     except ValueError:
         pass
     else:
-        raise AssertionError("exact mode must reject n > 4")
+        raise AssertionError("exact mode must reject n > 3")
+
+
+def _gradient_energy_by_pair_operators(lam, h):
+    """The gradient-square term from the assembled (B, P, P) pair operator
+    G_k of grad[..., k] for every direction k, in extended precision (the
+    assembly that gradient_energy's closed form replaced; svcore.s_two_matrix
+    works in float64)."""
+    count, n = lam.shape
+    m = h.shape[1]
+    s, c = cp._srest(lam)
+    iA, jA = np.triu_indices(n, 1)
+    q = 1 / (s[:, iA] + s[:, jA])
+    dpad = np.zeros((count, n, n, n), dtype=cp.LD)
+    dpad[:, :min(n, m)] = h[:, :min(n, m)]
+    grad = -(np.einsum("bjki,bj->bijk", dpad, c) + np.einsum("bikj,bi->bijk", dpad, c))
+    dj = jA[:, None] == jA[None, :]
+    di = iA[:, None] == iA[None, :]
+    djk = jA[:, None] == iA[None, :]
+    dil = iA[:, None] == jA[None, :]
+    gsq = np.zeros((count, iA.size, iA.size), dtype=cp.LD)
+    for k in range(n):
+        gk = grad[:, :, :, k]
+        G = (gk[:, iA[:, None], iA[None, :]] * dj + gk[:, jA[:, None], jA[None, :]] * di
+             - gk[:, iA[:, None], jA[None, :]] * djk - gk[:, jA[:, None], iA[None, :]] * dil)
+        gsq += G * G
+    return np.einsum("bi,bj,bij->b", q, q, gsq)
+
+
+@pytest.mark.parametrize("n,m", cp.SPECS["master"].configs)
+def test_gradient_energy_matches_pair_operators(n, m):
+    rng = cp._rng(3, "master", n, m, 0)
+    lam = cp.sample_spectra(rng, 512, n, m)
+    h = cp.sample_h(rng, 512, n, m).astype(cp.LD)
+    ref = _gradient_energy_by_pair_operators(lam, h)
+    got = cp.gradient_energy(lam, h)
+    assert np.all(ref > 0)
+    assert np.all(np.abs(got - ref) <= 1e-15 * ref)
 
 
 def _pair_loop_reference(lam, h):
