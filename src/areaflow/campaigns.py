@@ -159,25 +159,24 @@ def logdet_pair_oracle(lam):
     return logdet
 
 
-def _diag_h(h, n, dtype=LD):
-    """dg[b, i, k] = h[b, i, k, i] for i < m, zero-padded to n rows."""
+def _diag_h(h, n):
+    """dg[b, i, k] = h[b, i, k, i] for i < m, zero-padded to n rows, in
+    longdouble whatever the dtype of h (a float64 h converts exactly)."""
     count, m = h.shape[:2]
     mp = min(n, m)
-    dg = np.zeros((count, n, n), dtype=dtype)
-    ii = np.arange(mp)
-    # advanced indices separated by a slice put the fancy axis first
-    dg[:, ii, :] = np.moveaxis(h[:, ii, :, ii], 0, 1)
+    dg = np.zeros((count, n, n), dtype=LD)
+    # the diagonal of axes (1, 3) is a view, indexed (b, k, i)
+    dg[:, :mp, :] = np.diagonal(h[:, :mp], axis1=1, axis2=3).transpose(0, 2, 1)
     return dg
 
 
-def _keep_swap(c, h, n):
+def _keep_swap(c, dg, n):
     """Gradient terms of every pair, shape (B, n(n-1)/2) each, and the
-    _diag_h moments D2_i = sum_k dg_ik^2:
+    moments D2_i = sum_k dg_ik^2 of dg = _diag_h(h, n):
 
         keep = c_i^2 D2_i + 2 c_i c_j DD_ij + c_j^2 D2_j,   DD_ij = sum_k dg_ik dg_jk,
 
     and swap, the same with c_i and c_j exchanged."""
-    dg = _diag_h(h, n)
     D2 = np.einsum("bik,bik->bi", dg, dg)
     DD = np.einsum("bik,bjk->bij", dg, dg)
     i, j = np.triu_indices(n, 1)   # pair_index order
@@ -201,7 +200,7 @@ def pair_claim_gaps(lam, h):
     hsq_pad = np.zeros((count, n, n), dtype=LD)
     hsq_pad[:, :min(n, m)] = hsq[:, :min(n, m)]      # (B, l<=n, i)
     tail = hsq[:, n:, :].sum(axis=1) if m > n else np.zeros((count, n), dtype=LD)
-    keep, swap, D2 = _keep_swap(c, h, n)
+    keep, swap, D2 = _keep_swap(c, _diag_h(h, n), n)
     i, j = np.triu_indices(n, 1)
     sij = s[:, i] + s[:, j]
     cross = hsq_pad[:, j, i] + hsq_pad[:, i, j] + D2[:, i] + D2[:, j] \
@@ -217,33 +216,42 @@ def key_identity_residuals(lam):
     return np.abs(2 * s[:, i] + c[:, i] ** 2 / sij - sij - c[:, j] ** 2 / sij)
 
 
+def _sum_pair_columns(terms):
+    """Sum of the (B, n(n-1)/2) pair columns, added one after another in
+    pair_index order: the rounding of a loop over the pairs."""
+    total = np.zeros(terms.shape[0], dtype=LD)
+    for col in terms.T:
+        total += col
+    return total
+
+
+def _row_pair_terms(s, c, X):
+    """(c_i^2 X_i + c_j^2 X_j) / (4 (S_ii + S_jj)) for every pair, shape
+    (B, n(n-1)/2), with c_i^2 X_i formed once per index."""
+    cx = c**2 * X
+    i, j = np.triu_indices(s.shape[1], 1)
+    return (cx[:, i] + cx[:, j]) / (4 * (s[:, i] + s[:, j]))
+
+
 def curvature_terms(lam, sec1, sec2):
     """R_S, with sec2 already padded to (B, n, n)."""
     s, c = _srest(lam)
     sec1 = sec1.astype(LD)
     sec2 = sec2.astype(LD)
     row = np.einsum("bik,bk->bi", sec1, 1 + s) - np.einsum("bik,bk->bi", sec2, 1 - s)
+    return _sum_pair_columns(_row_pair_terms(s, c, row))
+
+
+def gradient_square_terms(lam, h, dg=None):
+    """Q_S; ``dg`` is ``_diag_h(h, n)`` when the caller already holds it."""
     n = lam.shape[1]
-    total = np.zeros(lam.shape[0], dtype=LD)
-    for i, j in pair_index(n):
-        total += (c[:, i] ** 2 * row[:, i] + c[:, j] ** 2 * row[:, j]) / (4 * (s[:, i] + s[:, j]))
-    return total
-
-
-def gradient_square_terms(lam, h):
-    """Q_S."""
-    count, n = lam.shape
     s, c = _srest(lam)
-    keep, swap, _ = _keep_swap(c, h.astype(LD), n)
+    keep, swap, _ = _keep_swap(c, _diag_h(h, n) if dg is None else dg, n)
     i, j = np.triu_indices(n, 1)
-    terms = (keep + swap) / (s[:, i] + s[:, j]) ** 2
-    total = np.zeros(count, dtype=LD)
-    for col in terms.T:
-        total += col
-    return total
+    return _sum_pair_columns((keep + swap) / (s[:, i] + s[:, j]) ** 2)
 
 
-def gradient_energy(lam, h):
+def gradient_energy(lam, h, dg=None):
     """The gradient-square term of the evolution of log det S^[2],
 
         sum_k sum_{A,B} q_A q_B (G_k)_AB^2,   q_A = 1 / (S_ii + S_jj),
@@ -257,62 +265,71 @@ def gradient_energy(lam, h):
     disjoint pairs.  With Q the symmetric n x n matrix of the q values
     (Q_ij = q_(ij), Q_ii = 0), the term is therefore
 
-        sum_k [ sum_A q_A^2 (g_ii + g_jj)^2 + sum_{x != y} (Q Q)_xy g_xy^2 ],
+        sum_k [ sum_A q_A^2 (g_ii + g_jj)^2 + 2 sum_{x < y} (Q Q)_xy g_xy^2 ],
 
-    O(n^3) per direction without assembling G_k.
+    O(n^3) per direction without assembling G_k.  The diagonal reads
+    g_k[i, i] = -2 c_i dg_ik from ``dg = _diag_h(h, n)`` (built here unless
+    given), and h symmetric in its last two indices gives
+    g_k[x, y] = -(c_x h_xyk + c_y h_yxk), gathered per pair x < y.
     """
     count, n = lam.shape
-    m = h.shape[1]
+    mp = min(n, h.shape[1])
     s, c = _srest(lam)
+    if dg is None:
+        dg = _diag_h(h, n)
     iA, jA = np.triu_indices(n, 1)
     q = 1 / (s[:, iA] + s[:, jA])
-    # g[b, i, k, j] = c_i h_ikj + c_j h_jki = -g_k[i, j]; the sign drops out
-    mp = min(n, m)
-    T = np.zeros((count, n, n, n), dtype=LD)
-    np.multiply(c[:, :mp, None, None], h[:, :mp], out=T[:, :mp])
-    g = T + T.transpose(0, 3, 2, 1)
     Q = np.zeros((count, n, n), dtype=LD)
     Q[:, iA, jA] = q
     Q[:, jA, iA] = q
-    M = Q @ Q
-    idx = np.arange(n)
-    M[:, idx, idx] = 0
-    gdiag = np.einsum("biki->bik", g)
-    pair_diag = gdiag[:, iA] + gdiag[:, jA]
+    M = (Q @ Q)[:, iA, jA]
+    # the sign of g drops out of every square; np.take gathers the pairs
+    # with the bits of fancy indexing, in less time
+    gdiag = 2 * c[:, :, None] * dg
+    pair_diag = np.take(gdiag, iA, axis=1) + np.take(gdiag, jA, axis=1)
     # summing over k before the q_A^2 factor rounds at n = 2 (M = 0) exactly
     # like the assembled pair-operator route, where the gap is rounding noise
     diag_sq = np.einsum("bak,bak->ba", pair_diag, pair_diag)
-    return np.einsum("ba,ba->b", q * q, diag_sq) + np.einsum("bxy,bxky,bxky->b", M, g, g)
+    # h has no rows beyond mp: those terms read a clipped row times c = 0
+    cz = c.copy()
+    cz[:, mp:] = 0
+    rows = h.reshape(count, -1, n)          # row a n + y holds h[a, y, :]
+    rx, ry = np.minimum(iA, mp - 1), np.minimum(jA, mp - 1)
+    g = (np.take(cz, iA, axis=1)[:, :, None] * np.take(rows, rx * n + jA, axis=1)
+         + np.take(cz, jA, axis=1)[:, :, None] * np.take(rows, ry * n + iA, axis=1))
+    return np.einsum("ba,ba->b", q * q, diag_sq) + 2 * np.einsum("ba,bak,bak->b", M, g, g)
 
 
 def master_gaps(lam, h, sec1, sec2):
-    """Slack of the evolution inequality for log det S^[2] (curvature terms
-    cancel identically between the two sides; kept for fidelity).  The
-    gradient-square term is ``gradient_energy``'s closed form."""
+    """Slack of the evolution inequality for log det S^[2].  The
+    gradient-square term is ``gradient_energy``'s closed form.
+
+    The curvature terms are not evaluated: their part of the energy,
+    sum_A q_A (c_i^2 row_i + c_j^2 row_j) / 2 with
+    row_i = sum_k sec1_ik (1 + S_kk) - sec2_ik (1 - S_kk), is 2 R_S, the
+    bound's own curvature term, so they cancel identically (proved in exact
+    arithmetic by the test-suite).  ``sec1`` and ``sec2`` are still drawn,
+    so the generator stream and the failing-sample payload stay the same.
+    """
     n = lam.shape[1]
     m = h.shape[1]
     s, c = _srest(lam)
     st = _stilde(lam, m)
     hld = h.astype(LD)
-    sec1 = sec1.astype(LD)
-    sec2 = sec2.astype(LD)
+    dg = _diag_h(h, n)
     iA, jA = np.triu_indices(n, 1)
 
-    # diagonal of the evolution right side
+    # diagonal of the evolution right side, without its curvature part
     hsq = np.einsum("blki,blki->bli", hld, hld)
     rhs_diag = 2 * s * hsq.sum(axis=1) + 2 * np.einsum("bli,bl->bi", hsq, st)
-    row = np.einsum("bik,bk->bi", sec1, 1 + s) - np.einsum("bik,bk->bi", sec2, 1 - s)
-    rhs_diag = rhs_diag + c * c * row / 2
 
     q = 1 / (s[:, iA] + s[:, jA])
     energy = (np.einsum("ba,ba->b", q, rhs_diag[:, iA] + rhs_diag[:, jA])
-              + gradient_energy(lam, hld))
+              + gradient_energy(lam, hld, dg))
 
-    a2 = np.einsum("blki,blki->b", hld, hld)
-    diag_h = _diag_h(hld, n)
-    diag_sq = np.einsum("bik,bik->b", diag_h, diag_h)
-    bound = (2 * a2 + 2 * (n - 2) * diag_sq
-             + 2 * curvature_terms(lam, sec1, sec2) + 2 * gradient_square_terms(lam, h))
+    a2 = hsq.sum(axis=(1, 2))
+    diag_sq = np.einsum("bik,bik->b", dg, dg)
+    bound = 2 * a2 + 2 * (n - 2) * diag_sq + 2 * gradient_square_terms(lam, h, dg)
     return energy - bound
 
 
@@ -330,27 +347,59 @@ def triple_weight_values_expanded(li, lj, lk):
     return (1 + lk**2) * num / den
 
 
+def _pair_factors(lam):
+    """Per-index and per-pair factors of the regrouping weights, rows last:
+    sq = l^2 and 1 + l^2 of shape (n, B), and of shape (n, n, B)
+
+        (l_a - l_b)^2,  l_a^2 l_b^2,  l_a l_b,  1 - l_a l_b,
+        2 (1 + l_a^2)(1 + l_b^2),  1 - l_a^2 l_b^2.
+
+    Each is rounded exactly as ``triple_weight_values`` rounds it for any
+    pair of its arguments: a product of two factors has the same bits in
+    either order, and 2 x y = 2 (x y) because doubling is exact."""
+    lt = np.ascontiguousarray(lam.astype(LD).T)
+    sq = lt**2
+    one_sq = 1 + sq
+    a, b = lt[:, None], lt[None, :]
+    sq_a, sq_b = sq[:, None], sq[None, :]
+    prod = a * b
+    prod_sq = sq_a * sq_b
+    return (sq, one_sq, (a - b) ** 2, prod_sq, prod, 1 - prod,
+            2 * one_sq[:, None] * one_sq[None, :], 1 - prod_sq)
+
+
 def _regrouped_sum(lam, X, W):
     """Ricci, pair and weighted-triple terms of the regrouped R_S:
 
         sum_{i<j} [(c_i^2 X_i + c_j^2 X_j) / (4 (S_ii + S_jj)) + pair weight W_ij]
         + sum_{i<j<k} triple weights times W_ij, W_jk, W_ik,
 
-    with X = Ric1 - Ric2 and W = sec1 + sec2 for R_S itself."""
-    lamld = lam.astype(LD)
+    with X = Ric1 - Ric2 and W = sec1 + sec2 for R_S itself.  The triple
+    weights are ``triple_weight_values`` assembled from ``_pair_factors``,
+    bit for bit."""
     s, c = _srest(lam)
     n = lam.shape[1]
+    sq, one_sq, diff_sq, prod_sq, prod, one_prod, den2, one_prod_sq = _pair_factors(lam)
+    Wt = np.ascontiguousarray(np.moveaxis(W, 0, -1))
+
+    def weight(i, j, k):
+        # triple_weight_values(l_i, l_j, l_k) with its pair (i, j) and
+        # rounding order
+        num = diff_sq[i, j] * (1 + prod_sq[i, j] * sq[k]) \
+            + 2 * prod[i, j] * (1 - prod[i, j] * sq[k]) * one_prod[i, j]
+        den = den2[i, j] * one_prod_sq[i, k] * one_prod_sq[j, k]
+        return one_sq[k] * num / den
+
+    row_terms = _row_pair_terms(s, c, X)
     total = np.zeros(lam.shape[0], dtype=LD)
-    for i, j in pair_index(n):
-        total += (c[:, i] ** 2 * X[:, i] + c[:, j] ** 2 * X[:, j]) / (4 * (s[:, i] + s[:, j]))
-        li, lj = lamld[:, i], lamld[:, j]
-        total += (li**2 + lj**2) / (2 * (1 + li**2) * (1 + lj**2)) * W[:, i, j]
+    for A, (i, j) in enumerate(pair_index(n)):
+        total += row_terms[:, A]
+        total += (sq[i] + sq[j]) / den2[i, j] * Wt[i, j]
     for i, j in pair_index(n):
         for k in range(j + 1, n):
-            li, lj, lk = lamld[:, i], lamld[:, j], lamld[:, k]
-            total += triple_weight_values(li, lj, lk) * W[:, i, j]
-            total += triple_weight_values(lj, lk, li) * W[:, j, k]
-            total += triple_weight_values(li, lk, lj) * W[:, i, k]
+            total += weight(i, j, k) * Wt[i, j]
+            total += weight(j, k, i) * Wt[j, k]
+            total += weight(i, k, j) * Wt[i, k]
     return total
 
 
@@ -365,10 +414,7 @@ def _sectional_coeff(lam):
     """sum_{i<j} (c_i^2 + c_j^2) / (4 (S_ii + S_jj)), the factor of the
     sectional lower bound."""
     s, c = _srest(lam)
-    coeff = np.zeros(lam.shape[0], dtype=LD)
-    for i, j in pair_index(lam.shape[1]):
-        coeff += (c[:, i] ** 2 + c[:, j] ** 2) / (4 * (s[:, i] + s[:, j]))
-    return coeff
+    return _sum_pair_columns(_row_pair_terms(s, c, 1))
 
 
 def sectional_gaps(lam, sec1, sec2, tau, m):
@@ -405,7 +451,7 @@ def log_det_gradient_sq(lam, h):
     """|grad log det S^[2]|^2 from the explicit per-direction display."""
     count, n = lam.shape
     lamld = lam.astype(LD)
-    dg = _diag_h(h.astype(LD), n)
+    dg = _diag_h(h, n)
     w = lamld / (1 + lamld * lamld)               # (B, n)
     grad = np.zeros((count, n), dtype=LD)
     for i, j in pair_index(n):

@@ -53,35 +53,35 @@ def first_derivatives(state: TorusState) -> np.ndarray:
     return df
 
 
-def _second_differences(state: TorusState) -> dict:
-    """{(i, j): d2_ij f} for i <= j, centered and cross-centered."""
+def _second_differences(state: TorusState, slot) -> None:
+    """Write d2_ij f for i <= j, centered and cross-centered, into the
+    (m, ...grid) array slot(i, j), asked for when that difference is formed."""
     h, n = state.h, state.n
     p = _padded(state.u, n)
     two_u = 2.0 * state.u
-    out = {}
     # in-place updates in the order of (f+ - 2f + f-) / h^2 and
-    # (f++ - f+- - f-+ + f--) / (4 h^2): the same roundings, fewer temporaries
+    # (f++ - f+- - f-+ + f--) / (4 h^2): the same roundings, no temporaries
     for i in range(n):
-        d = _shifted(p, {i: 1}) - two_u
+        d = slot(i, i)
+        np.subtract(_shifted(p, {i: 1}), two_u, out=d)
         d += _shifted(p, {i: -1})
         d /= h**2
-        out[i, i] = d
         for j in range(i + 1, n):
-            d = _shifted(p, {i: 1, j: 1}) - _shifted(p, {i: 1, j: -1})
+            d = slot(i, j)
+            np.subtract(_shifted(p, {i: 1, j: 1}), _shifted(p, {i: 1, j: -1}), out=d)
             d -= _shifted(p, {i: -1, j: 1})
             d += _shifted(p, {i: -1, j: -1})
             d /= 4.0 * h**2
-            out[i, j] = d
-    return out
 
 
 def second_derivatives(state: TorusState) -> np.ndarray:
     """d2f[a, i, j, ...grid] by centered (and cross-centered) differences."""
     n, u = state.n, state.u
     d2 = np.empty((state.m, n, n) + u.shape[1:])
-    for (i, j), v in _second_differences(state).items():
-        d2[:, i, j] = v
-        d2[:, j, i] = v
+    _second_differences(state, lambda i, j: d2[:, i, j])
+    for i in range(n):
+        for j in range(i + 1, n):
+            d2[:, j, i] = d2[:, i, j]
     return d2
 
 
@@ -125,8 +125,11 @@ def flow_velocity(state: TorusState) -> np.ndarray:
         g00 += 1.0
         g11 += 1.0
         # the difference arrays are this call's own, so they are scaled in
-        # place (products commute bitwise: the roundings of the formula)
-        d2 = _second_differences(state)
+        # place (products commute bitwise: the roundings of the formula);
+        # each is allocated when it is formed, because one block for all
+        # three made the allocator fault fresh pages in at every step
+        d2 = {}
+        _second_differences(state, lambda i, j: d2.setdefault((i, j), np.empty(state.u.shape)))
         v = d2[0, 0]
         v *= g11
         d2[0, 1] *= 2.0 * g01

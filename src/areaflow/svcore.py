@@ -118,6 +118,33 @@ def pair_index(n: int):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+# n -> _pair_operator_table(n), filled on first use
+_PAIR_TABLES = {}
+
+
+def _pair_operator_table(n):
+    """Index table of the pair operator, built once per n and read-only:
+    ((i, j), (rows, cols, sign, x, y)).  The diagonal entry of rows (i, j)
+    reads S_ii + S_jj; the off-diagonal entry (rows, cols) reads sign * S_xy.
+
+    For A = (i, j) != B = (k, l) at most one of the four deltas holds
+    (i = l and j = k together would need i < j = k < l = i), so each
+    nonzero off-diagonal entry is one signed entry of S.
+    """
+    if n not in _PAIR_TABLES:
+        pairs = pair_index(n)
+        off = [(A, B, sign, x, y)
+               for A, (i, j) in enumerate(pairs) for B, (k, l) in enumerate(pairs) if A != B
+               for hit, sign, x, y in ((j == l, 1, i, k), (i == k, 1, j, l),
+                                       (j == k, -1, i, l), (i == l, -1, j, k)) if hit]
+        table = (np.array(pairs, dtype=np.intp).reshape(-1, 2).T,
+                 np.array(off, dtype=np.intp).reshape(-1, 5).T)
+        for arr in table:   # every caller shares these arrays
+            arr.setflags(write=False)
+        _PAIR_TABLES[n] = table
+    return _PAIR_TABLES[n]
+
+
 def s_two_matrix(S) -> np.ndarray:
     """Assemble the pair operator of a symmetric matrix S, or of each matrix
     in a (..., n, n) stack.
@@ -130,13 +157,12 @@ def s_two_matrix(S) -> np.ndarray:
         raise ValueError("S must be square")
     if not np.allclose(S, np.swapaxes(S, -1, -2), atol=1e-12, rtol=0.0):
         raise ValueError("S must be symmetric to 1e-12")
-    pairs = pair_index(S.shape[-1])
-    N = len(pairs)
+    (di, dj), (rows, cols, sign, x, y) = _pair_operator_table(S.shape[-1])
+    N = di.size
     out = np.zeros(S.shape[:-2] + (N, N))
-    for A, (i, j) in enumerate(pairs):
-        for B, (k, l) in enumerate(pairs):
-            out[..., A, B] = (S[..., i, k] * (j == l) + S[..., j, l] * (i == k)
-                              - S[..., i, l] * (j == k) - S[..., j, k] * (i == l))
+    out[..., rows, cols] = sign * S[..., x, y]
+    d = np.arange(N)
+    out[..., d, d] = S[..., di, di] + S[..., dj, dj]
     return out
 
 
@@ -156,9 +182,10 @@ def phi_batch(lam) -> np.ndarray:
     """
     n = lam.shape[1]
     sq = lam * lam
+    log_den = np.log1p(sq)
     total = np.zeros(lam.shape[0], dtype=lam.dtype)
     for i, j in pair_index(n):
-        total += np.log1p(-sq[:, i] * sq[:, j]) - np.log1p(sq[:, i]) - np.log1p(sq[:, j])
+        total += np.log1p(-sq[:, i] * sq[:, j]) - log_den[:, i] - log_den[:, j]
     return total
 
 

@@ -1,11 +1,14 @@
 import copy
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from areaflow import campaigns as cp
+from areaflow import verifier
 from areaflow.errors import HypothesisError
+from areaflow.svcore import pair_index
 
 
 def test_sample_spectra_properties():
@@ -250,3 +253,112 @@ def test_vectorized_pair_kernels_match_pair_loops():
         assert np.array_equal(cp.pair_claim_gaps(lam, h), gaps)
         assert np.array_equal(cp.key_identity_residuals(lam), keys)
         assert np.array_equal(cp.gradient_square_terms(lam, h), q_s)
+
+
+def _regrouped_sum_by_triples(lam, X, W):
+    """The regrouped R_S with every triple weight from
+    triple_weight_values, as before the per-pair factors."""
+    lamld = lam.astype(cp.LD)
+    s, c = cp._srest(lam)
+    n = lam.shape[1]
+    total = np.zeros(lam.shape[0], dtype=cp.LD)
+    for i, j in pair_index(n):
+        total += (c[:, i] ** 2 * X[:, i] + c[:, j] ** 2 * X[:, j]) / (4 * (s[:, i] + s[:, j]))
+        li, lj = lamld[:, i], lamld[:, j]
+        total += (li**2 + lj**2) / (2 * (1 + li**2) * (1 + lj**2)) * W[:, i, j]
+    for i, j in pair_index(n):
+        for k in range(j + 1, n):
+            li, lj, lk = lamld[:, i], lamld[:, j], lamld[:, k]
+            total += cp.triple_weight_values(li, lj, lk) * W[:, i, j]
+            total += cp.triple_weight_values(lj, lk, li) * W[:, j, k]
+            total += cp.triple_weight_values(li, lk, lj) * W[:, i, k]
+    return total
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_regrouped_sum_matches_triple_weights_bit_for_bit(n):
+    rng = cp._rng(4, "regroup", n, n, 0)
+    for m in range(2, n + 1):
+        lam = cp.sample_spectra(rng, 1024, n, m)
+        sec1 = cp.sample_sec(rng, 1024, n, -2.0, 2.0).astype(cp.LD)
+        sec2 = cp.pad_sec2(cp.sample_sec(rng, 1024, min(n, m), -2.0, 2.0), n).astype(cp.LD)
+        sig = rng.uniform(0.05, 2.0, 1024).astype(cp.LD)
+        # R_S's own inputs, and ricci_gaps' shifted ones
+        for X, W in ((sec1.sum(axis=2) - sec2.sum(axis=2), sec1 + sec2),
+                     (sec1.sum(axis=2) - (n - 1) * sig[:, None], sec1 + sig[:, None, None])):
+            assert np.array_equal(cp._regrouped_sum(lam, X, W),
+                                  _regrouped_sum_by_triples(lam, X, W))
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 4)])
+def test_master_curvature_terms_cancel_exactly(n, m):
+    """The curvature part of master's energy is 2 R_S, the bound's own
+    curvature term: in exact arithmetic the gap does not depend on them."""
+    curved = 0
+    for lam, h, sec1, sec2 in cp.exact_samples(5, 5, n, m):
+        rest = verifier.restriction_from_lambdas(lam)
+        H = verifier.HCoefficients(h)
+        curv = verifier.CurvatureSample(n, m, sec1, sec2)
+        flat = verifier.CurvatureSample(
+            n, m, np.full(sec1.shape, Fraction(0), dtype=object),
+            np.full(sec2.shape, Fraction(0), dtype=object))
+        gap = verifier.master_inequality_gap(rest, H, curv)
+        assert isinstance(gap, Fraction)
+        assert gap == verifier.master_inequality_gap(rest, H, flat)
+        curved += verifier.curvature_term(rest, curv) != 0
+    assert curved
+
+
+def _master_gaps_with_curvature(lam, h, sec1, sec2):
+    """Master's gap as it was evaluated before the cancellation was used:
+    the curvature part of the energy and 2 R_S in the bound, and the
+    off-diagonal gradient energy over ordered pairs from the full
+    (B, n, n, n) array g."""
+    count, n = lam.shape
+    m = h.shape[1]
+    mp = min(n, m)
+    s, c = cp._srest(lam)
+    st = cp._stilde(lam, m)
+    hld = h.astype(cp.LD)
+    sec1 = sec1.astype(cp.LD)
+    sec2 = sec2.astype(cp.LD)
+    iA, jA = np.triu_indices(n, 1)
+    hsq = np.einsum("blki,blki->bli", hld, hld)
+    rhs_diag = 2 * s * hsq.sum(axis=1) + 2 * np.einsum("bli,bl->bi", hsq, st)
+    row = np.einsum("bik,bk->bi", sec1, 1 + s) - np.einsum("bik,bk->bi", sec2, 1 - s)
+    rhs_diag = rhs_diag + c * c * row / 2
+    q = 1 / (s[:, iA] + s[:, jA])
+    T = np.zeros((count, n, n, n), dtype=cp.LD)
+    T[:, :mp] = c[:, :mp, None, None] * hld[:, :mp]
+    g = T + T.transpose(0, 3, 2, 1)
+    Q = np.zeros((count, n, n), dtype=cp.LD)
+    Q[:, iA, jA] = q
+    Q[:, jA, iA] = q
+    M = Q @ Q
+    M[:, range(n), range(n)] = 0
+    gdiag = np.einsum("biki->bik", g)
+    pair_diag = gdiag[:, iA] + gdiag[:, jA]
+    energy = (np.einsum("ba,ba->b", q, rhs_diag[:, iA] + rhs_diag[:, jA])
+              + np.einsum("ba,ba->b", q * q, np.einsum("bak,bak->ba", pair_diag, pair_diag))
+              + np.einsum("bxy,bxky,bxky->b", M, g, g))
+    dg = cp._diag_h(h, n)
+    bound = (2 * np.einsum("blki,blki->b", hld, hld)
+             + 2 * (n - 2) * np.einsum("bik,bik->b", dg, dg)
+             + 2 * cp.curvature_terms(lam, sec1, sec2) + 2 * cp.gradient_square_terms(lam, h))
+    return energy - bound
+
+
+@pytest.mark.parametrize("n,m", cp.SPECS["master"].configs)
+def test_master_gaps_match_formula_with_curvature(n, m):
+    rng = cp._rng(7, "master", n, m, 0)
+    lam = cp.sample_spectra(rng, 2048, n, m)
+    h = cp.sample_h(rng, 2048, n, m)
+    sec1 = cp.sample_sec(rng, 2048, n, -2.0, 2.0)
+    sec2 = cp.pad_sec2(cp.sample_sec(rng, 2048, min(n, m), -2.0, 2.0), n)
+    ref = _master_gaps_with_curvature(lam, h, sec1, sec2)
+    err = np.abs(cp.master_gaps(lam, h, sec1, sec2) - ref)
+    if n == 2:
+        # the gap is rounding noise around an identity here
+        assert err.max() <= 1e-11
+    else:
+        assert np.all(err <= 1e-15 * np.abs(ref))

@@ -1,13 +1,17 @@
 """Seeded faults must turn a suite red (mutation testing).
 
-Each fault is monkeypatched into one campaigns kernel helper; the suite that
-checks the algebra behind it must then report ``passed == False``, while the
-same suites pass on the unpatched kernels.
+Each fault is monkeypatched into one kernel helper; the suite that checks
+the algebra behind it must then report ``passed == False``, while the same
+suites pass on the unpatched kernels.  Faults that no suite sees must at
+least be seen by a cross-route check against ``verifier``.
 """
 
+import numpy as np
 import pytest
 
 from areaflow import campaigns as cp
+from areaflow import svcore
+from areaflow import verifier as vf
 
 SEED = 7
 SAMPLES = 2000
@@ -39,11 +43,45 @@ def _scaled_coeff(sectional_coeff):
     return faulty
 
 
+def _flipped_table_sign(pair_operator_table):
+    def faulty(n):
+        diag, off = pair_operator_table(n)
+        off = off.copy()
+        off[2, :1] *= -1
+        return diag, off
+    return faulty
+
+
+def _swapped_pair_factor(pair_factors):
+    """Pairs (0, k) and (1, k) read each other's l_a l_b."""
+    def faulty(lam):
+        factors = list(pair_factors(lam))
+        factors[4] = factors[4][[1, 0, *range(2, lam.shape[1])]]
+        return tuple(factors)
+    return faulty
+
+
+def _diagonal_energy_only(gradient_energy):
+    """The gradient energy without its 2 sum_{x<y} (QQ)_xy g_xy^2 term."""
+    def faulty(lam, h, dg=None):
+        n = lam.shape[1]
+        s, c = cp._srest(lam)
+        iA, jA = np.triu_indices(n, 1)
+        q = 1 / (s[:, iA] + s[:, jA])
+        gdiag = 2 * c[:, :, None] * (cp._diag_h(h, n) if dg is None else dg)
+        pair_diag = gdiag[:, iA] + gdiag[:, jA]
+        return np.einsum("ba,bak,bak->b", q * q, pair_diag, pair_diag)
+    return faulty
+
+
 FAULTS = {
-    "srest_c_x1.001": ("_srest", _scaled_c),
-    "keep_returns_swap": ("_keep_swap", _keep_as_swap),
-    "sec2_sign": ("curvature_terms", _flipped_sec2),
-    "sectional_coeff_x0.99": ("_sectional_coeff", _scaled_coeff),
+    "srest_c_x1.001": (cp, "_srest", _scaled_c),
+    "keep_returns_swap": (cp, "_keep_swap", _keep_as_swap),
+    "sec2_sign": (cp, "curvature_terms", _flipped_sec2),
+    "sectional_coeff_x0.99": (cp, "_sectional_coeff", _scaled_coeff),
+    "pair_table_sign": (svcore, "_pair_operator_table", _flipped_table_sign),
+    "pair_factor_swapped": (cp, "_pair_factors", _swapped_pair_factor),
+    "offdiag_energy_dropped": (cp, "gradient_energy", _diagonal_energy_only),
 }
 
 CASES = [
@@ -53,6 +91,7 @@ CASES = [
     ("sec2_sign", "regroup", 3, 2),
     ("sec2_sign", "ricci", 3, 2),
     ("sectional_coeff_x0.99", "sectional", 3, 2),
+    ("pair_factor_swapped", "regroup", 3, 2),
 ]
 
 
@@ -63,7 +102,46 @@ def test_suite_passes_unpatched(suite, n, m):
 
 @pytest.mark.parametrize("fault, suite, n, m", CASES)
 def test_seeded_fault_turns_suite_red(monkeypatch, fault, suite, n, m):
-    attr, make_faulty = FAULTS[fault]
-    monkeypatch.setattr(cp, attr, make_faulty(getattr(cp, attr)))
+    module, attr, make_faulty = FAULTS[fault]
+    monkeypatch.setattr(module, attr, make_faulty(getattr(module, attr)))
     report = cp.run_suite(suite, n=n, m=m, samples=SAMPLES, seed=SEED)
     assert not report["passed"], report["configs"]
+
+
+def _pair_operator_routes_agree():
+    rng = np.random.default_rng(SEED)
+    S = rng.normal(size=(4, 4))
+    S = S + S.T
+    ref = np.array(vf._pair_operator_rows(S, svcore.pair_index(4)))
+    return np.allclose(svcore.s_two_matrix(S), ref, rtol=1e-12, atol=1e-12)
+
+
+def _master_routes_agree():
+    rng = np.random.default_rng(SEED)
+    n, m = 3, 3
+    lam = cp.sample_spectra(rng, 20, n, m)
+    h = cp.sample_h(rng, 20, n, m)
+    sec1 = cp.sample_sec(rng, 20, n, -2.0, 2.0)
+    block = cp.sample_sec(rng, 20, m, -2.0, 2.0)
+    kern = cp.master_gaps(lam, h, sec1, cp.pad_sec2(block, n)).astype(float)
+    ref = [vf.master_inequality_gap(vf.restriction_from_lambdas(lam[b]), vf.HCoefficients(h[b]),
+                                    vf.CurvatureSample(n, m, sec1[b], block[b]))
+           for b in range(20)]
+    return np.allclose(kern, ref, rtol=1e-9, atol=1e-9)
+
+
+# No suite turns these red: the oracle assembles the pair operator of a
+# diagonal S, whose off-diagonal entries are all zero, and master's slack
+# (worst gap above 1 for n >= 3) is wider than the dropped term.
+ROUTE_CASES = [
+    ("pair_table_sign", _pair_operator_routes_agree),
+    ("offdiag_energy_dropped", _master_routes_agree),
+]
+
+
+@pytest.mark.parametrize("fault, routes_agree", ROUTE_CASES)
+def test_seeded_fault_splits_kernel_from_verifier(monkeypatch, fault, routes_agree):
+    assert routes_agree()
+    module, attr, make_faulty = FAULTS[fault]
+    monkeypatch.setattr(module, attr, make_faulty(getattr(module, attr)))
+    assert not routes_agree()

@@ -128,6 +128,53 @@ def test_phi_batch_keeps_dtype_and_matches_phi():
     assert math.isclose(float(out[0]), math.log(0.6) - 2 * math.log(1.25))
 
 
+def _s_two_matrix_by_deltas(S):
+    """The per-entry assembly that the index table replaced: every entry is
+    S_ik d_jl + S_jl d_ik - S_il d_jk - S_jk d_il."""
+    pairs = svcore.pair_index(S.shape[-1])
+    out = np.zeros(S.shape[:-2] + (len(pairs), len(pairs)))
+    for A, (i, j) in enumerate(pairs):
+        for B, (k, l) in enumerate(pairs):
+            out[..., A, B] = (S[..., i, k] * (j == l) + S[..., j, l] * (i == k)
+                              - S[..., i, l] * (j == k) - S[..., j, k] * (i == l))
+    return out
+
+
+def _phi_batch_by_pairs(lam):
+    """The pair loop that took log1p(l_i^2) once per pair."""
+    sq = lam * lam
+    total = np.zeros(lam.shape[0], dtype=lam.dtype)
+    for i, j in svcore.pair_index(lam.shape[1]):
+        total += np.log1p(-sq[:, i] * sq[:, j]) - np.log1p(sq[:, i]) - np.log1p(sq[:, j])
+    return total
+
+
+def test_s_two_matrix_table_matches_deltas_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for n in range(1, 9):
+        S = rng.normal(size=(64, n, n))
+        S = S + np.swapaxes(S, -1, -2)
+        out = svcore.s_two_matrix(S)
+        assert np.array_equal(out, _s_two_matrix_by_deltas(S))
+        assert np.array_equal(svcore.s_two_matrix(S[0]), _s_two_matrix_by_deltas(S[0]))
+        D = np.zeros_like(S)
+        D[:, range(n), range(n)] = rng.uniform(-1.0, 1.0, (64, n))
+        ref = _s_two_matrix_by_deltas(D)
+        assert np.array_equal(svcore.s_two_matrix(D), ref)
+        assert np.array_equal(np.linalg.slogdet(svcore.s_two_matrix(D))[1],
+                              np.linalg.slogdet(ref)[1])
+
+
+def test_phi_batch_matches_pair_loop_bit_for_bit():
+    rng = np.random.default_rng(22)
+    for n in range(1, 9):
+        lam = -np.sort(-rng.uniform(0.0, 1.0, (512, n)), axis=1)
+        for dtype in (np.float64, np.longdouble):
+            got = svcore.phi_batch(lam.astype(dtype))
+            assert got.dtype == dtype
+            assert np.array_equal(got, _phi_batch_by_pairs(lam.astype(dtype)))
+
+
 def test_s_two_matrix_requires_symmetry():
     S = np.zeros((3, 3))
     S[0, 1] = 1e-6
