@@ -847,31 +847,39 @@ def run_config(name, n, m, samples, seed, tol=None):
     """Run suite ``name`` on one (n, m) configuration; returns its report."""
     spec = SPECS[name]
     tol = spec.tol if tol is None else tol
-    pick, beyond = (np.min, np.less) if spec.kind == "min_gap" else (np.max, np.greater)
+    # within(v, tol) is False for NaN: a non-finite checked value is a
+    # violation, a non-finite extra fails the report, and neither is folded
+    pick, within = ((np.min, np.greater_equal) if spec.kind == "min_gap"
+                    else (np.max, np.less_equal))
     res = {
         "suite": name, "n": n, "m": m, "samples": samples, "seed": seed,
         "tolerance": tol, "kind": spec.kind, "violations": 0,
         "worst": None, "failing_sample": None,
         **{field: copy.copy(start) for field, (start, _, _) in spec.extras.items()},
     }
+    finite_extras = True
     for tag, body in spec.streams.items():
         for chunk, size in _chunks(samples):
             values, replay, extras = body(_rng(seed, tag, n, m, chunk), size, n, m)
             values = np.asarray(values, dtype=float)
-            worst = float(pick(values))
-            if res["worst"] is None or beyond(worst, res["worst"]):
-                res["worst"] = worst
-            bad = beyond(values, tol)
+            finite = values[np.isfinite(values)]
+            if finite.size:
+                worst = float(pick(finite))
+                if res["worst"] is None or not within(worst, res["worst"]):
+                    res["worst"] = worst
+            bad = ~within(values, tol)
             if bad.any():
                 res["violations"] += int(bad.sum())
                 if res["failing_sample"] is None:
                     b = int(np.argmax(bad))
                     res["failing_sample"] = {k: v[b].tolist() for k, v in replay.items()}
             for field, value in extras.items():
-                fold = spec.extras[field][1]
-                if value is not None:
+                if value is not None and not np.isfinite(value):
+                    finite_extras = False
+                elif value is not None:
+                    fold = spec.extras[field][1]
                     res[field] = value if res[field] is None else fold(res[field], value)
-    res["passed"] = res["violations"] == 0 and all(
+    res["passed"] = finite_extras and res["violations"] == 0 and all(
         limit is None or (res[field] >= limit if fold is min else res[field] <= limit)
         for field, (_, fold, limit) in spec.extras.items())
     return res

@@ -14,11 +14,7 @@ class NotAreaDecreasingError(HypothesisError):
 
 
 class DivergenceError(RuntimeError):
-    """A flow produced non-finite values; carries the last healthy record."""
-
-    def __init__(self, message, last_record=None):
-        super().__init__(message)
-        self.last_record = last_record
+    """A flow produced non-finite values."""
 
 
 class GraphicalBreakdownError(DivergenceError):

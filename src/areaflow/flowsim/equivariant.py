@@ -188,15 +188,13 @@ def step_equivariant(state: EquivariantState, dt: float,
     if not 0 < cfl <= CFL_MAX:
         raise ConfigurationError(f"cfl must lie in (0, {CFL_MAX}]")
     if np.abs(state.rhop).max() > RHO_PRIME_BREAKDOWN:
-        raise GraphicalBreakdownError("profile derivative blow-up",
-                                      last_record=equivariant_monitors(state))
+        raise GraphicalBreakdownError("profile derivative blow-up")
     if dt > max_step(state, cfl) * (1 + 1e-12):
         raise ConfigurationError(
             f"dt = {dt:g} violates the equivariant CFL bound {max_step(state, cfl):g}")
     rho_new = state.rho + dt * profile_velocity(state)
     if not np.all(np.isfinite(rho_new)):
-        raise DivergenceError("non-finite values in equivariant flow",
-                              last_record=equivariant_monitors(state))
+        raise DivergenceError("non-finite values in equivariant flow")
     return EquivariantState(resolution=state.resolution, rho=rho_new,
                             t=state.t + dt, steps=state.steps + 1)
 

@@ -9,24 +9,7 @@ import numpy as np
 
 from ..errors import DivergenceError
 from . import equivariant, torus
-from .state import (EquivariantState, MonitorRecord, ScenarioConfig,
-                    TorusState, initial_state)
-
-
-def _light_min_phi(state):
-    """Cheap per-step (min_phi, max_lambda, flagged) without |A|^2."""
-    if isinstance(state, TorusState):
-        stats = torus.pointwise_phi_stats(state.df)
-    else:
-        stats = equivariant.pointwise_phi_stats(*equivariant.profile_spectrum(state))
-    min_phi, _, max_lam, flagged = stats
-    return min_phi, max_lam, flagged
-
-
-def _monitor(state):
-    if isinstance(state, TorusState):
-        return torus.torus_monitors(state)
-    return equivariant.equivariant_monitors(state)
+from .state import ScenarioConfig, initial_state
 
 
 def _mu_rel(state):
@@ -35,12 +18,6 @@ def _mu_rel(state):
     _, h_mu, h_norm = equivariant.normal_velocity(state)
     floor = 1e-12 + 1e-9 * state.h**2
     return float((np.abs(h_mu[1:-1]) / (np.abs(h_norm[1:-1]) + floor)).max())
-
-
-def _velocity_max(state):
-    if isinstance(state, TorusState):
-        return float(np.abs(torus.flow_velocity(state)).max())
-    return float(np.abs(equivariant.profile_velocity(state)).max())
 
 
 def fitted_decay_rate(times, min_phis):
@@ -74,19 +51,34 @@ def run(config: ScenarioConfig, state=None):
     # a caller's state is copied, so the fields derived during the run are
     # freed with the run rather than left cached on the caller's object
     state = initial_state(config) if state is None else replace(state)
-    if isinstance(state, TorusState):
+    # the backend's operations, chosen once; each is looked up through its
+    # module at call time, so wrappers installed there see every call
+    if state.backend == "torus":
         dt = torus.max_step(state, config.cfl)
-        stepper = lambda s: torus.step_torus(s, dt, config.cfl)
+        step = lambda s: torus.step_torus(s, dt, config.cfl)
+        light = lambda s: torus.pointwise_phi_stats(s.df)
+        monitor = lambda s: torus.torus_monitors(s)
+        velocity = lambda s: torus.flow_velocity(s)
+        mu_check = None
     else:
         dt = config.cfl * state.h**2
-        stepper = lambda s: equivariant.step_equivariant(s, dt, config.cfl)
+        step = lambda s: equivariant.step_equivariant(s, dt, config.cfl)
+        light = lambda s: equivariant.pointwise_phi_stats(*equivariant.profile_spectrum(s))
+        monitor = lambda s: equivariant.equivariant_monitors(s)
+        velocity = lambda s: equivariant.profile_velocity(s)
+        mu_check = _mu_rel
     tol = config.monotonicity_c * (state.h**2 + dt)
     steady_tol = config.steady_c * state.h**2
 
-    equivariant_run = isinstance(state, EquivariantState)
-    records = [_monitor(state)]
-    mu_rel_max = _mu_rel(state) if equivariant_run else 0.0
-    prev_phi, _, ever_flagged = _light_min_phi(state)
+    records, mu_rels = [], []
+
+    def record(s):
+        records.append(monitor(s))
+        if mu_check is not None:
+            mu_rels.append(mu_check(s))
+
+    record(state)
+    prev_phi, _, _, ever_flagged = light(state)
     violations = 0
     worst_drop = 0.0
     outcome = "timeout"
@@ -95,13 +87,12 @@ def run(config: ScenarioConfig, state=None):
 
     while state.t < config.t_max - 1e-15:
         try:
-            state = stepper(state)
-        except DivergenceError as exc:
+            state = step(state)
+        except DivergenceError:
+            # state still holds the last healthy state
             outcome = "diverged"
-            if exc.last_record is not None:
-                records.append(exc.last_record)
             break
-        min_phi, max_lam, flagged = _light_min_phi(state)
+        min_phi, _, max_lam, flagged = light(state)
         ever_flagged = ever_flagged or flagged
         if not (math.isnan(min_phi) or math.isnan(prev_phi)):
             drop = prev_phi - min_phi
@@ -112,18 +103,14 @@ def run(config: ScenarioConfig, state=None):
         light_t.append(state.t)
         light_phi.append(min_phi)
         if state.steps % config.cadence == 0:
-            records.append(_monitor(state))
-            if equivariant_run:
-                mu_rel_max = max(mu_rel_max, _mu_rel(state))
+            record(state)
         if max_lam < config.lambda_stop:
             outcome = "converged"
             break
 
-    if records[-1].t != state.t and outcome != "diverged":
-        records.append(_monitor(state))
-        if equivariant_run:
-            mu_rel_max = max(mu_rel_max, _mu_rel(state))
-    if outcome == "timeout" and _velocity_max(state) <= steady_tol:
+    if records[-1].t != state.t:
+        record(state)
+    if outcome == "timeout" and float(np.abs(velocity(state)).max()) <= steady_tol:
         outcome = "steady"
 
     final_phi = records[-1].min_phi
@@ -143,8 +130,8 @@ def run(config: ScenarioConfig, state=None):
         # NaN is the flagged sentinel; JSON carries it as null
         "final_min_phi": None if math.isnan(final_phi) else final_phi,
     }
-    if config.backend == "equivariant_sphere":
-        verdict["mu_orthogonality_max_rel"] = mu_rel_max
+    if mu_check is not None:
+        verdict["mu_orthogonality_max_rel"] = max(mu_rels)
     return records, verdict
 
 

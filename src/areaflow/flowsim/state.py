@@ -125,21 +125,22 @@ class ScenarioConfig:
             raise ConfigurationError(f"cfl must lie in (0, {CFL_MAX}]")
         if self.resolution < 8:
             raise ConfigurationError("resolution must be at least 8")
+        for key in ("cadence", "n", "m"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be at least 1")
 
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-_FIELD_TYPES = {
-    "backend": str, "n": int, "m": int, "resolution": int, "initial": str,
-    "amplitude": float, "cfl": float, "t_max": float, "lambda_stop": float,
-    "cadence": int, "monotonicity_c": float, "steady_c": float, "plots": bool,
-}
 
 
 def parse_scenario(source) -> ScenarioConfig:
     """Parse a plain-text key = value scenario (path or string).
 
-    Lines starting with # are comments; keys are the ScenarioConfig fields.
+    Lines starting with # are comments; keys are the ScenarioConfig fields,
+    each cast to its annotated type.
     """
+    from typing import get_type_hints
+    field_types = get_type_hints(ScenarioConfig)
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         text = Path(source).read_text()
     else:
@@ -154,9 +155,9 @@ def parse_scenario(source) -> ScenarioConfig:
         key, _, val = line.partition("=")
         key = key.strip().lower().replace("-", "_")
         val = val.strip()
-        if key not in _FIELD_TYPES:
+        if key not in field_types:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        caster = _FIELD_TYPES[key]
+        caster = field_types[key]
         if caster is bool:
             if val.lower() not in _BOOL:
                 raise ConfigurationError(f"line {lineno}: bad boolean {val!r}")

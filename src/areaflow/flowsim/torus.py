@@ -157,8 +157,7 @@ def step_torus(state: TorusState, dt: float, cfl: float = CFL_MAX) -> TorusState
             f"dt = {dt:g} violates dt <= cfl h^2 / n = {max_step(state, cfl):g}")
     u_new = state.u + dt * flow_velocity(state)
     if not np.all(np.isfinite(u_new)):
-        raise DivergenceError("non-finite values in torus flow",
-                              last_record=torus_monitors(state))
+        raise DivergenceError("non-finite values in torus flow")
     return TorusState(n=state.n, m=state.m, resolution=state.resolution,
                       winding=state.winding, u=u_new,
                       t=state.t + dt, steps=state.steps + 1)

@@ -202,11 +202,14 @@ def test_flow_svg_outputs(capsys, tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-def test_flow_bad_scenario_is_config_error(capsys, tmp_path):
+@pytest.mark.parametrize("line", ["wibble = 3", "cadence = 0", "cadence = -3",
+                                  "n = 0", "m = 0"], ids=lambda line: line.replace(" ", ""))
+def test_flow_bad_scenario_is_config_error(capsys, tmp_path, line):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("backend = torus\nwibble = 3\n")
-    rc, _ = run_cli(capsys, "flow", str(bad))
+    bad.write_text(f"backend = torus\n{line}\n")
+    rc, _ = run_cli(capsys, "flow", str(bad), "--out", str(tmp_path / "out"))
     assert rc == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_shipped_scenarios_parse():

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from areaflow.errors import ConfigurationError, GraphicalBreakdownError
+from areaflow.errors import (ConfigurationError, DivergenceError,
+                             GraphicalBreakdownError)
 from areaflow.flowsim import (EquivariantState, ScenarioConfig, run,
                               step_equivariant)
 from areaflow.flowsim import equivariant as eq
@@ -170,6 +171,37 @@ def test_mu_check_runs_with_every_record_and_never_in_the_step(monkeypatch):
     assert verdict["steps"] % config.cadence != 0
     assert checked == [rec.t for rec in records]
     assert verdict["mu_orthogonality_max_rel"] <= 1e-6
+
+    # a diverged run ends on its last healthy state, recorded once and
+    # checked once, whether that state was a cadence record (14) or not (12)
+    step = eq.step_equivariant
+    for healthy_steps in (14, 12):
+        healthy = []
+
+        def failing(state, dt, cfl):
+            if state.steps == healthy_steps:
+                healthy.append(state)
+                raise DivergenceError("injected")
+            return step(state, dt, cfl)
+
+        monkeypatch.setattr(eq, "step_equivariant", failing)
+        checked.clear()
+        records, verdict = run(config)
+        assert verdict["outcome"] == "diverged"
+        assert verdict["steps"] == healthy_steps
+        assert records[-1] == eq.equivariant_monitors(healthy[0])
+        assert len({rec.t for rec in records}) == len(records)
+        assert checked == [rec.t for rec in records]
+
+    # a kinked profile breaks down on its first step: one row, checked
+    monkeypatch.setattr(eq, "step_equivariant", step)
+    kinked = profile_state(32, np.zeros_like)
+    kinked.rho[10] = 500.0
+    checked.clear()
+    records, verdict = run(config, kinked)
+    assert verdict["outcome"] == "diverged" and verdict["steps"] == 0
+    assert records == [eq.equivariant_monitors(kinked)]
+    assert checked == [0.0]
 
 
 def test_cached_rhop_is_exact_and_belongs_to_one_state():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from areaflow import svcore
-from areaflow.errors import ConfigurationError
+from areaflow.errors import ConfigurationError, DivergenceError
 from areaflow.flowsim import (ScenarioConfig, initial_state, run, step_torus,
                               torus_monitors)
 from areaflow.flowsim import torus
@@ -93,6 +93,37 @@ def test_general_dimensions_path():
     records, verdict = run(config)
     assert verdict["monotonicity_violations"] == 0
     assert records[0].max_lambda <= 0.31
+
+
+@pytest.mark.parametrize("healthy_steps", [10, 12])
+def test_diverged_run_ends_on_its_last_healthy_state_once(monkeypatch, healthy_steps):
+    # cadence 5: the last healthy state is a cadence record (10) or not (12)
+    step = torus.step_torus
+    healthy = []
+
+    def failing(state, dt, cfl):
+        if state.steps == healthy_steps:
+            healthy.append(state)
+            raise DivergenceError("injected")
+        return step(state, dt, cfl)
+
+    monkeypatch.setattr(torus, "step_torus", failing)
+    config = ScenarioConfig(backend="torus", resolution=16, initial="sine",
+                            amplitude=0.4, t_max=1.0, cadence=5)
+    records, verdict = run(config)
+    assert verdict["outcome"] == "diverged"
+    assert verdict["steps"] == healthy_steps
+    assert records[-1] == torus_monitors(healthy[0])
+    assert len({rec.t for rec in records}) == len(records)
+
+
+def test_non_finite_first_step_diverges_on_one_row():
+    config = ScenarioConfig(backend="torus", resolution=16, initial="sine",
+                            amplitude=1e200, t_max=1.0, cadence=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        records, verdict = run(config)
+    assert verdict["outcome"] == "diverged" and verdict["steps"] == 0
+    assert [rec.t for rec in records] == [0.0]
 
 
 def test_winding_preserved_and_periodic():

@@ -6,12 +6,16 @@ suites pass on the unpatched kernels.  Faults that no suite sees must at
 least be seen by a cross-route check against ``verifier``.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from areaflow import campaigns as cp
 from areaflow import svcore
 from areaflow import verifier as vf
+from areaflow.cli import main
 
 SEED = 7
 SAMPLES = 2000
@@ -74,6 +78,15 @@ def _diagonal_energy_only(gradient_energy):
     return faulty
 
 
+def _nan_at_row_3(kernel):
+    """Row 3 of every chunk turns NaN, as a 0/0 inside the kernel would."""
+    def faulty(*args):
+        out = np.array(kernel(*args))
+        out[3] = np.nan
+        return out
+    return faulty
+
+
 FAULTS = {
     "srest_c_x1.001": (cp, "_srest", _scaled_c),
     "keep_returns_swap": (cp, "_keep_swap", _keep_as_swap),
@@ -82,6 +95,8 @@ FAULTS = {
     "pair_table_sign": (svcore, "_pair_operator_table", _flipped_table_sign),
     "pair_factor_swapped": (cp, "_pair_factors", _swapped_pair_factor),
     "offdiag_energy_dropped": (cp, "gradient_energy", _diagonal_energy_only),
+    "master_gap_nan": (cp, "master_gaps", _nan_at_row_3),
+    "key_identity_nan": (cp, "key_identity_residuals", _nan_at_row_3),
 }
 
 CASES = [
@@ -92,6 +107,8 @@ CASES = [
     ("sec2_sign", "ricci", 3, 2),
     ("sectional_coeff_x0.99", "sectional", 3, 2),
     ("pair_factor_swapped", "regroup", 3, 2),
+    ("master_gap_nan", "master", 3, 2),
+    ("key_identity_nan", "pair_claim", 3, 2),
 ]
 
 
@@ -106,6 +123,27 @@ def test_seeded_fault_turns_suite_red(monkeypatch, fault, suite, n, m):
     monkeypatch.setattr(module, attr, make_faulty(getattr(module, attr)))
     report = cp.run_suite(suite, n=n, m=m, samples=SAMPLES, seed=SEED)
     assert not report["passed"], report["configs"]
+
+
+def _no_constants(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("fault, suite, n, m", [c for c in CASES if c[0].endswith("_nan")])
+def test_nan_fault_prints_strict_json(monkeypatch, capsys, fault, suite, n, m):
+    module, attr, make_faulty = FAULTS[fault]
+    monkeypatch.setattr(module, attr, make_faulty(getattr(module, attr)))
+    rc = main(["verify", suite, "--n", str(n), "--m", str(m),
+               "--samples", str(SAMPLES), "--seed", str(SEED)])
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert rc == 1 and not report["passed"]
+    (config,) = report["configs"]
+    assert math.isfinite(config["worst"])
+    # a NaN gap is a violation: one per chunk; a NaN extra leaves its field finite
+    if fault == "master_gap_nan":
+        assert config["violations"] == 1
+    else:
+        assert config["violations"] == 0 and math.isfinite(config["key_identity_max"])
 
 
 def _pair_operator_routes_agree():
