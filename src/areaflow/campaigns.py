@@ -129,13 +129,14 @@ def _srest(lam):
     return (1 - lam * lam) / den, 2 * lam / den
 
 
-def _stilde(lam, m):
-    """Restriction values along the m normal directions, shape (B, m)."""
-    count, n = lam.shape
+def _stilde(s, m):
+    """Restriction values along the m normal directions, shape (B, m): the
+    first min(n, m) columns of s, padded with 1 (lambda = 0) beyond n."""
+    count, n = s.shape
     mp = min(n, m)
-    la = np.zeros((count, m), dtype=LD)
-    la[:, :mp] = lam[:, :mp]
-    return (1 - la * la) / (1 + la * la)
+    out = np.ones((count, m), dtype=s.dtype)
+    out[:, :mp] = s[:, :mp]
+    return out
 
 
 def phi_values(lam):
@@ -191,7 +192,7 @@ def pair_claim_gaps(lam, h):
     count, n = lam.shape
     m = h.shape[1]
     s, c = _srest(lam)
-    st = _stilde(lam, m)
+    st = _stilde(s, m)
     h = h.astype(LD)
     hsq = np.einsum("blki,blki->bli", h, h)          # (B, m, n): sum_k h^2
     H2 = hsq.sum(axis=1)                             # (B, n)
@@ -314,7 +315,7 @@ def master_gaps(lam, h, sec1, sec2):
     n = lam.shape[1]
     m = h.shape[1]
     s, c = _srest(lam)
-    st = _stilde(lam, m)
+    st = _stilde(s, m)
     hld = h.astype(LD)
     dg = _diag_h(h, n)
     iA, jA = np.triu_indices(n, 1)
@@ -429,10 +430,9 @@ def m2_claim_displays(lam):
     top pair (l1, l2)."""
     l1 = lam[:, 0].astype(LD)
     l2 = lam[:, 1].astype(LD)
-    s1 = (1 - l1**2) / (1 + l1**2)
-    s2 = (1 - l2**2) / (1 + l2**2)
+    s, _ = _srest(lam[:, :2])
     pair = (l1**2 + l2**2) * (1 - l1**2 * l2**2) / ((1 + l1**2) ** 2 * (1 + l2**2) ** 2) \
-        / (s1 + s2)
+        / (s[:, 0] + s[:, 1])
     cross = ((l1 - l2) ** 2 + 2 * l1 * l2 * (1 - l1 * l2)) / (2 * (1 + l1**2) * (1 + l2**2))
     return pair, cross
 
@@ -745,8 +745,8 @@ def _sectional_chunk(rng, size, n, m):
     lam = sample_spectra(rng, size, n, m)
     tau = rng.uniform(0.02, 2.0 * (2 * n - m - 1) / (m - 1), size)
     sec1 = sample_sec(rng, size, n, 1.0, 3.0)
-    block = _sym_zero_diag(np.minimum(
-        rng.uniform(-1.0, 1.0, (size, min(n, m), min(n, m))), tau[:, None, None]))
+    block = np.minimum(rng.uniform(-1.0, 1.0, (size, min(n, m), min(n, m))),
+                       tau[:, None, None])
     # tight family sec1 = 1, sec2 = tau saturates the bound
     tight = slice(0, size // 8)
     sec1[tight] = 1.0
@@ -786,7 +786,6 @@ def _ricci_chunk(rng, size, n, m):
                               "after 400 redraws")
     block = rng.uniform(sigma[:, None, None] - 3.0, sigma[:, None, None],
                         (size, min(n, m), min(n, m)))
-    block = _sym_zero_diag(block)
     tight = slice(0, size // 8)
     block[tight] = sigma[tight, None, None]
     block = _sym_zero_diag(block)

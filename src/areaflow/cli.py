@@ -26,7 +26,7 @@ from pathlib import Path
 from . import __version__, campaigns, criteria, geometry
 from .errors import ConfigurationError
 from .flowsim import parse_scenario, run as run_flow
-from .flowsim.runner import records_to_csv, records_to_svg
+from .flowsim.runner import records_to_csv
 
 
 def _json_bytes(payload) -> bytes:
@@ -119,9 +119,6 @@ def _cmd_flow(args) -> int:
     elapsed = time.perf_counter() - t0
     csv_text = records_to_csv(records)
     files = {"timeseries.csv": csv_text, "verdict.json": _json_bytes(verdict)}
-    if config.plots:
-        files["min_phi.svg"] = records_to_svg(records, "min_phi")
-        files["max_lambda.svg"] = records_to_svg(records, "max_lambda")
     out_dir = args.out or "flow_out"
     _write_outputs(out_dir, files, "flow",
                    {"scenario": str(args.scenario), **config.__dict__,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, GraphicalBreakdownError
-from ..svcore import PAIR_PRODUCT_GUARD
+from ..svcore import pair_flags
 from .state import CFL_MAX, EquivariantState, MonitorRecord
 
 RHO_PRIME_BREAKDOWN = 1e3
@@ -218,7 +218,7 @@ def pointwise_phi_stats(lam1, lam2):
     form.
     """
     pair = lam1 * lam2
-    flagged = bool((pair**2 >= 1.0 - PAIR_PRODUCT_GUARD).any())
+    flagged = bool(pair_flags(pair**2).any())
     with np.errstate(invalid="ignore", divide="ignore"):
         phi = np.log1p(-(pair**2)) - np.log1p(lam1**2) - np.log1p(lam2**2)
     min_phi = float("nan") if flagged else float(phi.min())

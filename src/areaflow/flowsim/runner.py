@@ -141,37 +141,3 @@ def records_to_csv(records) -> str:
     for rec in records:
         lines.append(",".join(f"{v:.17g}" for v in rec.row()))
     return "\n".join(lines) + "\n"
-
-
-def records_to_svg(records, field="min_phi") -> str:
-    """Minimal SVG line plot of a monitor field versus time."""
-    pts = [(rec.t, getattr(rec, field)) for rec in records
-           if math.isfinite(getattr(rec, field))]
-    width, height, margin = 640, 400, 50
-    if len(pts) < 2:
-        body = "<text x='20' y='40'>not enough finite data</text>"
-        return (f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' "
-                f"height='{height}'>{body}</svg>\n")
-    ts = [p[0] for p in pts]
-    vs = [p[1] for p in pts]
-    t0, t1 = min(ts), max(ts)
-    v0, v1 = min(vs), max(vs)
-    span_t = (t1 - t0) or 1.0
-    span_v = (v1 - v0) or 1.0
-
-    def sx(t):
-        return margin + (t - t0) / span_t * (width - 2 * margin)
-
-    def sy(v):
-        return height - margin - (v - v0) / span_v * (height - 2 * margin)
-
-    path = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in pts)
-    return (
-        f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}'>\n"
-        f"  <rect width='100%' height='100%' fill='white'/>\n"
-        f"  <polyline points='{path}' fill='none' stroke='black' stroke-width='1.5'/>\n"
-        f"  <text x='{width // 2}' y='{height - 10}' text-anchor='middle'>t</text>\n"
-        f"  <text x='12' y='{height // 2}' transform='rotate(-90 12 {height // 2})' "
-        f"text-anchor='middle'>{field}</text>\n"
-        f"</svg>\n"
-    )

@@ -114,7 +114,6 @@ class ScenarioConfig:
     cadence: int = 25
     monotonicity_c: float = 10.0   # per-step tolerance C*(h^2 + dt); artifact calibration
     steady_c: float = 1.0          # steady threshold C*h^2; artifact calibration
-    plots: bool = False
 
     def __post_init__(self):
         if self.backend not in ("torus", "equivariant_sphere"):
@@ -128,9 +127,9 @@ class ScenarioConfig:
         for key in ("cadence", "n", "m"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be at least 1")
-
-
-_BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+        for key in ("amplitude", "t_max", "lambda_stop", "monotonicity_c", "steady_c"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigurationError(f"{key} must be finite")
 
 
 def parse_scenario(source) -> ScenarioConfig:
@@ -157,16 +156,10 @@ def parse_scenario(source) -> ScenarioConfig:
         val = val.strip()
         if key not in field_types:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        caster = field_types[key]
-        if caster is bool:
-            if val.lower() not in _BOOL:
-                raise ConfigurationError(f"line {lineno}: bad boolean {val!r}")
-            values[key] = _BOOL[val.lower()]
-        else:
-            try:
-                values[key] = caster(val)
-            except ValueError as exc:
-                raise ConfigurationError(f"line {lineno}: {exc}") from exc
+        try:
+            values[key] = field_types[key](val)
+        except ValueError as exc:
+            raise ConfigurationError(f"line {lineno}: {exc}") from exc
     return ScenarioConfig(**values)
 
 

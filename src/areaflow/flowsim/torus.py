@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..svcore import PAIR_PRODUCT_GUARD, phi_batch
+from ..svcore import pair_flags, phi_batch
 from .state import CFL_MAX, MonitorRecord, TorusState
 
 
@@ -200,7 +200,7 @@ def pointwise_phi_stats(df: np.ndarray):
         D2 *= D2
         two_lam = _norm2(a + d, c - b)
         two_lam += _norm2(a - d, b + c)
-        flagged = D2 >= 1.0 - PAIR_PRODUCT_GUARD
+        flagged = pair_flags(D2)
         with np.errstate(invalid="ignore", divide="ignore"):
             phi = np.log1p(-D2)
             T += D2
@@ -213,7 +213,7 @@ def pointwise_phi_stats(df: np.ndarray):
     lam = np.zeros((sv.shape[0], n))
     lam[:, :sv.shape[1]] = sv
     pair = lam[:, 0] * lam[:, 1] if n >= 2 else np.zeros(sv.shape[0])
-    flagged = bool((pair**2 >= 1.0 - PAIR_PRODUCT_GUARD).any())
+    flagged = bool(pair_flags(pair**2).any())
     with np.errstate(invalid="ignore", divide="ignore"):
         phi = phi_batch(lam)
     min_phi = float("nan") if flagged else float(phi.min())

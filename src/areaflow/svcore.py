@@ -1,4 +1,4 @@
-"""Singular-value spectra, the restricted tensor S, the pair operator S^[2],
+"""Singular-value spectra, the pair operator S^[2], the pair-product guard
 and the monotone quantity Phi of area-decreasing maps.
 
 For a map differential with singular values lambda_1 >= ... >= lambda_n the
@@ -18,16 +18,23 @@ with log det S^[2] = (n(n-1)/2) log 2 + Phi.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAreaDecreasingError
-
 # Pairs with 1 - (li*lj)^2 below this guard are rejected as not
 # area-decreasing: downstream formulas divide by that factor.
 PAIR_PRODUCT_GUARD = 1e-14
+
+
+def pair_flags(pair_sq):
+    """True where a squared pair product (li*lj)^2 is within the guard of
+    one or beyond it, i.e. where the pair is not strictly area-decreasing.
+
+    Elementwise on arrays; exact on `fractions.Fraction` (a Fraction compares
+    with the float 1 - PAIR_PRODUCT_GUARD without rounding).
+    """
+    return pair_sq >= 1.0 - PAIR_PRODUCT_GUARD
 
 
 @dataclass(frozen=True)
@@ -55,15 +62,6 @@ class SingularSpectrum:
         object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class SRestriction:
-    """Diagonal values of the restricted tensor in the SVD frame."""
-
-    s: np.ndarray
-    c: np.ndarray
-    lam: np.ndarray
-
-
 def spectrum(values, m=None) -> SingularSpectrum:
     """Build a SingularSpectrum from an unsorted value sequence."""
     lam = np.sort(np.asarray(values, dtype=float))[::-1].copy()
@@ -73,44 +71,11 @@ def spectrum(values, m=None) -> SingularSpectrum:
     return SingularSpectrum(n=n, m=int(m), lam=lam)
 
 
-def singular_values(df, m=None) -> SingularSpectrum:
-    """Spectrum of an n x m array of partials in orthonormal frames.
-
-    Solves the symmetric eigenproblem of the smaller Gram matrix of df and
-    pads with zeros beyond min(n, m).
-    """
-    df = np.asarray(df, dtype=float)
-    if df.ndim != 2:
-        raise ValueError("df must be a 2-d array")
-    if not np.all(np.isfinite(df)):
-        raise ValueError("df must have finite entries")
-    n, mm = df.shape
-    if m is None:
-        m = mm
-    gram = df.T @ df if mm <= n else df @ df.T
-    w = np.linalg.eigvalsh(gram)
-    w = np.sqrt(np.clip(w, 0.0, None))[::-1]
-    lam = np.zeros(n)
-    lam[:min(n, mm)] = w[:min(n, mm)]
-    return SingularSpectrum(n=n, m=int(m), lam=lam)
-
-
 def two_dilation(spec: SingularSpectrum) -> float:
     """max_{i<j} lambda_i lambda_j; the product of the two largest values."""
     if spec.n < 2:
         raise ValueError("two_dilation needs at least two singular values")
     return float(spec.lam[0] * spec.lam[1])
-
-
-def is_area_decreasing(spec: SingularSpectrum) -> bool:
-    """Strict inequality two_dilation < 1."""
-    return two_dilation(spec) < 1.0
-
-
-def s_restriction(spec: SingularSpectrum) -> SRestriction:
-    lam = spec.lam
-    den = 1.0 + lam**2
-    return SRestriction(s=(1.0 - lam**2) / den, c=2.0 * lam / den, lam=lam.copy())
 
 
 def pair_index(n: int):
@@ -166,14 +131,6 @@ def s_two_matrix(S) -> np.ndarray:
     return out
 
 
-def _check_pairs(lam):
-    if lam.size >= 2:
-        worst = lam[0] * lam[1]
-        if 1.0 - worst * worst < PAIR_PRODUCT_GUARD:
-            raise NotAreaDecreasingError(
-                f"pair product {worst:.17g} is not strictly area-decreasing")
-
-
 def phi_batch(lam) -> np.ndarray:
     """Phi of every row of a (B, n) stack of spectra, in the dtype of lam.
 
@@ -187,37 +144,3 @@ def phi_batch(lam) -> np.ndarray:
     for i, j in pair_index(n):
         total += np.log1p(-sq[:, i] * sq[:, j]) - log_den[:, i] - log_den[:, j]
     return total
-
-
-def phi(spec: SingularSpectrum) -> float:
-    """The monotone quantity, evaluated as a sum of logs.
-
-    Phi <= 0 always; Phi = 0 iff all singular values vanish (n >= 2); the
-    empty product at n = 1 gives 0.
-    """
-    _check_pairs(spec.lam)
-    return float(phi_batch(spec.lam[None, :])[0])
-
-
-def log_det_s2(spec: SingularSpectrum) -> float:
-    """(n(n-1)/2) log 2 + Phi."""
-    n = spec.n
-    return (n * (n - 1) / 2.0) * math.log(2.0) + phi(spec)
-
-
-def log_det_s2_oracle(spec: SingularSpectrum) -> float:
-    """Independent route: pivoted-factorization log-determinant of the
-    assembled pair operator of diag(S_ii)."""
-    rest = s_restriction(spec)
-    _check_pairs(spec.lam)
-    sign, logdet = np.linalg.slogdet(s_two_matrix(np.diag(rest.s)))
-    if sign <= 0:
-        raise NotAreaDecreasingError("pair operator is not positive definite")
-    return float(logdet)
-
-
-def rescale_spectrum(spec: SingularSpectrum, rho: float) -> SingularSpectrum:
-    """Target-metric dilation by rho^2 multiplies every singular value by rho."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    return SingularSpectrum(n=spec.n, m=spec.m, lam=spec.lam * rho)

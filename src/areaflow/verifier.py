@@ -21,7 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, NotAreaDecreasingError
-from .svcore import PAIR_PRODUCT_GUARD, SRestriction, pair_index
+from .svcore import pair_flags, pair_index
+
+
+@dataclass(frozen=True)
+class SRestriction:
+    """Diagonal values of the restricted tensor in the SVD frame:
+    S_ii = (1 - l_i^2)/(1 + l_i^2) and C_ii = 2 l_i/(1 + l_i^2)."""
+
+    s: np.ndarray
+    c: np.ndarray
+    lam: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,7 +134,7 @@ def _require_area_decreasing(rest: SRestriction):
     for i in range(n):
         for j in range(i + 1, n):
             prod = lam[i] * lam[j]
-            if 1 - prod * prod < PAIR_PRODUCT_GUARD:
+            if pair_flags(prod * prod):
                 raise NotAreaDecreasingError(
                     f"pair ({i},{j}) has product {float(prod):.17g}")
 
@@ -391,7 +401,7 @@ def _phi_from_rest(rest: SRestriction):
     for i in range(n):
         for j in range(i + 1, n):
             pp = lam[i] ** 2 * lam[j] ** 2
-            if 1.0 - pp < PAIR_PRODUCT_GUARD:
+            if pair_flags(pp):
                 raise NotAreaDecreasingError(f"pair ({i},{j}) product^2 = {pp}")
             total += math.log1p(-pp) - math.log1p(lam[i] ** 2) - math.log1p(lam[j] ** 2)
     return total
@@ -427,27 +437,34 @@ def _pair_weight(li, lj):
     return (li**2 + lj**2) / (2 * (1 + li**2) * (1 + lj**2))
 
 
-def regrouped_curvature_term(rest: SRestriction, curv: CurvatureSample):
-    """R_S regrouped into Ricci diagonals, pair terms, and weighted triples."""
-    _require_area_decreasing(rest)
+def _regrouped_sum(rest: SRestriction, X, W):
+    """Ricci, pair and weighted-triple terms of the regrouped R_S:
+
+        sum_{i<j} [(C_ii^2 X(i) + C_jj^2 X(j)) / (4 (S_ii + S_jj)) + pair weight W(i, j)]
+        + sum_{i<j<k} triple weights times W(i, j), W(j, k), W(i, k),
+
+    with X(i) = Ric1 - Ric2 and W(i, j) = sec1 + sec2 for R_S itself."""
     n = len(rest.lam)
     lam, s, c = rest.lam, rest.s, rest.c
     total = 0
     for i in range(n):
         for j in range(i + 1, n):
-            total = total + (c[i] ** 2 * (curv.ric1(i) - curv.ric2(i))
-                             + c[j] ** 2 * (curv.ric1(j) - curv.ric2(j))) / (4 * (s[i] + s[j]))
-            total = total + _pair_weight(lam[i], lam[j]) * (curv.sec1[i, j] + curv.sec2_at(i, j))
+            total = total + (c[i] ** 2 * X(i) + c[j] ** 2 * X(j)) / (4 * (s[i] + s[j]))
+            total = total + _pair_weight(lam[i], lam[j]) * W(i, j)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                kij = curv.sec1[i, j] + curv.sec2_at(i, j)
-                kjk = curv.sec1[j, k] + curv.sec2_at(j, k)
-                kik = curv.sec1[i, k] + curv.sec2_at(i, k)
-                total = total + triple_weight(lam[i], lam[j], lam[k]) * kij
-                total = total + triple_weight(lam[j], lam[k], lam[i]) * kjk
-                total = total + triple_weight(lam[i], lam[k], lam[j]) * kik
+                total = total + triple_weight(lam[i], lam[j], lam[k]) * W(i, j)
+                total = total + triple_weight(lam[j], lam[k], lam[i]) * W(j, k)
+                total = total + triple_weight(lam[i], lam[k], lam[j]) * W(i, k)
     return total
+
+
+def regrouped_curvature_term(rest: SRestriction, curv: CurvatureSample):
+    """R_S regrouped into Ricci diagonals, pair terms, and weighted triples."""
+    _require_area_decreasing(rest)
+    return _regrouped_sum(rest, lambda i: curv.ric1(i) - curv.ric2(i),
+                          lambda i, j: curv.sec1[i, j] + curv.sec2_at(i, j))
 
 
 def ricci_regroup_residual(rest: SRestriction, curv: CurvatureSample):
@@ -521,17 +538,6 @@ def ricci_lower_bound_gap(rest: SRestriction, curv: CurvatureSample, sigma):
         for k in range(mp):
             if i != k and curv.sec2[i, k] > sigma:
                 raise HypothesisError("sec2 must be <= sigma entrywise")
-    lam, s, c = rest.lam, rest.s, rest.c
-    bound = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            bound = bound + (c[i] ** 2 * (curv.ric1(i) - (n - 1) * sigma)
-                             + c[j] ** 2 * (curv.ric1(j) - (n - 1) * sigma)) / (4 * (s[i] + s[j]))
-            bound = bound + _pair_weight(lam[i], lam[j]) * (curv.sec1[i, j] + sigma)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                bound = bound + triple_weight(lam[i], lam[j], lam[k]) * (curv.sec1[i, j] + sigma)
-                bound = bound + triple_weight(lam[j], lam[k], lam[i]) * (curv.sec1[j, k] + sigma)
-                bound = bound + triple_weight(lam[i], lam[k], lam[j]) * (curv.sec1[i, k] + sigma)
+    bound = _regrouped_sum(rest, lambda i: curv.ric1(i) - (n - 1) * sigma,
+                           lambda i, j: curv.sec1[i, j] + sigma)
     return curvature_term(rest, curv) - bound, bound

@@ -218,7 +218,7 @@ def _pair_loop_reference(lam, h):
     count, n = lam.shape
     m = h.shape[1]
     s, c = cp._srest(lam)
-    st = cp._stilde(lam, m)
+    st = cp._stilde(s, m)
     h = h.astype(cp.LD)
     hsq = np.einsum("blki,blki->bli", h, h)
     A = s * hsq.sum(axis=1) + np.einsum("bli,bl->bi", hsq, st)
@@ -318,7 +318,7 @@ def _master_gaps_with_curvature(lam, h, sec1, sec2):
     m = h.shape[1]
     mp = min(n, m)
     s, c = cp._srest(lam)
-    st = cp._stilde(lam, m)
+    st = cp._stilde(s, m)
     hld = h.astype(cp.LD)
     sec1 = sec1.astype(cp.LD)
     sec2 = sec2.astype(cp.LD)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import areaflow
 from areaflow import campaigns
 from areaflow.cli import main
 
@@ -193,17 +197,10 @@ def test_flow_timings_go_to_manifest_only(capsys, tmp_path):
         assert key not in verdict and key not in csv_text
 
 
-def test_flow_svg_outputs(capsys, tmp_path):
-    scenario = tmp_path / "tiny.cfg"
-    scenario.write_text(TINY_SCENARIO + "plots = true\n")
-    rc, _ = run_cli(capsys, "flow", str(scenario), "--out", str(tmp_path / "o"))
-    assert rc == 0
-    svg = (tmp_path / "o" / "min_phi.svg").read_text()
-    assert svg.startswith("<svg") and "polyline" in svg
-
-
-@pytest.mark.parametrize("line", ["wibble = 3", "cadence = 0", "cadence = -3",
-                                  "n = 0", "m = 0"], ids=lambda line: line.replace(" ", ""))
+@pytest.mark.parametrize("line", ["wibble = 3", "plots = true", "cadence = 0", "cadence = -3",
+                                  "n = 0", "m = 0", "amplitude = nan", "t_max = nan",
+                                  "lambda_stop = inf", "monotonicity_c = nan",
+                                  "steady_c = -inf"], ids=lambda line: line.replace(" ", ""))
 def test_flow_bad_scenario_is_config_error(capsys, tmp_path, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"backend = torus\n{line}\n")
@@ -218,3 +215,18 @@ def test_shipped_scenarios_parse():
                  "equivariant_sin_03.cfg", "equivariant_identity.cfg"):
         config = parse_scenario(SCENARIOS / name)
         assert config.cfl <= 0.25
+
+
+def test_import_does_no_table_work():
+    """Importing the CLI builds no pair-operator table and caches no node
+    angles: work done at import time is paid by every command's startup."""
+    code = ("import areaflow.cli\n"
+            "from areaflow import svcore\n"
+            "from areaflow.flowsim import state\n"
+            "print(len(svcore._PAIR_TABLES), state.node_angles.cache_info().currsize)\n")
+    src = str(Path(areaflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["0", "0"]

@@ -158,7 +158,7 @@ def test_pair_product_curvature_invariant_under_dilation(rho):
     profile = cr.named_spectrum("hopf_s3_s2")
     spec = profile.spectra[0]
     import areaflow.svcore as sv
-    scaled_spec = sv.rescale_spectrum(spec, rho)
+    scaled_spec = sv.spectrum(spec.lam * rho, m=spec.m)
     scaled_target = geo.rescale(profile.target, rho)
     base = sv.two_dilation(spec) * geo.sectional_curvature(profile.target)
     scaled = sv.two_dilation(scaled_spec) * geo.sectional_curvature(scaled_target)

@@ -95,7 +95,7 @@ def test_pair_product_times_curvature_is_scale_invariant(rho, plane, l1, l2):
     model = geo.cp(2)
     spec = svcore.spectrum(sorted([l1, l2], reverse=True), m=model.dim)
     scaled_model = geo.rescale(model, rho)
-    scaled_spec = svcore.rescale_spectrum(spec, rho)
+    scaled_spec = svcore.spectrum(spec.lam * rho, m=spec.m)
     base = spec.lam[0] * spec.lam[1] * geo.sectional_curvature(model, plane)
     scaled = scaled_spec.lam[0] * scaled_spec.lam[1] \
         * geo.sectional_curvature(scaled_model, plane)

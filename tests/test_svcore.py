@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from areaflow import svcore
+from areaflow import campaigns, svcore, verifier
 from areaflow.errors import NotAreaDecreasingError
+from areaflow.flowsim import equivariant, torus
 
 # strategies for sorted area-decreasing spectra
 lam_entry = st.floats(0.0, 1.4, allow_nan=False)
@@ -26,27 +27,13 @@ def spectra(draw, min_n=2, max_n=6):
     return svcore.spectrum(lam)
 
 
-def test_singular_values_zero_map():
-    spec = svcore.singular_values(np.zeros((3, 2)))
-    assert np.all(spec.lam == 0) and spec.n == 3
+def phi(spec):
+    """Phi of one spectrum through the batched kernel the program runs."""
+    return float(svcore.phi_batch(spec.lam[None, :])[0])
 
 
-def test_singular_values_identity():
-    spec = svcore.singular_values(np.eye(4))
-    assert np.allclose(spec.lam, 1.0)
-
-
-def test_singular_values_padded_diag():
-    df = np.zeros((3, 2))
-    df[0, 0], df[1, 1] = 3.0, 4.0
-    spec = svcore.singular_values(df)
-    assert np.allclose(spec.lam, [4.0, 3.0, 0.0])
-    assert spec.m == 2
-
-
-def test_singular_values_rejects_non_finite():
-    with pytest.raises(ValueError):
-        svcore.singular_values(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+def restriction(spec):
+    return verifier.restriction_from_lambdas(spec.lam)
 
 
 def test_two_dilation_examples():
@@ -59,13 +46,18 @@ def test_two_dilation_examples():
 
 
 def test_is_area_decreasing_strictness():
-    assert svcore.is_area_decreasing(svcore.spectrum([0.9, 0.9]))
-    assert not svcore.is_area_decreasing(svcore.spectrum([1.0, 1.0]))
-    assert svcore.is_area_decreasing(svcore.spectrum([2.0, 0.4]))
+    for lam, ok in (([0.9, 0.9], True), ([1.0, 1.0], False), ([2.0, 0.4], True)):
+        spec = svcore.spectrum(lam)
+        assert (svcore.two_dilation(spec) < 1.0) == ok
+        if ok:
+            verifier._require_area_decreasing(restriction(spec))
+        else:
+            with pytest.raises(NotAreaDecreasingError):
+                verifier._require_area_decreasing(restriction(spec))
 
 
 def test_s_restriction_values():
-    rest = svcore.s_restriction(svcore.spectrum([0.0, 1.0, 2.0][::-1]))
+    rest = restriction(svcore.spectrum([0.0, 1.0, 2.0][::-1]))
     lam = rest.lam
     for i, l in enumerate(lam):
         if l == 0.0:
@@ -80,7 +72,7 @@ def test_s_restriction_values():
 
 @given(spectra())
 def test_restriction_circle_identity(spec):
-    rest = svcore.s_restriction(spec)
+    rest = restriction(spec)
     assert np.all(np.abs(rest.s**2 + rest.c**2 - 1.0) <= 1e-14)
 
 
@@ -124,7 +116,8 @@ def test_phi_batch_keeps_dtype_and_matches_phi():
     out = svcore.phi_batch(lam.astype(np.longdouble))
     assert out.dtype == np.longdouble
     for row, value in zip(lam, svcore.phi_batch(lam)):
-        assert value == svcore.phi(svcore.spectrum(row))
+        scalar = verifier._phi_from_rest(verifier.restriction_from_lambdas(row))
+        assert math.isclose(value, scalar, rel_tol=1e-15)
     assert math.isclose(float(out[0]), math.log(0.6) - 2 * math.log(1.25))
 
 
@@ -196,22 +189,48 @@ def test_s_two_matrix_disjoint_pairs_vanish(n, data):
 
 
 def test_phi_examples():
-    assert svcore.phi(svcore.spectrum([0.0, 0.0, 0.0])) == 0.0
-    assert math.isclose(svcore.phi(svcore.spectrum([0.5, 0.5])), math.log(0.6))
-    assert math.isclose(svcore.phi(svcore.spectrum([1.0, 0.0])), math.log(0.5))
-    assert svcore.phi(svcore.spectrum([3.0])) == 0.0  # empty product at n = 1
+    assert phi(svcore.spectrum([0.0, 0.0, 0.0])) == 0.0
+    assert math.isclose(phi(svcore.spectrum([0.5, 0.5])), math.log(0.6))
+    assert math.isclose(phi(svcore.spectrum([1.0, 0.0])), math.log(0.5))
+    assert phi(svcore.spectrum([3.0])) == 0.0  # empty product at n = 1
 
 
 def test_phi_rejects_boundary():
-    with pytest.raises(NotAreaDecreasingError):
-        svcore.phi(svcore.spectrum([1.0, 1.0]))
-    with pytest.raises(NotAreaDecreasingError):
-        svcore.phi(svcore.spectrum([2.0, 0.5]))
+    for lam in ([1.0, 1.0], [2.0, 0.5]):
+        assert svcore.pair_flags((lam[0] * lam[1]) ** 2)
+        with pytest.raises(NotAreaDecreasingError):
+            verifier._phi_from_rest(restriction(svcore.spectrum(lam)))
+
+
+# the pair product whose float square is 1 - PAIR_PRODUCT_GUARD
+_EDGE = math.sqrt(1.0 - svcore.PAIR_PRODUCT_GUARD)
+
+
+@pytest.mark.parametrize("pair, flagged", [(math.nextafter(_EDGE, 0.0), False),
+                                           (_EDGE, True), (math.nextafter(_EDGE, 2.0), True)],
+                         ids=["below", "edge", "above"])
+def test_one_guard_flags_the_same_pair_products(pair, flagged):
+    """pair^2 = 1 - PAIR_PRODUCT_GUARD and the squares of the floats on either
+    side of its root: every guarded check flags exactly the same inputs."""
+    assert (pair * pair == 1.0 - svcore.PAIR_PRODUCT_GUARD) == (pair == _EDGE)
+    assert svcore.pair_flags(pair * pair) == flagged
+    closed = np.zeros((2, 2, 1, 1))     # (2, 2) closed form, D = pair
+    by_svd = np.zeros((3, 2, 1, 1))     # SVD path, spectrum (1, pair)
+    for df in (closed, by_svd):
+        df[0, 0], df[1, 1] = pair, 1.0
+        assert torus.pointwise_phi_stats(df)[3] == flagged
+    assert equivariant.pointwise_phi_stats(np.array([pair]), np.array([1.0]))[3] == flagged
+    rest = verifier.restriction_from_lambdas([1.0, pair])
+    if flagged:
+        with pytest.raises(NotAreaDecreasingError):
+            verifier._require_area_decreasing(rest)
+    else:
+        verifier._require_area_decreasing(rest)
 
 
 @given(spectra())
 def test_phi_nonpositive(spec):
-    assert svcore.phi(spec) <= 0.0
+    assert phi(spec) <= 0.0
 
 
 @given(spectra(min_n=2, max_n=5), st.integers(0, 4), st.floats(1e-4, 1e-2))
@@ -222,47 +241,43 @@ def test_phi_strictly_decreasing_by_finite_difference(spec, idx, eps):
         lam = lam * 0.5 + 0.05
     base = svcore.spectrum(lam)
     bumped = svcore.spectrum(np.sort(lam + np.eye(1, spec.n, idx)[0] * eps)[::-1])
-    assert svcore.phi(bumped) < svcore.phi(base)
+    assert phi(bumped) < phi(base)
 
 
 def test_log_det_examples():
-    assert math.isclose(svcore.log_det_s2(svcore.spectrum([0.0] * 3)), 3 * math.log(2.0))
-    assert math.isclose(svcore.log_det_s2(svcore.spectrum([0.5, 0.5])), math.log(1.2))
+    lam = np.array([[0.0] * 3])
+    assert math.isclose(float(campaigns.logdet_pair_formula(lam)[0]), 3 * math.log(2.0))
+    lam = np.array([[0.5, 0.5]])
+    assert math.isclose(float(campaigns.logdet_pair_formula(lam)[0]), math.log(1.2))
 
 
 @given(spectra(max_n=7))
 def test_log_det_matches_oracle(spec):
-    assert math.isclose(svcore.log_det_s2(spec), svcore.log_det_s2_oracle(spec),
-                        abs_tol=1e-10)
+    lam = spec.lam[None, :]
+    assert math.isclose(float(campaigns.logdet_pair_formula(lam)[0]),
+                        float(campaigns.logdet_pair_oracle(lam)[0]), abs_tol=1e-10)
 
 
 @given(spectra())
 def test_positivity_equivalence(spec):
-    rest = svcore.s_restriction(spec)
+    rest = restriction(spec)
     op = svcore.s_two_matrix(np.diag(rest.s))
     eig_min = np.linalg.eigvalsh(op).min()
     pair_min = min(rest.s[i] + rest.s[j] for i, j in svcore.pair_index(spec.n))
-    assert (eig_min > 0) == (pair_min > 0) == svcore.is_area_decreasing(spec)
+    assert (eig_min > 0) == (pair_min > 0) == (svcore.two_dilation(spec) < 1.0)
 
 
 def test_positivity_fails_beyond_boundary():
     spec = svcore.spectrum([1.5, 1.1])
-    rest = svcore.s_restriction(spec)
+    rest = restriction(spec)
     op = svcore.s_two_matrix(np.diag(rest.s))
     assert np.linalg.eigvalsh(op).min() < 0
-    assert not svcore.is_area_decreasing(spec)
-
-
-def test_rescale_spectrum():
-    spec = svcore.spectrum([2.0, 2.0, 0.0])
-    assert np.allclose(svcore.rescale_spectrum(spec, 1.0).lam, spec.lam)
-    assert np.allclose(svcore.rescale_spectrum(spec, 0.5).lam, [1.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        svcore.rescale_spectrum(spec, 0.0)
+    assert not svcore.two_dilation(spec) < 1.0
+    assert np.isnan(campaigns.logdet_pair_oracle(spec.lam[None, :])[0])
 
 
 @given(spectra(), st.floats(0.1, 3.0))
 def test_two_dilation_scales_quadratically(spec, rho):
-    scaled = svcore.rescale_spectrum(spec, rho)
+    scaled = svcore.spectrum(spec.lam * rho, m=spec.m)
     assert math.isclose(svcore.two_dilation(scaled),
                         rho**2 * svcore.two_dilation(spec), rel_tol=1e-12)
