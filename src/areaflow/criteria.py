@@ -265,14 +265,20 @@ def named_spectrum(name: str, n: int | None = None) -> MapProfile:
 def profile_from_json(data: dict) -> MapProfile:
     """Profile from a JSON dict: {"name", "source", "target", "spectra"}
     with models in the plain-text grammar and spectra as rows of singular
-    values."""
+    values (a single flat row is taken as one row); each row holds
+    source.dim values."""
     from .geometry import parse_model
 
+    if not (isinstance(data, dict) and {"source", "target", "spectra"} <= data.keys()):
+        raise ValueError("a profile is a JSON object with source, target and spectra")
     source = parse_model(data["source"])
     target = parse_model(data["target"])
     rows = data["spectra"]
-    if rows and not isinstance(rows[0], (list, tuple)):
+    if isinstance(rows, list) and rows and not isinstance(rows[0], list):
         rows = [rows]
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and len(row) == source.dim for row in rows)):
+        raise ValueError(f"spectra must be one or more rows of {source.dim} singular values")
     spectra = tuple(spectrum(row, m=target.dim) for row in rows)
     return MapProfile(name=data.get("name", "custom"), source=source,
                       target=target, spectra=spectra)

@@ -115,7 +115,7 @@ def _geometry(state: EquivariantState):
 
 def normal_velocity(state: EquivariantState):
     """(<H, nu>, <H, mu>, |H|) at every node (poles zeroed)."""
-    geo = _geometry(state)
+    geo = state.frame
     inner = slice(1, -1)
     H = np.zeros((state.resolution + 1, 6))
     H[inner] = (geo["II_rr"][inner] / geo["g_rr"][inner, None]
@@ -228,7 +228,7 @@ def pointwise_phi_stats(lam1, lam2):
 def second_fundamental_norm_sq(state: EquivariantState) -> np.ndarray:
     """|A|^2 on interior nodes (poles excluded) from the projected
     second-derivative vectors."""
-    geo = _geometry(state)
+    geo = state.frame
     inner = slice(1, -1)
     a_rr = np.einsum("ij,ij->i", geo["II_rr"], geo["II_rr"])[inner]
     a_tt = np.einsum("ij,ij->i", geo["II_tt"], geo["II_tt"])[inner]

@@ -60,9 +60,9 @@ class EquivariantState:
     rho(0) = 0 and rho(pi) is 0 (trivial class) or pi (identity class);
     both poles are held fixed and ghost values extend the profile by odd
     reflection about the pole values.  States are frozen and derive
-    ``rhop`` once; writing into ``rho`` after reading ``rhop`` is
-    unsupported.  ``r`` is the read-only node array that all states of a
-    resolution share.
+    ``rhop`` and the projected ``frame`` once; writing into ``rho`` after
+    reading either is unsupported.  ``r`` is the read-only node array that
+    all states of a resolution share.
     """
 
     resolution: int              # J: number of intervals
@@ -82,6 +82,11 @@ class EquivariantState:
     def rhop(self):
         from . import equivariant
         return equivariant.profile_derivative(self)
+
+    @cached_property
+    def frame(self):
+        from . import equivariant
+        return equivariant._geometry(self)
 
     backend = "equivariant_sphere"
 
@@ -130,6 +135,12 @@ class ScenarioConfig:
         for key in ("amplitude", "t_max", "lambda_stop", "monotonicity_c", "steady_c"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigurationError(f"{key} must be finite")
+        for key in ("t_max", "lambda_stop"):
+            if not getattr(self, key) > 0:
+                raise ConfigurationError(f"{key} must be positive")
+        for key in ("monotonicity_c", "steady_c"):
+            if getattr(self, key) < 0:
+                raise ConfigurationError(f"{key} must not be negative")
 
 
 def parse_scenario(source) -> ScenarioConfig:

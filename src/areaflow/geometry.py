@@ -14,6 +14,7 @@ sectional ranges are known in closed form, which is all the criteria need.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, replace
 
@@ -78,10 +79,14 @@ def sectional_curvature(model: CurvatureModel, plane=None) -> float:
     if model.kind == "torus":
         return 0.0
     if model.kind == "cp":
+        if not (plane is None or isinstance(plane, numbers.Real)):
+            raise ValueError("CP plane descriptor needs one invariant")
         c = 0.0 if plane is None else float(plane)
         if not -1.0 <= c <= 1.0:
             raise ValueError("CP plane invariant must lie in [-1, 1]")
         return (1.0 + 3.0 * c * c) / s2
+    if isinstance(plane, numbers.Real):
+        plane = (plane,)
     invs = (0.0, 0.0, 0.0) if plane is None else tuple(float(v) for v in plane)
     if len(invs) != 3:
         raise ValueError("HP plane descriptor needs three invariants")
@@ -147,7 +152,7 @@ def parse_model(text: str) -> CurvatureModel:
     Grammar:  kind(param[, radius]) ["scaled" rho]  with kind one of
     s/sphere, cp, hp, torus; the radius argument is sphere-only.
     """
-    match = _MODEL_RE.match(text)
+    match = _MODEL_RE.match(text) if isinstance(text, str) else None
     if not match:
         raise ValueError(f"cannot parse model descriptor {text!r}")
     kind, param, radius, scale = match.groups()

@@ -200,12 +200,42 @@ def test_flow_timings_go_to_manifest_only(capsys, tmp_path):
 @pytest.mark.parametrize("line", ["wibble = 3", "plots = true", "cadence = 0", "cadence = -3",
                                   "n = 0", "m = 0", "amplitude = nan", "t_max = nan",
                                   "lambda_stop = inf", "monotonicity_c = nan",
-                                  "steady_c = -inf"], ids=lambda line: line.replace(" ", ""))
+                                  "steady_c = -inf", "t_max = 0", "lambda_stop = -1",
+                                  "monotonicity_c = -1", "steady_c = -0.5"],
+                         ids=lambda line: line.replace(" ", ""))
 def test_flow_bad_scenario_is_config_error(capsys, tmp_path, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"backend = torus\n{line}\n")
     rc, _ = run_cli(capsys, "flow", str(bad), "--out", str(tmp_path / "out"))
     assert rc == 2
+    assert not (tmp_path / "out").exists()
+
+
+BAD_PROFILES = {
+    "no_target": {"source": "sphere(3)", "spectra": [[1.0, 0.5, 0.0]]},
+    "number_model": {"source": 3, "target": "sphere(2)", "spectra": [[1.0, 0.5, 0.0]]},
+    "list": [{"source": "sphere(3)", "target": "sphere(2)", "spectra": [[1.0, 0.5, 0.0]]}],
+    "no_rows": {"source": "sphere(3)", "target": "sphere(2)", "spectra": []},
+    "short_row": {"source": "s(5)", "target": "s(3)", "spectra": [[0.5, 0.4]]},
+    "long_row": {"source": "s(5)", "target": "s(3)", "spectra": [[0.5, 0.4, 0.1] + [0.0] * 5]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *[("criteria", f"@{{tmp}}/{name}.json", "--theorem", "13") for name in BAD_PROFILES],
+    ("criteria", "@{tmp}", "--theorem", "13"),
+    ("flow", "{tmp}", "--out", "{tmp}/out"),
+    ("curvature", "cp(2)", "--plane", "0.1", "0.2"),
+    ("curvature", "hp(2)", "--plane", "0.5"),
+], ids=lambda argv: "-".join(argv[:2]).replace("{tmp}/", "").replace("{tmp}", "dir"))
+def test_malformed_input_is_config_error(capsys, tmp_path, argv):
+    for name, data in BAD_PROFILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    rc = main([word.format(tmp=tmp_path) for word in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
     assert not (tmp_path / "out").exists()
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from areaflow.errors import (ConfigurationError, DivergenceError,
                              GraphicalBreakdownError)
-from areaflow.flowsim import (EquivariantState, ScenarioConfig, run,
-                              step_equivariant)
+from areaflow.flowsim import (EquivariantState, ScenarioConfig, initial_state,
+                              run, step_equivariant)
 from areaflow.flowsim import equivariant as eq
 
 
@@ -155,22 +155,31 @@ def test_profile_derivative_runs_once_per_state(monkeypatch):
 
 
 def test_mu_check_runs_with_every_record_and_never_in_the_step(monkeypatch):
-    checked = []
-    original = eq.normal_velocity
+    checked, framed = [], []
+    original, geometry = eq.normal_velocity, eq._geometry
 
     def counted(state):
         checked.append(state.t)
         return original(state)
 
+    def counted_geometry(state):
+        framed.append(state.t)
+        return geometry(state)
+
     monkeypatch.setattr(eq, "normal_velocity", counted)
+    monkeypatch.setattr(eq, "_geometry", counted_geometry)
     config = ScenarioConfig(backend="equivariant_sphere", resolution=32,
                             initial="sine", amplitude=0.3, t_max=0.05,
                             cadence=7)
-    records, verdict = run(config)
+    start = initial_state(config)
+    records, verdict = run(config, start)
     # the initial record, the cadence records and the final off-cadence one
     assert verdict["steps"] % config.cadence != 0
     assert checked == [rec.t for rec in records]
     assert verdict["mu_orthogonality_max_rel"] <= 1e-6
+    # a record and its mu check share one frame, derived on the run's copy
+    assert framed == checked
+    assert "frame" not in vars(start)
 
     # a diverged run ends on its last healthy state, recorded once and
     # checked once, whether that state was a cadence record (14) or not (12)
@@ -186,9 +195,11 @@ def test_mu_check_runs_with_every_record_and_never_in_the_step(monkeypatch):
 
         monkeypatch.setattr(eq, "step_equivariant", failing)
         checked.clear()
+        framed.clear()
         records, verdict = run(config)
         assert verdict["outcome"] == "diverged"
         assert verdict["steps"] == healthy_steps
+        assert framed == checked
         assert records[-1] == eq.equivariant_monitors(healthy[0])
         assert len({rec.t for rec in records}) == len(records)
         assert checked == [rec.t for rec in records]
