@@ -6,9 +6,11 @@ batched kernels below, and reports the worst value against its tolerance.
 Sampling is chunked with counter-based per-chunk seeds, so results are
 independent of how chunks are scheduled.
 
-Kernels accumulate in 80-bit extended precision: the inequality slacks are
-tighter than double-precision cancellation noise for near-boundary spectra
-(pair products up to 0.999 make (S_ii + S_jj)^-1 large).
+``master_gaps`` and ``pair_claim_gaps`` compute in float64, on forms whose
+terms do not cancel one another.  The other kernels accumulate in
+``np.longdouble`` (LD, 80-bit extended on x86): their slacks are tighter than
+double-precision cancellation noise for near-boundary spectra (pair
+products up to 0.999 make (S_ii + S_jj)^-1 large).
 
 The scalar reference implementations live in `verifier`; the test-suite
 checks both routes agree.
@@ -61,7 +63,7 @@ def sample_spectra(rng, count, n, m):
     products in BOUNDARY_RANGE (lambda_0 ~ U[sqrt(p), LAM_MAX] and
     lambda_1 = p / lambda_0) to stress the (1 - (li lj)^2) denominators.
     Keeping every value in the box bounds the (S_ii + S_jj)^-1 weights, so
-    extended-precision noise stays far below the contract slacks.
+    rounding noise stays far below the contract slacks.
     """
     mp = min(n, m)
     lam = np.zeros((count, n))
@@ -120,11 +122,11 @@ def pad_sec2(sec2_block, n):
 
 
 # ---------------------------------------------------------------------------
-# batched kernels (extended precision)
+# batched kernels
 
 
 def _srest(lam):
-    lam = lam.astype(LD)
+    """S_ii and C_ii of each spectrum, in the dtype of ``lam``."""
     den = 1 + lam * lam
     return (1 - lam * lam) / den, 2 * lam / den
 
@@ -171,47 +173,40 @@ def _diag_h(h, n):
     return dg
 
 
-def _keep_swap(c, dg, n):
-    """Gradient terms of every pair, shape (B, n(n-1)/2) each, and the
-    moments D2_i = sum_k dg_ik^2 of dg = _diag_h(h, n):
+def _keep_minus_swap(s, D2):
+    """(keep - swap) / (S_ii + S_jj) for every pair, shape (B, n(n-1)/2),
+    with keep and swap as in ``gradient_square_terms``.
 
-        keep = c_i^2 D2_i + 2 c_i c_j DD_ij + c_j^2 D2_j,   DD_ij = sum_k dg_ik dg_jk,
-
-    and swap, the same with c_i and c_j exchanged."""
-    D2 = np.einsum("bik,bik->bi", dg, dg)
-    DD = np.einsum("bik,bjk->bij", dg, dg)
-    i, j = np.triu_indices(n, 1)   # pair_index order
-    cross = 2 * c[:, i] * c[:, j] * DD[:, i, j]
-    keep = c[:, i] ** 2 * D2[:, i] + cross + c[:, j] ** 2 * D2[:, j]
-    swap = c[:, j] ** 2 * D2[:, i] + cross + c[:, i] ** 2 * D2[:, j]
-    return keep, swap, D2
+    keep - swap = (c_i^2 - c_j^2)(D2_i - D2_j) and C^2 = 1 - S^2 make this
+    -(s_i - s_j)(D2_i - D2_j): one product of two differences of inputs,
+    where keep / (S_ii + S_jj) and swap / (S_ii + S_jj) are large and cancel."""
+    i, j = np.triu_indices(s.shape[1], 1)
+    return -(s[:, i] - s[:, j]) * (D2[:, i] - D2[:, j])
 
 
 def pair_claim_gaps(lam, h):
-    """Per-pair grouping-claim slack, shape (B, n(n-1)/2)."""
+    """Per-pair grouping-claim slack, shape (B, n(n-1)/2), in float64: the
+    claim's two gradient squares over S_ii + S_jj enter as their difference,
+    ``_keep_minus_swap``."""
     count, n = lam.shape
     m = h.shape[1]
-    s, c = _srest(lam)
-    st = _stilde(s, m)
-    h = h.astype(LD)
+    s, _ = _srest(lam)
     hsq = np.einsum("blki,blki->bli", h, h)          # (B, m, n): sum_k h^2
-    H2 = hsq.sum(axis=1)                             # (B, n)
-    HS = np.einsum("bli,bl->bi", hsq, st)            # (B, n)
-    A = s * H2 + HS
-    hsq_pad = np.zeros((count, n, n), dtype=LD)
+    A = s * hsq.sum(axis=1) + np.einsum("bli,bl->bi", hsq, _stilde(s, m))
+    hsq_pad = np.zeros((count, n, n))
     hsq_pad[:, :min(n, m)] = hsq[:, :min(n, m)]      # (B, l<=n, i)
-    tail = hsq[:, n:, :].sum(axis=1) if m > n else np.zeros((count, n), dtype=LD)
-    keep, swap, D2 = _keep_swap(c, _diag_h(h, n), n)
+    D2 = np.einsum("bii->bi", hsq_pad)               # sum_k h_iki^2
+    tail = hsq[:, n:, :].sum(axis=1)                 # zero unless m > n
     i, j = np.triu_indices(n, 1)
     sij = s[:, i] + s[:, j]
     cross = hsq_pad[:, j, i] + hsq_pad[:, i, j] + D2[:, i] + D2[:, j] \
         + tail[:, i] + tail[:, j]
-    return A[:, i] + A[:, j] + keep / sij - sij * cross - swap / sij
+    return A[:, i] + A[:, j] - sij * cross + _keep_minus_swap(s, D2)
 
 
 def key_identity_residuals(lam):
     """Residual of the S^2 + C^2 = 1 consequence used by the pair claim."""
-    s, c = _srest(lam)
+    s, c = _srest(lam.astype(LD))
     i, j = np.triu_indices(lam.shape[1], 1)
     sij = s[:, i] + s[:, j]
     return np.abs(2 * s[:, i] + c[:, i] ** 2 / sij - sij - c[:, j] ** 2 / sij)
@@ -236,74 +231,75 @@ def _row_pair_terms(s, c, X):
 
 def curvature_terms(lam, sec1, sec2):
     """R_S, with sec2 already padded to (B, n, n)."""
-    s, c = _srest(lam)
+    s, c = _srest(lam.astype(LD))
     sec1 = sec1.astype(LD)
     sec2 = sec2.astype(LD)
     row = np.einsum("bik,bk->bi", sec1, 1 + s) - np.einsum("bik,bk->bi", sec2, 1 - s)
     return _sum_pair_columns(_row_pair_terms(s, c, row))
 
 
-def gradient_square_terms(lam, h, dg=None):
-    """Q_S; ``dg`` is ``_diag_h(h, n)`` when the caller already holds it."""
+def gradient_square_terms(lam, h):
+    """Q_S = sum_A (keep_A + swap_A) / (S_ii + S_jj)^2, with the moments
+    D2_i = sum_k dg_ik^2 and DD_ij = sum_k dg_ik dg_jk of dg = _diag_h(h, n):
+
+        keep = c_i^2 D2_i + 2 c_i c_j DD_ij + c_j^2 D2_j,
+
+    and swap, the same with c_i and c_j exchanged."""
     n = lam.shape[1]
-    s, c = _srest(lam)
-    keep, swap, _ = _keep_swap(c, _diag_h(h, n) if dg is None else dg, n)
-    i, j = np.triu_indices(n, 1)
+    s, c = _srest(lam.astype(LD))
+    dg = _diag_h(h, n)
+    D2 = np.einsum("bik,bik->bi", dg, dg)
+    DD = np.einsum("bik,bjk->bij", dg, dg)
+    i, j = np.triu_indices(n, 1)   # pair_index order
+    cross = 2 * c[:, i] * c[:, j] * DD[:, i, j]
+    keep = c[:, i] ** 2 * D2[:, i] + cross + c[:, j] ** 2 * D2[:, j]
+    swap = c[:, j] ** 2 * D2[:, i] + cross + c[:, i] ** 2 * D2[:, j]
     return _sum_pair_columns((keep + swap) / (s[:, i] + s[:, j]) ** 2)
 
 
-def gradient_energy(lam, h, dg=None):
-    """The gradient-square term of the evolution of log det S^[2],
+def offdiag_gradient_energy(lam, h):
+    """Off-diagonal part of the gradient-square term of the evolution of
+    log det S^[2], sum_k sum_{A != B} q_A q_B (G_k)_AB^2, q_A = 1 / (S_ii + S_jj).
 
-        sum_k sum_{A,B} q_A q_B (G_k)_AB^2,   q_A = 1 / (S_ii + S_jj),
-
-    with G_k the pair operator of the symmetric matrix g_k of the
-    restriction's gradient in direction k, g_k[i, j] = -(c_i h_ijk + c_j h_jik)
-    (h zero-padded beyond the m normal directions).
-
-    G_k holds g_ii + g_jj on the diagonal entry of pair (i, j), +-g_xy
-    between pairs {s, x} and {s, y} that share one index s, and 0 between
-    disjoint pairs.  With Q the symmetric n x n matrix of the q values
-    (Q_ij = q_(ij), Q_ii = 0), the term is therefore
-
-        sum_k [ sum_A q_A^2 (g_ii + g_jj)^2 + 2 sum_{x < y} (Q Q)_xy g_xy^2 ],
-
-    O(n^3) per direction without assembling G_k.  The diagonal reads
-    g_k[i, i] = -2 c_i dg_ik from ``dg = _diag_h(h, n)`` (built here unless
-    given), and h symmetric in its last two indices gives
+    G_k is the pair operator of g_k[i, j] = -(c_i h_ijk + c_j h_jik), the
+    restriction's gradient in direction k (h zero-padded beyond the m
+    normal directions).  Off its diagonal (``master_gaps`` takes that part
+    as a pair residual) it holds +-g_xy between pairs {s, x} and {s, y}
+    that share one index s, and 0 between disjoint pairs.  With Q the
+    symmetric n x n matrix of the q values (Q_ij = q_(ij), Q_ii = 0) the
+    term is 2 sum_k sum_{x < y} (Q Q)_xy g_k[x, y]^2: O(n^3) per direction
+    without assembling G_k.  h symmetric in its last two indices gives
     g_k[x, y] = -(c_x h_xyk + c_y h_yxk), gathered per pair x < y.
     """
     count, n = lam.shape
     mp = min(n, h.shape[1])
     s, c = _srest(lam)
-    if dg is None:
-        dg = _diag_h(h, n)
     iA, jA = np.triu_indices(n, 1)
     q = 1 / (s[:, iA] + s[:, jA])
-    Q = np.zeros((count, n, n), dtype=LD)
+    Q = np.zeros((count, n, n), dtype=q.dtype)
     Q[:, iA, jA] = q
     Q[:, jA, iA] = q
     M = (Q @ Q)[:, iA, jA]
     # the sign of g drops out of every square; np.take gathers the pairs
-    # with the bits of fancy indexing, in less time
-    gdiag = 2 * c[:, :, None] * dg
-    pair_diag = np.take(gdiag, iA, axis=1) + np.take(gdiag, jA, axis=1)
-    # summing over k before the q_A^2 factor rounds at n = 2 (M = 0) exactly
-    # like the assembled pair-operator route, where the gap is rounding noise
-    diag_sq = np.einsum("bak,bak->ba", pair_diag, pair_diag)
-    # h has no rows beyond mp: those terms read a clipped row times c = 0
+    # with the bits of fancy indexing, in less time.  h has no rows beyond
+    # mp: those terms read a clipped row times c = 0
     cz = c.copy()
     cz[:, mp:] = 0
     rows = h.reshape(count, -1, n)          # row a n + y holds h[a, y, :]
     rx, ry = np.minimum(iA, mp - 1), np.minimum(jA, mp - 1)
     g = (np.take(cz, iA, axis=1)[:, :, None] * np.take(rows, rx * n + jA, axis=1)
          + np.take(cz, jA, axis=1)[:, :, None] * np.take(rows, ry * n + iA, axis=1))
-    return np.einsum("ba,ba->b", q * q, diag_sq) + 2 * np.einsum("ba,bak,bak->b", M, g, g)
+    return 2 * np.einsum("ba,bak,bak->b", M, g, g)
 
 
 def master_gaps(lam, h, sec1, sec2):
-    """Slack of the evolution inequality for log det S^[2].  The
-    gradient-square term is ``gradient_energy``'s closed form.
+    """Slack of the evolution inequality for log det S^[2], in float64.
+
+    The gradient-square term minus the bound's 2 Q_S is taken in two parts.
+    Its diagonal part, sum_A q_A^2 sum_k (g_ii + g_jj)^2 - 2 Q_S with
+    sum_k (g_ii + g_jj)^2 = 4 keep_A, is 2 sum_A q_A^2 (keep_A - swap_A),
+    whose pair factors ``_keep_minus_swap`` forms without the two large
+    terms; the off-diagonal part is ``offdiag_gradient_energy``.
 
     The curvature terms are not evaluated: their part of the energy,
     sum_A q_A (c_i^2 row_i + c_j^2 row_j) / 2 with
@@ -314,23 +310,20 @@ def master_gaps(lam, h, sec1, sec2):
     """
     n = lam.shape[1]
     m = h.shape[1]
-    s, c = _srest(lam)
-    st = _stilde(s, m)
-    hld = h.astype(LD)
-    dg = _diag_h(h, n)
+    mp = min(n, m)
+    s, _ = _srest(lam)
     iA, jA = np.triu_indices(n, 1)
+    hsq = np.einsum("blki,blki->bli", h, h)
+    D2 = np.zeros(lam.shape)
+    D2[:, :mp] = np.einsum("bii->bi", hsq[:, :mp, :mp])     # sum_k h_iki^2
 
     # diagonal of the evolution right side, without its curvature part
-    hsq = np.einsum("blki,blki->bli", hld, hld)
-    rhs_diag = 2 * s * hsq.sum(axis=1) + 2 * np.einsum("bli,bl->bi", hsq, st)
-
+    rhs_diag = 2 * s * hsq.sum(axis=1) + 2 * np.einsum("bli,bl->bi", hsq, _stilde(s, m))
     q = 1 / (s[:, iA] + s[:, jA])
-    energy = (np.einsum("ba,ba->b", q, rhs_diag[:, iA] + rhs_diag[:, jA])
-              + gradient_energy(lam, hld, dg))
-
-    a2 = hsq.sum(axis=(1, 2))
-    diag_sq = np.einsum("bik,bik->b", dg, dg)
-    bound = 2 * a2 + 2 * (n - 2) * diag_sq + 2 * gradient_square_terms(lam, h, dg)
+    energy = (np.einsum("ba,ba->b", q, rhs_diag[:, iA] + rhs_diag[:, jA]
+                        + 2 * _keep_minus_swap(s, D2))
+              + offdiag_gradient_energy(lam, h))
+    bound = 2 * hsq.sum(axis=(1, 2)) + 2 * (n - 2) * D2.sum(axis=1)
     return energy - bound
 
 
@@ -378,7 +371,7 @@ def _regrouped_sum(lam, X, W):
     with X = Ric1 - Ric2 and W = sec1 + sec2 for R_S itself.  The triple
     weights are ``triple_weight_values`` assembled from ``_pair_factors``,
     bit for bit."""
-    s, c = _srest(lam)
+    s, c = _srest(lam.astype(LD))
     n = lam.shape[1]
     sq, one_sq, diff_sq, prod_sq, prod, one_prod, den2, one_prod_sq = _pair_factors(lam)
     Wt = np.ascontiguousarray(np.moveaxis(W, 0, -1))
@@ -414,7 +407,7 @@ def regrouped_curvature_terms(lam, sec1, sec2):
 def _sectional_coeff(lam):
     """sum_{i<j} (c_i^2 + c_j^2) / (4 (S_ii + S_jj)), the factor of the
     sectional lower bound."""
-    s, c = _srest(lam)
+    s, c = _srest(lam.astype(LD))
     return _sum_pair_columns(_row_pair_terms(s, c, 1))
 
 
@@ -430,7 +423,7 @@ def m2_claim_displays(lam):
     top pair (l1, l2)."""
     l1 = lam[:, 0].astype(LD)
     l2 = lam[:, 1].astype(LD)
-    s, _ = _srest(lam[:, :2])
+    s, _ = _srest(lam[:, :2].astype(LD))
     pair = (l1**2 + l2**2) * (1 - l1**2 * l2**2) / ((1 + l1**2) ** 2 * (1 + l2**2) ** 2) \
         / (s[:, 0] + s[:, 1])
     cross = ((l1 - l2) ** 2 + 2 * l1 * l2 * (1 - l1 * l2)) / (2 * (1 + l1**2) * (1 + l2**2))

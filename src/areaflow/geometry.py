@@ -70,10 +70,14 @@ def sectional_curvature(model: CurvatureModel, plane=None) -> float:
 
     For CP the plane descriptor is the single invariant <JX, Y> in [-1, 1]
     and the curvature is 1 + 3 <JX,Y>^2; for HP it is the triple <J_u X, Y>
-    with sum of squares <= 1 and curvature 1 + 3 * sum; the descriptor is
-    ignored for spheres and tori.  All outputs are divided by scale^2.
+    with sum of squares <= 1 and curvature 1 + 3 * sum.  Spheres and tori
+    have no complex structure and take no descriptor.  All outputs are
+    divided by scale^2.
     """
     s2 = model.scale**2
+    if model.kind in ("sphere", "torus") and plane is not None:
+        raise ValueError(f"a {model.kind} takes no plane descriptor: every plane "
+                         "has the same curvature")
     if model.kind == "sphere":
         return 1.0 / model.radius**2 / s2
     if model.kind == "torus":

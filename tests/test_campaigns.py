@@ -175,11 +175,11 @@ def test_exact_checks_dimensions_guard():
         raise AssertionError("exact mode must reject n > 3")
 
 
-def _gradient_energy_by_pair_operators(lam, h):
-    """The gradient-square term from the assembled (B, P, P) pair operator
-    G_k of grad[..., k] for every direction k, in extended precision (the
-    assembly that gradient_energy's closed form replaced; svcore.s_two_matrix
-    works in float64)."""
+def _offdiag_energy_by_pair_operators(lam, h):
+    """The off-diagonal part of the gradient-square term from the assembled
+    (B, P, P) pair operator G_k of grad[..., k] for every direction k, its
+    diagonal zeroed, in extended precision (the assembly that the closed
+    form replaced; svcore.s_two_matrix works in float64)."""
     count, n = lam.shape
     m = h.shape[1]
     s, c = cp._srest(lam)
@@ -192,12 +192,13 @@ def _gradient_energy_by_pair_operators(lam, h):
     di = iA[:, None] == iA[None, :]
     djk = jA[:, None] == iA[None, :]
     dil = iA[:, None] == jA[None, :]
+    off = ~np.eye(iA.size, dtype=bool)
     gsq = np.zeros((count, iA.size, iA.size), dtype=cp.LD)
     for k in range(n):
         gk = grad[:, :, :, k]
         G = (gk[:, iA[:, None], iA[None, :]] * dj + gk[:, jA[:, None], jA[None, :]] * di
              - gk[:, iA[:, None], jA[None, :]] * djk - gk[:, jA[:, None], iA[None, :]] * dil)
-        gsq += G * G
+        gsq += G * G * off
     return np.einsum("bi,bj,bij->b", q, q, gsq)
 
 
@@ -206,10 +207,80 @@ def test_gradient_energy_matches_pair_operators(n, m):
     rng = cp._rng(3, "master", n, m, 0)
     lam = cp.sample_spectra(rng, 512, n, m)
     h = cp.sample_h(rng, 512, n, m).astype(cp.LD)
-    ref = _gradient_energy_by_pair_operators(lam, h)
-    got = cp.gradient_energy(lam, h)
-    assert np.all(ref > 0)
+    ref = _offdiag_energy_by_pair_operators(lam, h)
+    got = cp.offdiag_gradient_energy(lam, h)
+    # at n = 2 the one pair operator is 1 x 1: it has no off-diagonal entry
+    assert np.all(ref > 0) if n > 2 else not ref.any()
     assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+
+
+# master_gaps and pair_claim_gaps run in float64.  Their errors, against
+# extended precision and against exact arithmetic on the same float inputs,
+# are bounded by a multiple of EPS times the magnitude of the terms they
+# add: |A|^2 for a pair-claim gap, whose terms are S-weighted sums of h^2,
+# and |A|^2 (1 + max_A q_A)^2 for a master gap, whose terms carry up to two
+# factors q_A = 1 / (S_ii + S_jj) (and a rounding of S shifts q_A by about
+# EPS q_A^2).  Measured worst (seeds 1, 2, 7, 2048 samples, every master
+# configuration): 3.5 and 79 units.
+EPS = 2.0**-52
+PAIR_CLAIM_ULPS = 16
+MASTER_ULPS = 256
+
+
+def _h_norm_sq(h):
+    return np.einsum("blki,blki->b", h, h).astype(float)
+
+
+def _master_magnitude(lam, h):
+    s, _ = cp._srest(lam)
+    i, j = np.triu_indices(lam.shape[1], 1)
+    q_max = (1 / (s[:, i] + s[:, j])).max(axis=1)
+    return _h_norm_sq(h) * (1 + q_max) ** 2
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3), (4, 2)])
+def test_float64_gaps_match_exact_route(n, m):
+    """The float64 kernels against verifier's scalar route on the same float
+    inputs as exact Fractions (Fraction(x) is exact), so the reference has
+    no rounding at all.  The first rows are the boundary stratum."""
+    rng = cp._rng(11, "master", n, m, 0)
+    count = 40
+    lam = cp.sample_spectra(rng, count, n, m)
+    h = cp.sample_h(rng, count, n, m)
+    sec1 = cp.sample_sec(rng, count, n, -2.0, 2.0)
+    block = cp.sample_sec(rng, count, min(n, m), -2.0, 2.0)
+    assert (lam[:, 0] * lam[:, 1] >= cp.BOUNDARY_RANGE[0]).sum() >= count * cp.BOUNDARY_FRAC
+    master = cp.master_gaps(lam, h, sec1, cp.pad_sec2(block, n))
+    claim = cp.pair_claim_gaps(lam, h)
+    exact = np.vectorize(Fraction, otypes=[object])
+    master_err, claim_err = [], []
+    for b in range(count):
+        rest = verifier.restriction_from_lambdas(list(exact(lam[b])))
+        H = verifier.HCoefficients(exact(h[b]))
+        curv = verifier.CurvatureSample(n, m, exact(sec1[b]), exact(block[b]))
+        master_err.append(abs(Fraction(master[b]) - verifier.master_inequality_gap(rest, H, curv)))
+        claim_err.append([abs(Fraction(claim[b, A]) - verifier.pair_claim_gap(rest, H, i, j))
+                          for A, (i, j) in enumerate(pair_index(n))])
+    master_err = np.array(master_err, dtype=float)
+    claim_err = np.array(claim_err, dtype=float)
+    assert np.all(master_err <= MASTER_ULPS * EPS * _master_magnitude(lam, h))
+    assert np.all(claim_err <= PAIR_CLAIM_ULPS * EPS * _h_norm_sq(h)[:, None])
+
+
+def test_float64_kernels_do_not_read_longdouble(monkeypatch):
+    """master_gaps and pair_claim_gaps compute in float64 whatever LD is."""
+    rng = np.random.default_rng(9)
+    for n, m in ((2, 2), (4, 2), (4, 4)):
+        lam = cp.sample_spectra(rng, 256, n, m)
+        h = cp.sample_h(rng, 256, n, m)
+        sec1 = cp.sample_sec(rng, 256, n, -2.0, 2.0)
+        sec2 = cp.pad_sec2(cp.sample_sec(rng, 256, min(n, m), -2.0, 2.0), n)
+        before = (cp.master_gaps(lam, h, sec1, sec2), cp.pair_claim_gaps(lam, h))
+        monkeypatch.setattr(cp, "LD", np.float64)
+        after = (cp.master_gaps(lam, h, sec1, sec2), cp.pair_claim_gaps(lam, h))
+        monkeypatch.undo()
+        for old, new in zip(before, after):
+            assert old.dtype == np.float64 and np.array_equal(old, new)
 
 
 def _pair_loop_reference(lam, h):
@@ -217,7 +288,7 @@ def _pair_loop_reference(lam, h):
     gaps, key-identity residuals and Q_S, in extended precision."""
     count, n = lam.shape
     m = h.shape[1]
-    s, c = cp._srest(lam)
+    s, c = cp._srest(lam.astype(cp.LD))
     st = cp._stilde(s, m)
     h = h.astype(cp.LD)
     hsq = np.einsum("blki,blki->bli", h, h)
@@ -250,7 +321,8 @@ def test_vectorized_pair_kernels_match_pair_loops():
         lam = cp.sample_spectra(rng, 256, n, m)
         h = cp.sample_h(rng, 256, n, m)
         gaps, keys, q_s = _pair_loop_reference(lam, h)
-        assert np.array_equal(cp.pair_claim_gaps(lam, h), gaps)
+        err = np.abs(cp.pair_claim_gaps(lam, h) - gaps)
+        assert np.all(err <= PAIR_CLAIM_ULPS * EPS * _h_norm_sq(h)[:, None])
         assert np.array_equal(cp.key_identity_residuals(lam), keys)
         assert np.array_equal(cp.gradient_square_terms(lam, h), q_s)
 
@@ -259,7 +331,7 @@ def _regrouped_sum_by_triples(lam, X, W):
     """The regrouped R_S with every triple weight from
     triple_weight_values, as before the per-pair factors."""
     lamld = lam.astype(cp.LD)
-    s, c = cp._srest(lam)
+    s, c = cp._srest(lamld)
     n = lam.shape[1]
     total = np.zeros(lam.shape[0], dtype=cp.LD)
     for i, j in pair_index(n):
@@ -317,7 +389,7 @@ def _master_gaps_with_curvature(lam, h, sec1, sec2):
     count, n = lam.shape
     m = h.shape[1]
     mp = min(n, m)
-    s, c = cp._srest(lam)
+    s, c = cp._srest(lam.astype(cp.LD))
     st = cp._stilde(s, m)
     hld = h.astype(cp.LD)
     sec1 = sec1.astype(cp.LD)
@@ -361,4 +433,4 @@ def test_master_gaps_match_formula_with_curvature(n, m):
         # the gap is rounding noise around an identity here
         assert err.max() <= 1e-11
     else:
-        assert np.all(err <= 1e-15 * np.abs(ref))
+        assert np.all(err <= MASTER_ULPS * EPS * _master_magnitude(lam, h))

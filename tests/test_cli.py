@@ -227,6 +227,8 @@ BAD_PROFILES = {
     ("flow", "{tmp}", "--out", "{tmp}/out"),
     ("curvature", "cp(2)", "--plane", "0.1", "0.2"),
     ("curvature", "hp(2)", "--plane", "0.5"),
+    ("curvature", "s(2)", "--plane", "5", "1", "1"),
+    ("curvature", "torus(2)", "--plane", "0.5"),
 ], ids=lambda argv: "-".join(argv[:2]).replace("{tmp}/", "").replace("{tmp}", "dir"))
 def test_malformed_input_is_config_error(capsys, tmp_path, argv):
     for name, data in BAD_PROFILES.items():

@@ -12,6 +12,13 @@ def test_unit_sphere_sectional():
     assert math.isclose(geo.sectional_curvature(geo.sphere(5, radius=0.5)), 4.0)
 
 
+@pytest.mark.parametrize("plane", [0.0, (5.0, 1.0, 1.0)])
+def test_sphere_and_torus_refuse_a_plane(plane):
+    for model in (geo.sphere(2), geo.flat_torus(2)):
+        with pytest.raises(ValueError, match="no plane descriptor"):
+            geo.sectional_curvature(model, plane)
+
+
 def test_cp_sectional_range():
     model = geo.cp(2)
     assert math.isclose(geo.sectional_curvature(model, 1.0), 4.0)

@@ -28,10 +28,16 @@ def _scaled_c(srest):
     return faulty
 
 
-def _keep_as_swap(keep_swap):
-    def faulty(c, h, n):
-        _, swap, D2 = keep_swap(c, h, n)
-        return swap, swap, D2
+def _keep_as_swap(keep_minus_swap):
+    """keep = swap: the pair term (keep - swap) / (S_ii + S_jj) is zero."""
+    def faulty(s, D2):
+        return np.zeros_like(keep_minus_swap(s, D2))
+    return faulty
+
+
+def _negated(keep_minus_swap):
+    def faulty(s, D2):
+        return -keep_minus_swap(s, D2)
     return faulty
 
 
@@ -65,16 +71,10 @@ def _swapped_pair_factor(pair_factors):
     return faulty
 
 
-def _diagonal_energy_only(gradient_energy):
+def _no_offdiag_energy(offdiag_gradient_energy):
     """The gradient energy without its 2 sum_{x<y} (QQ)_xy g_xy^2 term."""
-    def faulty(lam, h, dg=None):
-        n = lam.shape[1]
-        s, c = cp._srest(lam)
-        iA, jA = np.triu_indices(n, 1)
-        q = 1 / (s[:, iA] + s[:, jA])
-        gdiag = 2 * c[:, :, None] * (cp._diag_h(h, n) if dg is None else dg)
-        pair_diag = gdiag[:, iA] + gdiag[:, jA]
-        return np.einsum("ba,bak,bak->b", q * q, pair_diag, pair_diag)
+    def faulty(lam, h):
+        return np.zeros(len(lam))
     return faulty
 
 
@@ -89,12 +89,13 @@ def _nan_at_row_3(kernel):
 
 FAULTS = {
     "srest_c_x1.001": (cp, "_srest", _scaled_c),
-    "keep_returns_swap": (cp, "_keep_swap", _keep_as_swap),
+    "keep_returns_swap": (cp, "_keep_minus_swap", _keep_as_swap),
+    "pair_term_negated": (cp, "_keep_minus_swap", _negated),
     "sec2_sign": (cp, "curvature_terms", _flipped_sec2),
     "sectional_coeff_x0.99": (cp, "_sectional_coeff", _scaled_coeff),
     "pair_table_sign": (svcore, "_pair_operator_table", _flipped_table_sign),
     "pair_factor_swapped": (cp, "_pair_factors", _swapped_pair_factor),
-    "offdiag_energy_dropped": (cp, "gradient_energy", _diagonal_energy_only),
+    "offdiag_energy_dropped": (cp, "offdiag_gradient_energy", _no_offdiag_energy),
     "master_gap_nan": (cp, "master_gaps", _nan_at_row_3),
     "key_identity_nan": (cp, "key_identity_residuals", _nan_at_row_3),
 }
@@ -103,6 +104,9 @@ CASES = [
     ("srest_c_x1.001", "pair_claim", 3, 2),
     ("srest_c_x1.001", "regroup", 3, 3),
     ("keep_returns_swap", "pair_claim", 3, 2),
+    ("keep_returns_swap", "master", 2, 2),
+    ("pair_term_negated", "pair_claim", 3, 2),
+    ("pair_term_negated", "master", 2, 2),
     ("sec2_sign", "regroup", 3, 2),
     ("sec2_sign", "ricci", 3, 2),
     ("sectional_coeff_x0.99", "sectional", 3, 2),
