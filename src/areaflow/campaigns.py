@@ -6,11 +6,13 @@ batched kernels below, and reports the worst value against its tolerance.
 Sampling is chunked with counter-based per-chunk seeds, so results are
 independent of how chunks are scheduled.
 
-``master_gaps`` and ``pair_claim_gaps`` compute in float64, on forms whose
-terms do not cancel one another.  The other kernels accumulate in
-``np.longdouble`` (LD, 80-bit extended on x86): their slacks are tighter than
-double-precision cancellation noise for near-boundary spectra (pair
-products up to 0.999 make (S_ii + S_jj)^-1 large).
+Every kernel computes in the dtype of its inputs, so on the float64 draws
+the gap kernels run in float64 (``master_gaps`` and ``pair_claim_gaps`` on
+forms whose terms do not cancel).  Only ``key_identity_residuals`` and the
+regroup, ricci and triple_weight chunks cast to ``np.longdouble`` (LD, 80-bit
+on x86): each compares large terms, or two evaluations, that float64 rounds
+close to its tolerance where pair products up to 0.999 make
+(S_ii + S_jj)^-1 large.
 
 The scalar reference implementations live in `verifier`; the test-suite
 checks both routes agree.
@@ -142,12 +144,12 @@ def _stilde(s, m):
 
 
 def phi_values(lam):
-    return phi_batch(lam.astype(LD))
+    return phi_batch(lam)
 
 
 def logdet_pair_formula(lam):
     n = lam.shape[1]
-    return (n * (n - 1) / 2.0) * np.log(LD(2)) + phi_values(lam)
+    return (n * (n - 1) / 2.0) * np.log(2.0) + phi_values(lam)
 
 
 def logdet_pair_oracle(lam):
@@ -156,18 +158,18 @@ def logdet_pair_oracle(lam):
     count, n = lam.shape
     S = np.zeros((count, n, n))
     idx = np.arange(n)
-    S[:, idx, idx] = (1 - lam**2) / (1 + lam**2)
+    S[:, idx, idx] = _srest(lam)[0]
     sign, logdet = np.linalg.slogdet(s_two_matrix(S))
     logdet[sign <= 0] = np.nan
     return logdet
 
 
 def _diag_h(h, n):
-    """dg[b, i, k] = h[b, i, k, i] for i < m, zero-padded to n rows, in
-    longdouble whatever the dtype of h (a float64 h converts exactly)."""
+    """dg[b, i, k] = h[b, i, k, i] for i < m, zero-padded to n rows, in the
+    dtype of h."""
     count, m = h.shape[:2]
     mp = min(n, m)
-    dg = np.zeros((count, n, n), dtype=LD)
+    dg = np.zeros((count, n, n), dtype=h.dtype)
     # the diagonal of axes (1, 3) is a view, indexed (b, k, i)
     dg[:, :mp, :] = np.diagonal(h[:, :mp], axis1=1, axis2=3).transpose(0, 2, 1)
     return dg
@@ -215,7 +217,7 @@ def key_identity_residuals(lam):
 def _sum_pair_columns(terms):
     """Sum of the (B, n(n-1)/2) pair columns, added one after another in
     pair_index order: the rounding of a loop over the pairs."""
-    total = np.zeros(terms.shape[0], dtype=LD)
+    total = np.zeros(terms.shape[0], dtype=terms.dtype)
     for col in terms.T:
         total += col
     return total
@@ -231,9 +233,7 @@ def _row_pair_terms(s, c, X):
 
 def curvature_terms(lam, sec1, sec2):
     """R_S, with sec2 already padded to (B, n, n)."""
-    s, c = _srest(lam.astype(LD))
-    sec1 = sec1.astype(LD)
-    sec2 = sec2.astype(LD)
+    s, c = _srest(lam)
     row = np.einsum("bik,bk->bi", sec1, 1 + s) - np.einsum("bik,bk->bi", sec2, 1 - s)
     return _sum_pair_columns(_row_pair_terms(s, c, row))
 
@@ -246,7 +246,7 @@ def gradient_square_terms(lam, h):
 
     and swap, the same with c_i and c_j exchanged."""
     n = lam.shape[1]
-    s, c = _srest(lam.astype(LD))
+    s, c = _srest(lam)
     dg = _diag_h(h, n)
     D2 = np.einsum("bik,bik->bi", dg, dg)
     DD = np.einsum("bik,bjk->bij", dg, dg)
@@ -351,7 +351,7 @@ def _pair_factors(lam):
     Each is rounded exactly as ``triple_weight_values`` rounds it for any
     pair of its arguments: a product of two factors has the same bits in
     either order, and 2 x y = 2 (x y) because doubling is exact."""
-    lt = np.ascontiguousarray(lam.astype(LD).T)
+    lt = np.ascontiguousarray(lam.T)
     sq = lt**2
     one_sq = 1 + sq
     a, b = lt[:, None], lt[None, :]
@@ -371,7 +371,7 @@ def _regrouped_sum(lam, X, W):
     with X = Ric1 - Ric2 and W = sec1 + sec2 for R_S itself.  The triple
     weights are ``triple_weight_values`` assembled from ``_pair_factors``,
     bit for bit."""
-    s, c = _srest(lam.astype(LD))
+    s, c = _srest(lam)
     n = lam.shape[1]
     sq, one_sq, diff_sq, prod_sq, prod, one_prod, den2, one_prod_sq = _pair_factors(lam)
     Wt = np.ascontiguousarray(np.moveaxis(W, 0, -1))
@@ -385,7 +385,7 @@ def _regrouped_sum(lam, X, W):
         return one_sq[k] * num / den
 
     row_terms = _row_pair_terms(s, c, X)
-    total = np.zeros(lam.shape[0], dtype=LD)
+    total = np.zeros(lam.shape[0], dtype=row_terms.dtype)
     for A, (i, j) in enumerate(pair_index(n)):
         total += row_terms[:, A]
         total += (sq[i] + sq[j]) / den2[i, j] * Wt[i, j]
@@ -399,31 +399,30 @@ def _regrouped_sum(lam, X, W):
 
 def regrouped_curvature_terms(lam, sec1, sec2):
     """R_S regrouped into Ricci, pair and weighted-triple terms."""
-    sec1 = sec1.astype(LD)
-    sec2 = sec2.astype(LD)
     return _regrouped_sum(lam, sec1.sum(axis=2) - sec2.sum(axis=2), sec1 + sec2)
 
 
 def _sectional_coeff(lam):
     """sum_{i<j} (c_i^2 + c_j^2) / (4 (S_ii + S_jj)), the factor of the
     sectional lower bound."""
-    s, c = _srest(lam.astype(LD))
+    s, c = _srest(lam)
     return _sum_pair_columns(_row_pair_terms(s, c, 1))
 
 
 def sectional_gaps(lam, sec1, sec2, tau, m):
-    """R_S minus the ((2n-m-1) - (m-1) tau) lower bound; tau per sample."""
+    """(gaps, coeff): R_S minus the coeff ((2n-m-1) - (m-1) tau) lower bound,
+    tau per sample, and the bound's factor ``_sectional_coeff``."""
     n = lam.shape[1]
-    bound = _sectional_coeff(lam) * ((2 * n - m - 1) - (m - 1) * tau.astype(LD))
-    return curvature_terms(lam, sec1, sec2) - bound
+    coeff = _sectional_coeff(lam)
+    bound = coeff * ((2 * n - m - 1) - (m - 1) * tau)
+    return curvature_terms(lam, sec1, sec2) - bound, coeff
 
 
 def m2_claim_displays(lam):
     """The two non-negative displays of the m = 2 branch, per sample, for the
     top pair (l1, l2)."""
-    l1 = lam[:, 0].astype(LD)
-    l2 = lam[:, 1].astype(LD)
-    s, _ = _srest(lam[:, :2].astype(LD))
+    l1, l2 = lam[:, 0], lam[:, 1]
+    s, _ = _srest(lam[:, :2])
     pair = (l1**2 + l2**2) * (1 - l1**2 * l2**2) / ((1 + l1**2) ** 2 * (1 + l2**2) ** 2) \
         / (s[:, 0] + s[:, 1])
     cross = ((l1 - l2) ** 2 + 2 * l1 * l2 * (1 - l1 * l2)) / (2 * (1 + l1**2) * (1 + l2**2))
@@ -432,24 +431,21 @@ def m2_claim_displays(lam):
 
 def ricci_gaps(lam, sec1, sec2, sigma):
     """(gap, bound) for the sigma-pinched Ricci lower bound on R_S."""
-    sec1 = sec1.astype(LD)
     n = lam.shape[1]
-    sig = sigma.astype(LD)
-    bound = _regrouped_sum(lam, sec1.sum(axis=2) - (n - 1) * sig[:, None],
-                           sec1 + sig[:, None, None])
+    bound = _regrouped_sum(lam, sec1.sum(axis=2) - (n - 1) * sigma[:, None],
+                           sec1 + sigma[:, None, None])
     return curvature_terms(lam, sec1, sec2) - bound, bound
 
 
 def log_det_gradient_sq(lam, h):
     """|grad log det S^[2]|^2 from the explicit per-direction display."""
     count, n = lam.shape
-    lamld = lam.astype(LD)
     dg = _diag_h(h, n)
-    w = lamld / (1 + lamld * lamld)               # (B, n)
-    grad = np.zeros((count, n), dtype=LD)
+    w = lam / (1 + lam * lam)                     # (B, n)
+    grad = np.zeros((count, n), dtype=np.result_type(lam, h))
     for i, j in pair_index(n):
-        pref = (1 + lamld[:, i] ** 2) * (1 + lamld[:, j] ** 2) \
-            / (1 - lamld[:, i] ** 2 * lamld[:, j] ** 2)
+        pref = (1 + lam[:, i] ** 2) * (1 + lam[:, j] ** 2) \
+            / (1 - lam[:, i] ** 2 * lam[:, j] ** 2)
         grad += (pref * w[:, i])[:, None] * dg[:, i, :] + (pref * w[:, j])[:, None] * dg[:, j, :]
     grad *= -2
     return np.einsum("bk,bk->b", grad, grad)
@@ -548,7 +544,7 @@ def _chunks(total):
 def _oracle_chunk(rng, size, n, m):
     """Sum-of-logs formula vs assembled-operator log-determinant."""
     lam = sample_spectra(rng, size, n, m)
-    diff = np.abs(logdet_pair_formula(lam).astype(float) - logdet_pair_oracle(lam))
+    diff = np.abs(logdet_pair_formula(lam) - logdet_pair_oracle(lam))
     return diff, {"lambda": lam}, {}
 
 
@@ -572,7 +568,7 @@ def _pair_claim_chunk(rng, size, n, m):
 
 
 # Budgets of sample_phi_level: safeguarded Newton steps per ray, and rounds
-# of stepping a row down after the extended-precision check.
+# of stepping a row down after the ``phi_values`` check.
 RAY_NEWTON_STEPS = 60
 RAY_CHECK_ROUNDS = 60
 
@@ -608,12 +604,12 @@ def sample_phi_level(rng, count, n, m, delta):
     bracket's midpoint.  A row stops on a residual within 4 ulps of |level|,
     on a Newton correction below half an ulp of t, on a bracket a few ulps
     wide, or at its start when Phi >= level there (the cap rows).  One
-    extended-precision ``phi_values`` call then checks Phi(t d) >= level on
-    the returned rows exactly as the campaign reads it; rows that fail step
-    down (by the extended-precision residual over the slope, plus a
-    doubling number of ulps) and are checked again.  So every row has
-    float(Phi) >= level >= -delta, and t lies within a few ulps of the
-    largest such t <= cap.
+    ``phi_values`` call then checks Phi(t d) >= level on the returned rows
+    with the float64 values that the pinch chunk reads; rows that fail step
+    down (by that residual over the slope, plus a doubling number of ulps)
+    and are checked again.  So every row has Phi >= level >= -delta as the
+    chunk reads it, and t lies within a few ulps of the largest such
+    t <= cap.
 
     Raises HypothesisError when either loop runs out of its budget.
     """
@@ -662,7 +658,7 @@ def sample_phi_level(rng, count, n, m, delta):
     rows = np.arange(count)
     ulps = 1.0
     for _ in range(RAY_CHECK_ROUNDS):
-        res = phi_values(d[rows] * t[rows, None]).astype(float) - level[rows]
+        res = phi_values(d[rows] * t[rows, None]) - level[rows]
         low = res < 0
         if not low.any():
             break
@@ -684,7 +680,7 @@ def _pinch_chunk(rng, size, n, m, delta):
     """Quantitative bounds from Phi >= -delta with the constructive c1."""
     lam2_max, pair_max, c1 = verifier.phi_pinch_bounds(n, delta)
     lam = sample_phi_level(rng, size, n, m, delta)
-    vals = phi_values(lam).astype(float)
+    vals = phi_values(lam)
     sq = lam**2
     viol = np.maximum(sq.max(axis=1) - lam2_max, sq[:, 0] * sq[:, 1] - pair_max)
     viol = np.maximum(viol, np.abs(vals) - c1 * sq.sum(axis=1))
@@ -696,10 +692,10 @@ def _gradient_bound_chunk(rng, size, n, m):
     c2 = 4.0 * n**2 * (n - 1) ** 2
     lam = sample_spectra(rng, size, n, m)
     h = sample_h(rng, size, n, m)
-    vals = phi_values(lam).astype(float)
+    vals = phi_values(lam)
     delta = -vals + rng.uniform(0.0, 2.0, size)
     delta = np.maximum(delta, 1e-9)
-    lhs = log_det_gradient_sq(lam, h).astype(float)
+    lhs = log_det_gradient_sq(lam, h)
     a2 = np.einsum("blki,blki->b", h, h)
     rhs = c2 * np.exp(4 * delta) * np.expm1(delta) * a2
     return lhs - rhs, {"lambda": lam, "h": h, "delta": delta}, {}
@@ -722,8 +718,8 @@ def _regroup_chunk(rng, size, n, m):
     lam = sample_spectra(rng, size, n, m)
     sec1 = sample_sec(rng, size, n, -2.0, 2.0)
     sec2 = pad_sec2(sample_sec(rng, size, min(n, m), -2.0, 2.0), n)
-    diff = np.abs(curvature_terms(lam, sec1, sec2)
-                  - regrouped_curvature_terms(lam, sec1, sec2)).astype(float)
+    args = [a.astype(LD) for a in (lam, sec1, sec2)]
+    diff = np.abs(curvature_terms(*args) - regrouped_curvature_terms(*args)).astype(float)
     return diff, {"lambda": lam, "sec1": sec1, "sec2": sec2}, {}
 
 
@@ -747,11 +743,10 @@ def _sectional_chunk(rng, size, n, m):
     sec1 = _sym_zero_diag(sec1)
     block = _sym_zero_diag(block)
     sec2 = pad_sec2(block, n)
-    gaps = sectional_gaps(lam, sec1, sec2, tau, m)
+    gaps, coeff = sectional_gaps(lam, sec1, sec2, tau, m)
     paird, crossd = m2_claim_displays(lam)
-    coeff = _sectional_coeff(lam)
     bracket = (2 * n - m - 1) - (m - 1) * tau
-    lam_sq = (lam.astype(LD) ** 2).sum(axis=1)
+    lam_sq = (lam ** 2).sum(axis=1)
     mask = (bracket > 0) & (lam_sq > 1e-12)
     ratio = float((coeff[mask] * bracket[mask] / lam_sq[mask]).min()) if mask.any() else None
     return gaps, {"lambda": lam, "tau": tau, "sec1": sec1, "sec2": sec2}, {
@@ -783,7 +778,7 @@ def _ricci_chunk(rng, size, n, m):
     block[tight] = sigma[tight, None, None]
     block = _sym_zero_diag(block)
     sec2 = pad_sec2(block, n)
-    gaps, bounds = ricci_gaps(lam, sec1, sec2, sigma)
+    gaps, bounds = ricci_gaps(*[a.astype(LD) for a in (lam, sec1, sec2, sigma)])
     return gaps, {"lambda": lam, "sigma": sigma, "sec1": sec1, "sec2": sec2}, {
         "bound_min": float(bounds.min())}
 

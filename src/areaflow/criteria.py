@@ -136,6 +136,11 @@ def check_ricci_criterion(source: CurvatureModel, target: CurvatureModel) -> Ver
 CHECKS = {"sectional": check_sectional_criterion, "ricci": check_ricci_criterion}
 
 
+def _json_end(x):
+    """An interval end for strict JSON: an unbounded end is written as null."""
+    return None if math.isinf(x) else x
+
+
 @dataclass(frozen=True)
 class DilationResult:
     rho: float | None
@@ -147,7 +152,8 @@ class DilationResult:
     def to_json(self):
         return {
             "rho": self.rho,
-            "feasible_interval_rho_sq": list(self.interval_sq) if self.interval_sq else None,
+            "feasible_interval_rho_sq": ([_json_end(x) for x in self.interval_sq]
+                                         if self.interval_sq else None),
             "verdict": self.verdict,
             "criterion": self.criterion,
             "details": self.details,
@@ -192,7 +198,10 @@ def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
     The feasible set is an interval in rho^2; the witness rho is the
     geometric mean of the interval endpoints (log-symmetric margin).  With an
     unbounded side, the witness doubles/halves from the finite endpoint.
-    Returns rho = None when the interval is empty.
+    Returns rho = None when the interval is empty; its details then name the
+    side that blocks.  Either the curvature side alone has no rho^2, or its
+    range [lo, hi) lies above the area-decreasing cap 1/sup, and the
+    criterion certifies only maps with sup 2-dilation below 1/lo.
     """
     criterion = THEOREM_NAMES[str(criterion)]
     if not (profile.source.dim >= profile.target.dim >= 2):
@@ -205,17 +214,24 @@ def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
     details = {"sup_two_dilation": sup, "profile": profile.name,
                "source": model_to_str(profile.source),
                "target": model_to_str(profile.target)}
-    if interval is not None:
-        lo, hi = interval
-        if sup > 0:
-            hi = min(hi, 1.0 / sup)
-        if not lo < hi:
-            interval = None
+    cap = 1.0 / sup if sup > 0 else math.inf
+    curvature = interval if interval is not None and interval[0] < interval[1] else None
+    if curvature is None or not curvature[0] < cap:
+        details["area_decreasing_rho_sq_max"] = _json_end(cap)
+        if curvature is None:
+            details.update(curvature_rho_sq=None, certified_two_dilation_bound=None,
+                           failed=f"the curvature side blocks: no rescaling of the target "
+                                  f"meets the {criterion} curvature hypotheses")
         else:
-            interval = (lo, hi)
-    if interval is None:
+            lo, hi = curvature
+            details.update(curvature_rho_sq=[lo, _json_end(hi)],
+                           certified_two_dilation_bound=1.0 / lo,
+                           failed=f"the area-decreasing side blocks: it needs rho^2 < 1/sup "
+                                  f"= {cap:.6g}, the curvature side rho^2 >= {lo:.6g}, so only "
+                                  f"a sup 2-dilation below {1.0 / lo:.6g} is certified")
         return DilationResult(None, None, "hypotheses not met", criterion, details)
-    lo, hi = interval
+    lo, hi = curvature[0], min(curvature[1], cap)
+    interval = (lo, hi)
     if math.isinf(hi):
         rho_sq = 2.0 * lo if lo > 0 else 1.0
     elif lo == 0.0:

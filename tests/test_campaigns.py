@@ -1,4 +1,6 @@
+import ast
 import copy
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -231,11 +233,14 @@ def _h_norm_sq(h):
     return np.einsum("blki,blki->b", h, h).astype(float)
 
 
-def _master_magnitude(lam, h):
+def _q_max(lam):
     s, _ = cp._srest(lam)
     i, j = np.triu_indices(lam.shape[1], 1)
-    q_max = (1 / (s[:, i] + s[:, j])).max(axis=1)
-    return _h_norm_sq(h) * (1 + q_max) ** 2
+    return (1 / (s[:, i] + s[:, j])).max(axis=1)
+
+
+def _master_magnitude(lam, h):
+    return _h_norm_sq(h) * (1 + _q_max(lam)) ** 2
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3), (4, 2)])
@@ -267,20 +272,94 @@ def test_float64_gaps_match_exact_route(n, m):
     assert np.all(claim_err <= PAIR_CLAIM_ULPS * EPS * _h_norm_sq(h)[:, None])
 
 
+# sectional_gaps and log_det_gradient_sq in float64 against the exact
+# route.  A sectional gap's terms carry one factor q_A, over numerators
+# bounded by the curvature entries and the bracket; a rounding of S moves
+# q_A by about EPS q_A^2, so the error is bounded by EPS (1 + max_A q_A)^2
+# times those numerators.  |grad log det S^[2]|^2 is a square of sums whose
+# terms carry one factor (1 + l_i^2)(1 + l_j^2) / (1 - l_i^2 l_j^2) = 2 q_A,
+# whose denominator loses digits as q_A grows: EPS |A|^2 (1 + max_A q_A)^3.
+# Measured worst (seeds 1, 2, 11, 40 rows, (2, 2) to (4, 4)): 0.17 and 2.2
+# units.
+SECTIONAL_ULPS = 2
+LOG_DET_GRADIENT_ULPS = 8
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3), (4, 2)])
+def test_float64_sectional_and_gradient_match_exact_route(n, m):
+    """The sectional chunk's gaps and log_det_gradient_sq against
+    verifier.sectional_lower_bound_gap and verifier.log_det_gradient on the
+    same float inputs as exact Fractions.  The first rows are the boundary
+    stratum and the tight family sec1 = 1, sec2 = tau."""
+    count = 40
+    gaps, replay, _ = cp._sectional_chunk(cp._rng(11, "sectional", n, m, 0), count, n, m)
+    lam, tau, sec1, sec2 = (replay[k] for k in ("lambda", "tau", "sec1", "sec2"))
+    rng = cp._rng(11, "gradient_bound", n, m, 0)
+    glam = cp.sample_spectra(rng, count, n, m)
+    h = cp.sample_h(rng, count, n, m)
+    grad_sq = cp.log_det_gradient_sq(glam, h)
+    assert gaps.dtype == grad_sq.dtype == np.float64
+    exact = np.vectorize(Fraction, otypes=[object])
+    mp = min(n, m)
+    gap_err, grad_err = [], []
+    for b in range(count):
+        curv = verifier.CurvatureSample(n, m, exact(sec1[b]), exact(sec2[b, :mp, :mp]))
+        rest = verifier.restriction_from_lambdas(list(exact(lam[b])))
+        ref = verifier.sectional_lower_bound_gap(rest, curv, Fraction(tau[b]))
+        gap_err.append(abs(Fraction(gaps[b]) - ref))
+        rest = verifier.restriction_from_lambdas(list(exact(glam[b])))
+        grad = verifier.log_det_gradient(rest, verifier.HCoefficients(exact(h[b])))
+        grad_err.append(abs(Fraction(grad_sq[b]) - sum(g * g for g in grad)))
+    bracket = (2 * n - m - 1) - (m - 1) * tau
+    numerators = (np.abs(sec1).sum(axis=(1, 2)) + np.abs(sec2).sum(axis=(1, 2))
+                  + n * n * np.abs(bracket))
+    assert np.all(np.array(gap_err, dtype=float)
+                  <= SECTIONAL_ULPS * EPS * (1 + _q_max(lam)) ** 2 * numerators)
+    assert np.all(np.array(grad_err, dtype=float)
+                  <= LOG_DET_GRADIENT_ULPS * EPS * (1 + _q_max(glam)) ** 3 * _h_norm_sq(h))
+
+
+FLOAT64_SUITES = ("oracle", "pinch", "gradient_bound", "sectional")
+
+
 def test_float64_kernels_do_not_read_longdouble(monkeypatch):
-    """master_gaps and pair_claim_gaps compute in float64 whatever LD is."""
-    rng = np.random.default_rng(9)
-    for n, m in ((2, 2), (4, 2), (4, 4)):
+    """master_gaps, pair_claim_gaps and the chunk bodies of the oracle,
+    pinch, gradient_bound and sectional suites compute in float64 whatever
+    LD is."""
+    def evaluate(n, m):
+        rng = np.random.default_rng(9)
         lam = cp.sample_spectra(rng, 256, n, m)
         h = cp.sample_h(rng, 256, n, m)
         sec1 = cp.sample_sec(rng, 256, n, -2.0, 2.0)
         sec2 = cp.pad_sec2(cp.sample_sec(rng, 256, min(n, m), -2.0, 2.0), n)
-        before = (cp.master_gaps(lam, h, sec1, sec2), cp.pair_claim_gaps(lam, h))
+        values = [cp.master_gaps(lam, h, sec1, sec2), cp.pair_claim_gaps(lam, h)]
+        extras = []
+        for suite in FLOAT64_SUITES:
+            for tag, body in cp.SPECS[suite].streams.items():
+                checked, _, extra = body(cp._rng(9, tag, n, m, 0), 256, n, m)
+                values.append(checked)
+                extras.append(extra)
+        return values, extras
+
+    for n, m in ((2, 2), (4, 2), (4, 4)):
+        before = evaluate(n, m)
         monkeypatch.setattr(cp, "LD", np.float64)
-        after = (cp.master_gaps(lam, h, sec1, sec2), cp.pair_claim_gaps(lam, h))
+        after = evaluate(n, m)
         monkeypatch.undo()
-        for old, new in zip(before, after):
+        for old, new in zip(before[0], after[0]):
             assert old.dtype == np.float64 and np.array_equal(old, new)
+        assert before[1] == after[1]
+
+
+def test_longdouble_is_read_by_four_checks_only():
+    """Only the key identity and the regroup, triple_weight and ricci chunk
+    bodies cast to LD; every other function follows its inputs' dtype."""
+    tree = ast.parse(inspect.getsource(cp))
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Name) and node.id == "LD"
+                       for node in ast.walk(fn))}
+    assert readers == {"key_identity_residuals", "_regroup_chunk", "_triple_weight_chunk",
+                       "_ricci_chunk"}
 
 
 def _pair_loop_reference(lam, h):
@@ -324,7 +403,7 @@ def test_vectorized_pair_kernels_match_pair_loops():
         err = np.abs(cp.pair_claim_gaps(lam, h) - gaps)
         assert np.all(err <= PAIR_CLAIM_ULPS * EPS * _h_norm_sq(h)[:, None])
         assert np.array_equal(cp.key_identity_residuals(lam), keys)
-        assert np.array_equal(cp.gradient_square_terms(lam, h), q_s)
+        assert np.array_equal(cp.gradient_square_terms(lam.astype(cp.LD), h.astype(cp.LD)), q_s)
 
 
 def _regrouped_sum_by_triples(lam, X, W):
@@ -358,7 +437,7 @@ def test_regrouped_sum_matches_triple_weights_bit_for_bit(n):
         # R_S's own inputs, and ricci_gaps' shifted ones
         for X, W in ((sec1.sum(axis=2) - sec2.sum(axis=2), sec1 + sec2),
                      (sec1.sum(axis=2) - (n - 1) * sig[:, None], sec1 + sig[:, None, None])):
-            assert np.array_equal(cp._regrouped_sum(lam, X, W),
+            assert np.array_equal(cp._regrouped_sum(lam.astype(cp.LD), X, W),
                                   _regrouped_sum_by_triples(lam, X, W))
 
 
@@ -389,7 +468,8 @@ def _master_gaps_with_curvature(lam, h, sec1, sec2):
     count, n = lam.shape
     m = h.shape[1]
     mp = min(n, m)
-    s, c = cp._srest(lam.astype(cp.LD))
+    lamld = lam.astype(cp.LD)
+    s, c = cp._srest(lamld)
     st = cp._stilde(s, m)
     hld = h.astype(cp.LD)
     sec1 = sec1.astype(cp.LD)
@@ -413,10 +493,11 @@ def _master_gaps_with_curvature(lam, h, sec1, sec2):
     energy = (np.einsum("ba,ba->b", q, rhs_diag[:, iA] + rhs_diag[:, jA])
               + np.einsum("ba,ba->b", q * q, np.einsum("bak,bak->ba", pair_diag, pair_diag))
               + np.einsum("bxy,bxky,bxky->b", M, g, g))
-    dg = cp._diag_h(h, n)
+    dg = cp._diag_h(hld, n)
     bound = (2 * np.einsum("blki,blki->b", hld, hld)
              + 2 * (n - 2) * np.einsum("bik,bik->b", dg, dg)
-             + 2 * cp.curvature_terms(lam, sec1, sec2) + 2 * cp.gradient_square_terms(lam, h))
+             + 2 * cp.curvature_terms(lamld, sec1, sec2)
+             + 2 * cp.gradient_square_terms(lamld, hld))
     return energy - bound
 
 

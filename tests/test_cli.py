@@ -104,6 +104,51 @@ def test_criteria_profile_from_json(capsys, tmp_path):
     assert payload["verdict"].startswith("homotopically trivial")
 
 
+def _no_constants(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def _criteria_json(capsys, tmp_path, profile, theorem):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    rc, out = run_cli(capsys, "criteria", f"@{path}", "--theorem", theorem)
+    assert rc == 0
+    payload = json.loads(out, parse_constant=_no_constants)
+    jsonschema.validate(payload, schema("criteria_verdict.schema.json"))
+    return payload
+
+
+def test_criteria_unbounded_interval_prints_strict_json(capsys, tmp_path):
+    # 2-dilation 0 leaves the rho^2 interval unbounded above
+    payload = _criteria_json(capsys, tmp_path, {"source": "s(3)", "target": "s(2)",
+                                                "spectra": [[0, 0, 0]]}, "13")
+    assert payload["feasible_interval_rho_sq"] == [1 / 3, None]
+    assert payload["verdict"].startswith("homotopically trivial")
+
+
+def test_criteria_name_the_side_that_blocks(capsys, tmp_path):
+    # S^5 -> CP^2: the Einstein comparison needs rho^2 >= 3/2, so the ricci
+    # criterion certifies 2-dilations below 2/3, not below cp_bound = 0.8
+    lam = 0.7 ** 0.5
+    payload = _criteria_json(capsys, tmp_path, {"source": "s(5)", "target": "cp(2)",
+                                                "spectra": [[lam, lam, 0, 0, 0]]}, "ricci")
+    details = payload["details"]
+    assert payload["verdict"] == "hypotheses not met"
+    assert payload["bounds"]["cp_bound"] == 0.8
+    assert details["curvature_rho_sq"] == [1.5, None]
+    assert details["area_decreasing_rho_sq_max"] == pytest.approx(1 / 0.7)
+    assert details["certified_two_dilation_bound"] == pytest.approx(2 / 3)
+    assert details["failed"].startswith("the area-decreasing side blocks")
+    # a flat source has no sectional rho at all
+    payload = _criteria_json(capsys, tmp_path, {"source": "torus(3)", "target": "s(2)",
+                                                "spectra": [[0.5, 0.5, 0]]}, "sectional")
+    details = payload["details"]
+    assert details["curvature_rho_sq"] is None
+    assert details["certified_two_dilation_bound"] is None
+    assert details["area_decreasing_rho_sq_max"] == pytest.approx(4.0)
+    assert details["failed"].startswith("the curvature side blocks")
+
+
 def test_verify_subcommand_report_and_violation(capsys, tmp_path):
     rc, out = run_cli(capsys, "verify", "triple_weight", "--samples", "3000",
                       "--out", str(tmp_path))
