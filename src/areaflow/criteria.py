@@ -118,9 +118,6 @@ def check_ricci_criterion(source: CurvatureModel, target: CurvatureModel) -> Ver
         "source_sec_min": s1_min, "target_sec_min": s2_min,
         "source": model_to_str(source), "target": model_to_str(target),
     }
-    if target.kind in ("cp", "hp") and target.dim_param == 1:
-        details["note"] = ("target curvature data taken from the half-radius "
-                          "sphere it is isometric to")
     # non-strict comparison; the sharp case arrives through sqrt/square
     # round trips, so allow rounding-level slack
     slack = 1e-12 * max(abs(ric1), abs(ric2), 1.0)
@@ -198,10 +195,11 @@ def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
     The feasible set is an interval in rho^2; the witness rho is the
     geometric mean of the interval endpoints (log-symmetric margin).  With an
     unbounded side, the witness doubles/halves from the finite endpoint.
-    Returns rho = None when the interval is empty; its details then name the
-    side that blocks.  Either the curvature side alone has no rho^2, or its
-    range [lo, hi) lies above the area-decreasing cap 1/sup, and the
-    criterion certifies only maps with sup 2-dilation below 1/lo.
+    Every verdict's details carry `certified_two_dilation_bound` = 1/lo,
+    with lo the lower end of the curvature side's rho^2 range: the criterion
+    certifies exactly the maps whose sup 2-dilation lies below it.  It is
+    None when that range is empty or starts at 0.  Returns rho = None when
+    the interval is empty; its details then name the side that blocks.
     """
     criterion = THEOREM_NAMES[str(criterion)]
     if not (profile.source.dim >= profile.target.dim >= 2):
@@ -211,24 +209,25 @@ def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
     else:
         interval = _ricci_interval(profile.source, profile.target)
     sup = profile.sup_two_dilation
+    curvature = interval if interval is not None and interval[0] < interval[1] else None
+    certified = 1.0 / curvature[0] if curvature is not None and curvature[0] > 0 else None
     details = {"sup_two_dilation": sup, "profile": profile.name,
                "source": model_to_str(profile.source),
-               "target": model_to_str(profile.target)}
+               "target": model_to_str(profile.target),
+               "certified_two_dilation_bound": certified}
     cap = 1.0 / sup if sup > 0 else math.inf
-    curvature = interval if interval is not None and interval[0] < interval[1] else None
-    if curvature is None or not curvature[0] < cap:
+    if curvature is None or (certified is not None and not sup < certified):
         details["area_decreasing_rho_sq_max"] = _json_end(cap)
         if curvature is None:
-            details.update(curvature_rho_sq=None, certified_two_dilation_bound=None,
+            details.update(curvature_rho_sq=None,
                            failed=f"the curvature side blocks: no rescaling of the target "
                                   f"meets the {criterion} curvature hypotheses")
         else:
             lo, hi = curvature
             details.update(curvature_rho_sq=[lo, _json_end(hi)],
-                           certified_two_dilation_bound=1.0 / lo,
                            failed=f"the area-decreasing side blocks: it needs rho^2 < 1/sup "
                                   f"= {cap:.6g}, the curvature side rho^2 >= {lo:.6g}, so only "
-                                  f"a sup 2-dilation below {1.0 / lo:.6g} is certified")
+                                  f"a sup 2-dilation below {certified:.6g} is certified")
         return DilationResult(None, None, "hypotheses not met", criterion, details)
     lo, hi = curvature[0], min(curvature[1], cap)
     interval = (lo, hi)

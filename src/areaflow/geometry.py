@@ -18,7 +18,8 @@ import numbers
 import re
 from dataclasses import dataclass, replace
 
-_KINDS = ("sphere", "cp", "hp", "torus")
+# kind -> k, the number of complex structures J_u (quaternionic: three)
+_STRUCTURES = {"sphere": 0, "torus": 0, "cp": 1, "hp": 3}
 
 
 @dataclass(frozen=True)
@@ -29,23 +30,33 @@ class CurvatureModel:
     scale: float = 1.0      # metric multiplier rho (metric is scale^2 * g)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _STRUCTURES:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.dim_param < 1:
             raise ValueError("dimension parameter must be >= 1")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
+        if self.kind != "sphere" and self.radius != 1.0:
+            raise ValueError("only spheres take a radius argument")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
+
+    @property
+    def structures(self) -> int:
+        """k, the number of complex structures: 0 for a sphere or torus, 1 for
+        CP, 3 for HP."""
+        return _STRUCTURES[self.kind]
+
+    @property
+    def kappa(self) -> float:
+        """Unscaled curvature of a plane whose complex-structure invariants
+        all vanish: 1/r^2 for a sphere, 0 for a torus, 1 for CP and HP."""
+        return 0.0 if self.kind == "torus" else 1.0 / self.radius**2
 
     @property
     def dim(self) -> int:
         """Real dimension."""
-        if self.kind == "cp":
-            return 2 * self.dim_param
-        if self.kind == "hp":
-            return 4 * self.dim_param
-        return self.dim_param
+        return (self.structures + 1) * self.dim_param
 
 
 def sphere(dim, radius=1.0, scale=1.0) -> CurvatureModel:
@@ -64,58 +75,53 @@ def flat_torus(dim, scale=1.0) -> CurvatureModel:
     return CurvatureModel("torus", dim, scale=float(scale))
 
 
-def sectional_curvature(model: CurvatureModel, plane=None) -> float:
-    """Sectional curvature of the plane described by its complex-structure
-    invariants.
+def _invariant_range(model: CurvatureModel):
+    """Range of |v|^2 = sum_u <J_u X, Y>^2 over orthonormal X, Y.
 
-    For CP the plane descriptor is the single invariant <JX, Y> in [-1, 1]
-    and the curvature is 1 + 3 <JX,Y>^2; for HP it is the triple <J_u X, Y>
-    with sum of squares <= 1 and curvature 1 + 3 * sum.  Spheres and tori
-    have no complex structure and take no descriptor.  All outputs are
-    divided by scale^2.
+    The J_u X span a k-plane inside the complement of X, so |v|^2 lies in
+    [0, 1], and is 0 without complex structures.  When that complement is
+    the k-plane itself (dim = k + 1: CP^1, HP^1) every plane has |v|^2 = 1.
     """
-    s2 = model.scale**2
-    if model.kind in ("sphere", "torus") and plane is not None:
+    k = model.structures
+    hi = min(k, 1)
+    return (hi if model.dim == k + 1 else 0), hi
+
+
+def _sec(model: CurvatureModel, norm_sq) -> float:
+    return (model.kappa + 3.0 * norm_sq) / model.scale**2
+
+
+def sectional_curvature(model: CurvatureModel, plane=None) -> float:
+    """Sectional curvature (kappa + 3 |v|^2) / scale^2 of the plane with
+    complex-structure invariants v = (<J_u X, Y>)_u.
+
+    The descriptor holds k numbers (a single number is allowed for k = 1)
+    with sum of squares in the range of `_invariant_range`; spheres and tori
+    take none.  Without a descriptor the plane is one of least curvature.
+    """
+    lo, hi = _invariant_range(model)
+    if plane is None:
+        return _sec(model, lo)
+    k = model.structures
+    if not k:
         raise ValueError(f"a {model.kind} takes no plane descriptor: every plane "
                          "has the same curvature")
-    if model.kind == "sphere":
-        return 1.0 / model.radius**2 / s2
-    if model.kind == "torus":
-        return 0.0
-    if model.kind == "cp":
-        if not (plane is None or isinstance(plane, numbers.Real)):
-            raise ValueError("CP plane descriptor needs one invariant")
-        c = 0.0 if plane is None else float(plane)
-        if not -1.0 <= c <= 1.0:
-            raise ValueError("CP plane invariant must lie in [-1, 1]")
-        return (1.0 + 3.0 * c * c) / s2
-    if isinstance(plane, numbers.Real):
-        plane = (plane,)
-    invs = (0.0, 0.0, 0.0) if plane is None else tuple(float(v) for v in plane)
-    if len(invs) != 3:
-        raise ValueError("HP plane descriptor needs three invariants")
-    if any(not -1.0 <= v <= 1.0 for v in invs):
-        raise ValueError("HP plane invariants must lie in [-1, 1]")
-    ss = sum(v * v for v in invs)
-    if ss > 1.0 + 1e-15:
-        raise ValueError("HP plane invariants must have sum of squares <= 1")
-    return (1.0 + 3.0 * ss) / s2
+    invs = (plane,) if isinstance(plane, numbers.Real) else tuple(plane)
+    if len(invs) != k:
+        raise ValueError(f"a {model.kind} plane descriptor needs {k} invariant(s)")
+    norm_sq = sum(float(v) * float(v) for v in invs)
+    if not lo - 1e-15 <= norm_sq <= hi + 1e-15:
+        raise ValueError(f"the plane invariants of {model_to_str(model)} must have "
+                         f"sum of squares in [{lo}, {hi}]")
+    return _sec(model, min(max(norm_sq, lo), hi))
 
 
 def ricci_constant(model: CurvatureModel) -> float:
-    """Einstein constant of the scaled metric.
-
-    Sphere: (d-1)/r^2, CP^l: 2(l+1), HP^q: 4(q+2), torus: 0; each divided
-    by scale^2.
+    """Einstein constant ((dim - 1) kappa + 3k) / scale^2: the sectional
+    curvatures summed over an orthonormal frame, in which each J_u X
+    contributes |v|^2 = 1 and the rest 0.
     """
-    s2 = model.scale**2
-    if model.kind == "sphere":
-        return (model.dim_param - 1) / model.radius**2 / s2
-    if model.kind == "torus":
-        return 0.0
-    if model.kind == "cp":
-        return 2.0 * (model.dim_param + 1) / s2
-    return 4.0 * (model.dim_param + 2) / s2
+    return ((model.dim - 1) * model.kappa + 3.0 * model.structures) / model.scale**2
 
 
 def rescale(model: CurvatureModel, rho: float) -> CurvatureModel:
@@ -126,21 +132,9 @@ def rescale(model: CurvatureModel, rho: float) -> CurvatureModel:
 
 
 def curvature_bounds(model: CurvatureModel):
-    """Tight (sec_min, sec_max, ricci) over all planes of the model.
-
-    CP^1 and HP^1 are the half-radius spheres S^2(1/2), S^4(1/2) in disguise
-    (every plane attains the holomorphic value 4); higher projective spaces
-    range over [1, 4].
-    """
-    s2 = model.scale**2
-    if model.kind == "sphere":
-        k = 1.0 / model.radius**2 / s2
-        return (k, k, ricci_constant(model))
-    if model.kind == "torus":
-        return (0.0, 0.0, 0.0)
-    if model.dim_param == 1:
-        return (4.0 / s2, 4.0 / s2, ricci_constant(model))
-    return (1.0 / s2, 4.0 / s2, ricci_constant(model))
+    """Tight (sec_min, sec_max, ricci) over all planes of the model."""
+    lo, hi = _invariant_range(model)
+    return (_sec(model, lo), _sec(model, hi), ricci_constant(model))
 
 
 _MODEL_RE = re.compile(
@@ -174,12 +168,9 @@ def parse_model(text: str) -> CurvatureModel:
 
 
 def model_to_str(model: CurvatureModel) -> str:
-    base = {
-        "sphere": f"sphere({model.dim_param}, {model.radius:g})",
-        "cp": f"cp({model.dim_param})",
-        "hp": f"hp({model.dim_param})",
-        "torus": f"torus({model.dim_param})",
-    }[model.kind]
-    if not math.isclose(model.scale, 1.0):
-        base += f" scaled {model.scale:.17g}"
-    return base
+    """The descriptor `parse_model` reads back as this very model: numbers
+    are written with 17 significant digits, and a scale of exactly 1 is
+    left out."""
+    radius = f", {model.radius:.17g}" if model.kind == "sphere" else ""
+    scaled = f" scaled {model.scale:.17g}" if model.scale != 1.0 else ""
+    return f"{model.kind}({model.dim_param}{radius}){scaled}"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -45,6 +46,17 @@ def test_curvature_subcommand(capsys):
     assert payload["bounds"] == {"sec_min": 1.0, "sec_max": 4.0, "ricci": 6.0}
 
 
+@pytest.mark.parametrize("model, ricci", [("cp(1)", 4.0), ("hp(1)", 12.0)])
+def test_projective_lines_print_the_curvature_within_their_bounds(capsys, model, ricci):
+    # CP^1 and HP^1 are the half-radius spheres S^2(1/2) and S^4(1/2)
+    rc, out = run_cli(capsys, "curvature", model)
+    assert rc == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema("curvature.schema.json"))
+    assert payload["sectional"] == 4.0
+    assert payload["bounds"] == {"sec_min": 4.0, "sec_max": 4.0, "ricci": ricci}
+
+
 def test_verify_is_byte_deterministic(capsys):
     rc1, out1 = run_cli(capsys, "verify", "triple_weight", "--samples", "2000", "--seed", "3")
     rc2, out2 = run_cli(capsys, "verify", "triple_weight", "--samples", "2000", "--seed", "3")
@@ -79,7 +91,8 @@ def test_criteria_hopf(capsys, tmp_path):
     jsonschema.validate(payload, schema("criteria_verdict.schema.json"))
     assert payload["verdict"] == "hypotheses not met"
     assert payload["details"]["sup_two_dilation"] == 4.0
-    assert payload["bounds"]["sphere_pair_bound"] == 3.0
+    assert payload["details"]["certified_two_dilation_bound"] == 3.0
+    assert "bounds" not in payload
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     jsonschema.validate(manifest, schema("run_manifest.schema.json"))
 
@@ -88,8 +101,8 @@ def test_criteria_parameterized_profile(capsys):
     rc, out = run_cli(capsys, "criteria", "hopf_s2n1_cpn:2", "--theorem", "ricci")
     assert rc == 0
     payload = json.loads(out)
-    assert payload["bounds"]["cp_bound"] == 0.8
     assert payload["verdict"] == "hypotheses not met"  # sup = 1 is never feasible
+    assert payload["details"]["certified_two_dilation_bound"] == pytest.approx(2 / 3)
 
 
 def test_criteria_profile_from_json(capsys, tmp_path):
@@ -134,7 +147,7 @@ def test_criteria_name_the_side_that_blocks(capsys, tmp_path):
                                                 "spectra": [[lam, lam, 0, 0, 0]]}, "ricci")
     details = payload["details"]
     assert payload["verdict"] == "hypotheses not met"
-    assert payload["bounds"]["cp_bound"] == 0.8
+    assert "bounds" not in payload
     assert details["curvature_rho_sq"] == [1.5, None]
     assert details["area_decreasing_rho_sq_max"] == pytest.approx(1 / 0.7)
     assert details["certified_two_dilation_bound"] == pytest.approx(2 / 3)
@@ -147,6 +160,76 @@ def test_criteria_name_the_side_that_blocks(capsys, tmp_path):
     assert details["certified_two_dilation_bound"] is None
     assert details["area_decreasing_rho_sq_max"] == pytest.approx(4.0)
     assert details["failed"].startswith("the curvature side blocks")
+
+
+# sha256 of stdout for each argv of the README criteria/curvature loop: every
+# named profile under both theorems and one model of each kind.  A digest
+# changes only with a behaviour change that CHANGES.md names.
+README_LOOP_DIGESTS = {
+    ("criteria", "hopf_s3_s2", "--theorem", "sectional"):
+        "8303f398c2301287e543579f6853e5d075327a1ade9c544e8f81fd5db3f994ed",
+    ("criteria", "hopf_s3_s2", "--theorem", "ricci"):
+        "b70a0d47134cf9bd181fe3d07eb3d0edb82dcd3b7a5cd38a76440a17f39373dc",
+    ("criteria", "hopf_s7_s4", "--theorem", "sectional"):
+        "c31c6ff6ff0a33d47a723929eeacfd57df70a17d7a584921d4ea711e1bc9742c",
+    ("criteria", "hopf_s7_s4", "--theorem", "ricci"):
+        "e1bb5b5723cc6245f2a70b7a4bfb55e926c57de807b2f0b2c1608221319b2892",
+    ("criteria", "hopf_s15_s8", "--theorem", "sectional"):
+        "f6721b47653fa7ac8341f61093414a2223215424bbbc4884b9c1d9d977bf10c8",
+    ("criteria", "hopf_s15_s8", "--theorem", "ricci"):
+        "e1cc25a99ca8b7600c365415d0bede379f2d4938381c09d431ebc458b18ff4fd",
+    ("criteria", "hopf_s2n1_cpn:1", "--theorem", "sectional"):
+        "b75627f92b845d7bc4d045d0bdaba5fb0c2ca45fe587daeba670cba46e6abdc7",
+    ("criteria", "hopf_s2n1_cpn:1", "--theorem", "ricci"):
+        "3aad78e39fe1267c78c233a562892cccf0136836298a4f4e702bcae6e20d0db1",
+    ("criteria", "hopf_s2n1_cpn:2", "--theorem", "sectional"):
+        "dc7780e18ae84987bd7eca3df24e7882a63eea005fb1dcafd343fa802a4e94b0",
+    ("criteria", "hopf_s2n1_cpn:2", "--theorem", "ricci"):
+        "8549e14f07b36b8260b3f4b6fc39e9b5ccc83fbf902039cead3ec5970d29d035",
+    ("criteria", "hopf_s2n1_cpn:3", "--theorem", "sectional"):
+        "39eeac0a44dc9b70a435c6dd2d2db19e2399de0bcfa5ce423a24ab045339b676",
+    ("criteria", "hopf_s2n1_cpn:3", "--theorem", "ricci"):
+        "9fd32444f797132ce66033b93d8146a644f83676813e3cfd3563c90abf790316",
+    ("criteria", "hopf_s2n1_cpn:4", "--theorem", "sectional"):
+        "9e7455f286d5f33e76ff8d4cae3aba6bcfac4a91c1e7ddebfb325aad0a59502d",
+    ("criteria", "hopf_s2n1_cpn:4", "--theorem", "ricci"):
+        "254f7a6971edba5ee608b133f8296e1773a30d375cb1c42c371a0370b381092d",
+    ("criteria", "identity:2", "--theorem", "sectional"):
+        "452bcd8e0a59f759905435c52861120c6d37e567ea2de6a7de6866a14d28c57b",
+    ("criteria", "identity:2", "--theorem", "ricci"):
+        "f384c39e8e565c5fa74352522de23097b021732b0cd90c804979a2d280cd8ab4",
+    ("criteria", "identity:3", "--theorem", "sectional"):
+        "919f8904ba6b051ec0b1aaeb24ea8c58fd77ab371a5c031aefbd085d3df3b7a7",
+    ("criteria", "identity:3", "--theorem", "ricci"):
+        "942e83c3c323910cf04aac0ec63915a22a9ff5a0302936e4051edefc5f052b8f",
+    ("criteria", "identity:4", "--theorem", "sectional"):
+        "48f7e7ebe15a9284d1ada4358622b32363e0646a311768283fed711218c0deec",
+    ("criteria", "identity:4", "--theorem", "ricci"):
+        "ef2c58bd91479341be3f9887d27b2f916e54f3f648f5ee001ff9d7fd00e39c6a",
+    ("criteria", "identity:5", "--theorem", "sectional"):
+        "ea76d989c94be04e7ff33f7bfb1f6ded5f1107e1c69f2b10f81336a63f52ea2b",
+    ("criteria", "identity:5", "--theorem", "ricci"):
+        "cd67b1bb0dd4219b67ce4046e7c69282a8c21ffb74dafe9ff7408c687a43143a",
+    ("curvature", "cp(3) scaled 1.0408", "--plane", "0.5"):
+        "05c385985c4f4bd30217142ab4bd806232a957b5cfdd97b41a6d3060f363722f",
+    ("curvature", "hp(2)", "--plane", "0.1", "0.2", "0.3"):
+        "d08cc8af085e5cf7324e1b0ff9004b4aec164e37449c0a0aae2461065ec13c6d",
+    ("curvature", "sphere(4, 0.5)"):
+        "fb64d4dd88cc8aaa5a8949212128a65e02c529cd4f292308ac11894bc946a4d0",
+    ("curvature", "torus(3)"):
+        "6cee4f7330fd90004d967aa3b67b020c66cb5d47cdd4a023a49b1f95b1a8d7a1",
+}
+
+
+def test_readme_criteria_and_curvature_loop_is_pinned(capsys):
+    changed = []
+    for argv, digest in README_LOOP_DIGESTS.items():
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(" ".join(argv))
+    assert len(README_LOOP_DIGESTS) == 26
+    assert changed == []
 
 
 def test_verify_subcommand_report_and_violation(capsys, tmp_path):
@@ -274,6 +357,8 @@ BAD_PROFILES = {
     ("curvature", "hp(2)", "--plane", "0.5"),
     ("curvature", "s(2)", "--plane", "5", "1", "1"),
     ("curvature", "torus(2)", "--plane", "0.5"),
+    ("curvature", "cp(1)", "--plane", "0.3"),
+    ("curvature", "hp(1)", "--plane", "0", "0", "0"),
 ], ids=lambda argv: "-".join(argv[:2]).replace("{tmp}/", "").replace("{tmp}", "dir"))
 def test_malformed_input_is_config_error(capsys, tmp_path, argv):
     for name, data in BAD_PROFILES.items():

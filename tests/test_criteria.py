@@ -63,9 +63,12 @@ def test_ricci_criterion_examples():
     assert cr.check_ricci_criterion(geo.cp(2), geo.cp(2)).ok
     tori = cr.check_ricci_criterion(geo.flat_torus(3), geo.flat_torus(2))
     assert not tori.ok  # sec1 + sec2 = 0 is not > 0
-    # m = 1 routes through the CP^1 = S^2(1/2) curvature data
+    # m = 1: CP^1 carries the curvature data of S^2(1/2) it is isometric to
     route = cr.check_ricci_criterion(geo.cp(3), geo.cp(1))
-    assert route.ok and "note" in route.details
+    half = cr.check_ricci_criterion(geo.cp(3), geo.sphere(2, radius=0.5))
+    assert route.ok and half.ok
+    for key in ("target_ricci", "target_sec_min"):
+        assert route.details[key] == half.details[key] == 4.0
 
 
 def test_ricci_criterion_sphere_to_cp_scalings():
@@ -172,3 +175,58 @@ def test_profile_from_json():
     assert profile.sup_two_dilation == 0.5 * 0.4
     flat = {"source": "sphere(3)", "target": "sphere(2)", "spectra": [0.5, 0.4, 0.0]}
     assert cr.profile_from_json(flat).sup_two_dilation == 0.2
+
+
+NAMED = [("hopf_s3_s2", None), ("hopf_s7_s4", None), ("hopf_s15_s8", None),
+         *(("hopf_s2n1_cpn", n) for n in (1, 2, 3, 4)), *(("identity", n) for n in (2, 3, 4, 5))]
+
+
+def _random_model(rng, max_dim):
+    """A sphere, CP or HP model of real dimension in [2, max_dim]."""
+    steps = {"sphere": 1, "cp": 2, "hp": 4}  # real dimension per unit of dim_param
+    kind = rng.choice([kind for kind, step in steps.items() if max(2, step) <= max_dim])
+    step = steps[kind]
+    param = int(rng.integers(max(1, 2 // step), max_dim // step + 1))
+    radius = float(rng.uniform(0.5, 1.5)) if kind == "sphere" else 1.0
+    return geo.CurvatureModel(str(kind), param, radius=radius,
+                              scale=float(rng.uniform(0.7, 1.4)))
+
+
+def _random_profiles(seed, count):
+    """Seeded sphere/CP/HP profiles; each comes with a twin whose sup sits on
+    the certified bound of the ricci criterion, where rounding decides."""
+    rng = np.random.default_rng(seed)
+    profiles = []
+    for _ in range(count):
+        source = _random_model(rng, 12)
+        target = _random_model(rng, source.dim)
+        rows = rng.uniform(0.0, 1.5, size=(int(rng.integers(1, 4)), source.dim))
+        rows[:, target.dim:] = 0.0
+        spectra = tuple(cr.spectrum(row, m=target.dim) for row in rows)
+        profile = cr.MapProfile("random", source, target, spectra)
+        bound = cr.dilation_trick(profile, "ricci").details["certified_two_dilation_bound"]
+        lam = [math.sqrt(bound)] * 2 + [0.0] * (source.dim - 2)
+        twin = cr.MapProfile("boundary", source, target, (cr.spectrum(lam, m=target.dim),))
+        profiles += [profile, twin]
+    return profiles
+
+
+def test_verdict_is_trivial_exactly_below_the_certified_bound():
+    named = [cr.named_spectrum(name, n=n) for name, n in NAMED]
+    exceptions = 0
+    for profile in named + _random_profiles(3, 300):
+        for theorem in ("sectional", "ricci"):
+            result = cr.dilation_trick(profile, theorem)
+            bound = result.details["certified_two_dilation_bound"]
+            sup = profile.sup_two_dilation
+            trivial = result.verdict.startswith("homotopically trivial")
+            assert trivial == (result.rho is not None)
+            if trivial == (bound is not None and sup < bound):
+                continue
+            # the one exception: sup lies below 1/lo by rounding only, the rho^2
+            # interval is too thin for the witness, and dilation_trick refuses it
+            assert profile.name == "boundary" and not trivial
+            assert result.interval_sq is not None
+            assert math.isclose(sup, bound, rel_tol=1e-12)
+            exceptions += 1
+    assert 0 < exceptions < 300  # 19 of the 300 boundary twins at seed 3

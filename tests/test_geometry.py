@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -123,6 +124,73 @@ def test_parse_model():
 
 
 def test_model_round_trip_through_str():
-    for m in (geo.sphere(3, 0.5), geo.cp(2, scale=1.25), geo.hp(1), geo.flat_torus(2)):
+    for m in (geo.sphere(3, 0.5), geo.cp(2, scale=1.25), geo.hp(1), geo.flat_torus(2),
+              geo.cp(2, scale=1 + 1e-10), geo.sphere(3, 1 + 1e-12)):
         again = geo.parse_model(geo.model_to_str(m))
         assert again == m
+    assert geo.model_to_str(geo.sphere(5)) == "sphere(5, 1)"
+    assert geo.model_to_str(geo.cp(2, scale=1 + 1e-10)) == "cp(2) scaled 1.0000000001"
+
+
+@given(st.sampled_from(["sphere", "cp", "hp", "torus"]), st.integers(1, 9),
+       st.floats(1e-6, 1e6) | st.just(1 + 1e-10), st.floats(1e-6, 1e6) | st.just(1 + 1e-10))
+def test_any_model_round_trips_through_str(kind, dim, radius, scale):
+    model = geo.CurvatureModel(kind, dim, radius=radius if kind == "sphere" else 1.0,
+                               scale=scale)
+    assert geo.parse_model(geo.model_to_str(model)) == model
+
+
+@pytest.mark.parametrize("text", ["sphere(2) scaled 1e999", "s(2, 1e999)", "cp(2) scaled 0"])
+def test_parse_model_refuses_a_scale_or_radius_that_is_not_finite_and_positive(text):
+    with pytest.raises(ValueError):
+        geo.parse_model(text)
+
+
+def test_only_spheres_carry_a_radius():
+    # model_to_str writes no radius for cp, hp or torus, so none may be stored
+    with pytest.raises(ValueError, match="only spheres"):
+        geo.CurvatureModel("cp", 2, radius=2.0)
+
+
+# kind -> (kappa for radius r, number k of complex structures), from the
+# Fubini-Study curvature sec = 1 + 3 sum_u <J_u X, Y>^2 (Kobayashi-Nomizu II, IX)
+DESCRIPTION = {"sphere": (lambda r: 1 / r**2, 0), "torus": (lambda r: 0.0, 0),
+               "cp": (lambda r: 1.0, 1), "hp": (lambda r: 1.0, 3)}
+MODELS = [geo.sphere(1), geo.sphere(2), geo.sphere(5, 0.7), geo.sphere(3, scale=1.3),
+          geo.flat_torus(1), geo.flat_torus(3, scale=2.0), geo.cp(1), geo.cp(2),
+          geo.cp(3, scale=1.0408), geo.cp(1, scale=0.6), geo.hp(1), geo.hp(2),
+          geo.hp(1, scale=0.5), geo.hp(3, scale=1.7)]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=geo.model_to_str)
+def test_sectional_stays_within_bounds_and_reaches_both_ends(model):
+    kappa, k = DESCRIPTION[model.kind]
+    s2 = model.scale**2
+    sec_min, sec_max, ricci = geo.curvature_bounds(model)
+    assert math.isclose(ricci, ((model.dim - 1) * kappa(model.radius) + 3 * k) / s2,
+                        rel_tol=1e-15, abs_tol=0.0)
+    assert geo.ricci_constant(model) == ricci
+    assert geo.sectional_curvature(model) == sec_min
+    if not k:
+        assert sec_min == sec_max == kappa(model.radius) / s2
+        return
+    line = model.dim == k + 1  # CP^1, HP^1: every plane has |v|^2 = 1
+    assert math.isclose(sec_min, (kappa(model.radius) + 3 * line) / s2, rel_tol=1e-15)
+    assert math.isclose(sec_max, (kappa(model.radius) + 3) / s2, rel_tol=1e-15)
+    unit = (1.0,) + (0.0,) * (k - 1)
+    assert geo.sectional_curvature(model, unit) == sec_max
+    if not line:
+        assert geo.sectional_curvature(model, (0.0,) * k) == sec_min
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        v = rng.normal(size=k)
+        v *= (1.0 if line else rng.uniform(0, 1)) / np.linalg.norm(v)
+        assert sec_min <= geo.sectional_curvature(model, tuple(v)) <= sec_max
+
+
+@pytest.mark.parametrize("model, plane", [(geo.cp(1), 0.3), (geo.cp(1), 0.0),
+                                          (geo.hp(1), (0.0, 0.0, 0.0)),
+                                          (geo.hp(1), (0.5, 0.5, 0.5))])
+def test_projective_lines_refuse_planes_they_do_not_have(model, plane):
+    with pytest.raises(ValueError, match="sum of squares"):
+        geo.sectional_curvature(model, plane)
