@@ -291,7 +291,7 @@ def offdiag_gradient_energy(lam, h):
     return 2 * np.einsum("ba,bak,bak->b", M, g, g)
 
 
-def master_gaps(lam, h, sec1, sec2):
+def master_gaps(lam, h):
     """Slack of the evolution inequality for log det S^[2], in float64.
 
     The gradient-square term minus the bound's 2 Q_S is taken in two parts.
@@ -304,8 +304,9 @@ def master_gaps(lam, h, sec1, sec2):
     sum_A q_A (c_i^2 row_i + c_j^2 row_j) / 2 with
     row_i = sum_k sec1_ik (1 + S_kk) - sec2_ik (1 - S_kk), is 2 R_S, the
     bound's own curvature term, so they cancel identically (proved in exact
-    arithmetic by the test-suite).  ``sec1`` and ``sec2`` are still drawn,
-    so the generator stream and the failing-sample payload stay the same.
+    arithmetic by the test-suite), and the gap reads no curvature.  The
+    master chunk still draws ``sec1`` and ``sec2``, so the generator stream
+    and the failing-sample payload stay the same.
     """
     n = lam.shape[1]
     m = h.shape[1]
@@ -553,7 +554,7 @@ def _master_chunk(rng, size, n, m):
     h = sample_h(rng, size, n, m)
     sec1 = sample_sec(rng, size, n, -2.0, 2.0)
     sec2 = pad_sec2(sample_sec(rng, size, min(n, m), -2.0, 2.0), n)
-    gaps = master_gaps(lam, h, sec1, sec2)
+    gaps = master_gaps(lam, h)
     return gaps, {"lambda": lam, "h": h, "sec1": sec1, "sec2": sec2}, {}
 
 

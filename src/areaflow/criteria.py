@@ -9,6 +9,11 @@ Two criteria are implemented, named after the curvature comparison they use:
 * ricci: Einstein-constant comparison Ric1/g1 >= Ric2/g2 together with
   sec1 + sec2 > 0, for dim1 >= dim2 >= 2.
 
+Rescaling the target metric by rho^2 divides every target curvature by
+rho^2, so each hypothesis is a row a rho^2 - b > 0 (or >= 0), stated once in
+`_hypotheses`: the check at a fixed metric, the rho^2 range, the certified
+2-dilation bound and the dilation witness all read the rows.
+
 Verdicts are one-directional: either "hypotheses hold" (map is homotopically
 trivial) or "hypotheses not met" - never "nontrivial".
 """
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geometry import CurvatureModel, cp, curvature_bounds, model_to_str, rescale, sphere
+from .geometry import CurvatureModel, cp, curvature_bounds, model_to_str, parse_model, sphere
 from .svcore import spectrum, two_dilation
 
 THEOREM_NAMES = {"sectional": "sectional", "ricci": "ricci", "13": "sectional", "14": "ricci"}
@@ -84,53 +89,74 @@ def polynomial_degree_bound(n: int, m: int) -> float:
     return math.sqrt(sphere_pair_bound(n, m))
 
 
-def check_sectional_criterion(source: CurvatureModel, target: CurvatureModel) -> Verdict:
-    """sec1 >= 1 (non-strict) and sec2 < (2n-m-1)/(m-1) (strict)."""
-    n, m = source.dim, target.dim
-    if not (n >= m >= 2):
-        raise ValueError("need dim(source) >= dim(target) >= 2")
-    s1_min, _s1_max, _ = curvature_bounds(source)
-    _s2_min, s2_max, _ = curvature_bounds(target)
-    bound = sphere_pair_bound(n, m)
-    details = {
-        "n": n, "m": m, "bound": bound,
-        "source_sec_min": s1_min, "target_sec_max": s2_max,
-        "source": model_to_str(source), "target": model_to_str(target),
-    }
-    if s1_min < 1.0:
-        details["failed"] = "source sectional curvature must be >= 1"
-        return Verdict(False, "sectional", details)
-    if not s2_max < bound:
-        details["failed"] = "target sectional curvature must be < bound"
-        return Verdict(False, "sectional", details)
-    return Verdict(True, "sectional", details)
-
-
-def check_ricci_criterion(source: CurvatureModel, target: CurvatureModel) -> Verdict:
-    """Ric1/g1 >= Ric2/g2 (Einstein constants; non-strict) and
-    min sec1 + min sec2 > 0 (strict)."""
+def _hypotheses(criterion: str, source: CurvatureModel, target: CurvatureModel):
+    """The curvature numbers a verdict prints, and the criterion's hypotheses
+    on rescale(target, rho) as rows (a, b, strict, text): each means
+    a rho^2 - b > 0 (strict) or >= 0, since rescaling divides every target
+    curvature by rho^2.  `text` is the row's `failed` message."""
     if not (source.dim >= target.dim >= 2):
         raise ValueError("need dim(source) >= dim(target) >= 2")
     s1_min, _, ric1 = curvature_bounds(source)
-    s2_min, _, ric2 = curvature_bounds(target)
-    details = {
-        "source_ricci": ric1, "target_ricci": ric2,
-        "source_sec_min": s1_min, "target_sec_min": s2_min,
-        "source": model_to_str(source), "target": model_to_str(target),
-    }
-    # non-strict comparison; the sharp case arrives through sqrt/square
-    # round trips, so allow rounding-level slack
-    slack = 1e-12 * max(abs(ric1), abs(ric2), 1.0)
-    if ric1 < ric2 - slack:
-        details["failed"] = "source Einstein constant must dominate the target's"
-        return Verdict(False, "ricci", details)
-    if not s1_min + s2_min > 0:
-        details["failed"] = "sectional curvature sums must be positive"
-        return Verdict(False, "ricci", details)
-    return Verdict(True, "ricci", details)
+    s2_min, s2_max, ric2 = curvature_bounds(target)
+    if criterion == "sectional":
+        bound = sphere_pair_bound(source.dim, target.dim)
+        numbers = {"n": source.dim, "m": target.dim, "bound": bound,
+                   "source_sec_min": s1_min, "target_sec_max": s2_max}
+        rows = [(s1_min - 1.0, 0.0, False, "source sectional curvature must be >= 1"),
+                (bound, s2_max, True, "target sectional curvature must be < bound")]
+    else:
+        numbers = {"source_ricci": ric1, "target_ricci": ric2,
+                   "source_sec_min": s1_min, "target_sec_min": s2_min}
+        rows = [(ric1, ric2, False, "source Einstein constant must dominate the target's"),
+                (s1_min, -s2_min, True, "sectional curvature sums must be positive")]
+    return numbers, rows
 
 
-CHECKS = {"sectional": check_sectional_criterion, "ricci": check_ricci_criterion}
+def _holds(row, rho_sq) -> bool:
+    """Whether a rho^2 - b > 0 (strict) or >= 0 at rho^2 = rho_sq.  A
+    non-strict row between two nonzero numbers (the Einstein constants)
+    allows rounding-level slack: its sharp case arrives through sqrt/square
+    round trips.  With a zero side it is an exact sign test (sec1 >= 1, a
+    flat source)."""
+    a, b, strict, _ = row
+    if strict:
+        return a * rho_sq > b
+    slack = 1e-12 * max(abs(a * rho_sq), abs(b), 1.0) if a and b else 0.0
+    return a * rho_sq >= b - slack
+
+
+def _rho_sq_range(rows):
+    """The rho^2 range (lo, hi) on which every row holds, and None; or None
+    and the reason it is empty.  A row with a > 0 gives the lower end b/a,
+    one with a < 0 and b < 0 the upper end b/a; a row with a = 0 holds for
+    every rho or for none, and any other row for none."""
+    lo, hi, lo_text, hi_text = 0.0, math.inf, None, None
+    for row in rows:
+        a, b, _, text = row
+        if a > 0:
+            if b / a > lo:
+                lo, lo_text = b / a, text
+        elif a < 0 and b < 0:
+            if b / a < hi:
+                hi, hi_text = b / a, text
+        elif a or not _holds(row, 1.0):
+            return None, f"no rescaling of the target meets \"{text}\""
+    if not lo < hi:
+        return None, (f"\"{lo_text}\" needs rho^2 >= {lo:.6g} and \"{hi_text}\" "
+                      f"needs rho^2 <= {hi:.6g}")
+    return (lo, hi), None
+
+
+def check_criterion(criterion: str, source: CurvatureModel, target: CurvatureModel) -> Verdict:
+    """The criterion's hypotheses at the given metrics (rho = 1); `failed`
+    names the first that fails."""
+    criterion = THEOREM_NAMES[str(criterion)]
+    numbers, rows = _hypotheses(criterion, source, target)
+    details = {**numbers, "source": model_to_str(source), "target": model_to_str(target)}
+    missed = [row[3] for row in rows if not _holds(row, 1.0)]
+    if missed:
+        details["failed"] = missed[0]
+    return Verdict(not missed, criterion, details)
 
 
 def _json_end(x):
@@ -157,37 +183,6 @@ class DilationResult:
         }
 
 
-def _ricci_interval(source, target):
-    """Feasible rho^2 interval for the ricci criterion on rescale(target, rho)."""
-    s1_min, _, ric1 = curvature_bounds(source)
-    s2_min, _, ric2 = curvature_bounds(target)
-    lo, hi = 0.0, math.inf
-    if ric2 > 0:
-        if ric1 <= 0:
-            return None
-        lo = max(lo, ric2 / ric1)
-    if s2_min >= 0:
-        if s1_min <= 0:
-            if s2_min == 0:
-                return None
-            hi = min(hi, s2_min / (-s1_min)) if s1_min < 0 else hi
-    else:
-        if s1_min <= 0:
-            return None
-        lo = max(lo, (-s2_min) / s1_min)
-    return lo, hi
-
-
-def _sectional_interval(source, target):
-    s1_min, _, _ = curvature_bounds(source)
-    if s1_min < 1.0:
-        return None
-    _, s2_max, _ = curvature_bounds(target)
-    bound = sphere_pair_bound(source.dim, target.dim)
-    lo = max(0.0, s2_max / bound)
-    return lo, math.inf
-
-
 def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
     """Search for rho making the rescaled target satisfy the criterion while
     the map becomes strictly area-decreasing (sup 2-dilation * rho^2 < 1).
@@ -200,16 +195,14 @@ def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
     certifies exactly the maps whose sup 2-dilation lies below it.  It is
     None when that range is empty or starts at 0.  Returns rho = None when
     the interval is empty; its details then name the side that blocks.
+    Otherwise the witness is checked on the same rows at its rho^2, and the
+    details add the curvature numbers of the profile's own models; an
+    interval too thin for the witness names the row it misses.
     """
     criterion = THEOREM_NAMES[str(criterion)]
-    if not (profile.source.dim >= profile.target.dim >= 2):
-        raise ValueError("need dim(source) >= dim(target) >= 2")
-    if criterion == "sectional":
-        interval = _sectional_interval(profile.source, profile.target)
-    else:
-        interval = _ricci_interval(profile.source, profile.target)
+    numbers, rows = _hypotheses(criterion, profile.source, profile.target)
+    curvature, blocked = _rho_sq_range(rows)
     sup = profile.sup_two_dilation
-    curvature = interval if interval is not None and interval[0] < interval[1] else None
     certified = 1.0 / curvature[0] if curvature is not None and curvature[0] > 0 else None
     details = {"sup_two_dilation": sup, "profile": profile.name,
                "source": model_to_str(profile.source),
@@ -220,8 +213,7 @@ def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
         details["area_decreasing_rho_sq_max"] = _json_end(cap)
         if curvature is None:
             details.update(curvature_rho_sq=None,
-                           failed=f"the curvature side blocks: no rescaling of the target "
-                                  f"meets the {criterion} curvature hypotheses")
+                           failed=f"the curvature side blocks: {blocked}")
         else:
             lo, hi = curvature
             details.update(curvature_rho_sq=[lo, _json_end(hi)],
@@ -237,14 +229,17 @@ def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
         rho_sq = hi / 2.0
     else:
         rho_sq = math.sqrt(lo * hi)
-    rho = math.sqrt(rho_sq)
-    check = CHECKS[criterion](profile.source, rescale(profile.target, rho))
-    details.update(check.details)
-    if not check.ok or not sup * rho_sq < 1.0:
+    details.update(numbers)
+    # sup * rho^2 < 1 is the row (-sup, -1, strict): its upper end is 1/sup
+    area = (-sup, -1.0, True, "the rescaled map must be area-decreasing")
+    missed = [row[3] for row in (*rows, area) if not _holds(row, rho_sq)]
+    if missed:
         # the open interval can be too thin for the witness at fp resolution
+        details["failed"] = (f"the rho^2 interval is too thin for a witness: "
+                             f"rho^2 = {rho_sq!r} misses \"{missed[0]}\"")
         return DilationResult(None, interval, "hypotheses not met", criterion, details)
     verdict = f"homotopically trivial by the {criterion} criterion"
-    return DilationResult(rho, interval, verdict, criterion, details)
+    return DilationResult(math.sqrt(rho_sq), interval, verdict, criterion, details)
 
 
 def _constant_profile(name, source, target, lam, m=None):
@@ -260,6 +255,8 @@ def named_spectrum(name: str, n: int | None = None) -> MapProfile:
     2-dilation is 4.  hopf_s2n1_cpn(n): singular values 1 with multiplicity
     2n and a single 0; 2-dilation 1.  identity(n): the identity of S^n.
     """
+    if n is not None and name in ("hopf_s3_s2", "hopf_s7_s4", "hopf_s15_s8"):
+        raise ValueError(f"{name} takes no parameter")
     if name == "hopf_s3_s2":
         return _constant_profile(name, sphere(3), sphere(2), [2.0, 2.0, 0.0])
     if name == "hopf_s7_s4":
@@ -282,8 +279,6 @@ def profile_from_json(data: dict) -> MapProfile:
     with models in the plain-text grammar and spectra as rows of singular
     values (a single flat row is taken as one row); each row holds
     source.dim values."""
-    from .geometry import parse_model
-
     if not (isinstance(data, dict) and {"source", "target", "spectra"} <= data.keys()):
         raise ValueError("a profile is a JSON object with source, target and spectra")
     source = parse_model(data["source"])

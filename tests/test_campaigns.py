@@ -253,7 +253,7 @@ def test_float64_gaps_match_exact_route(n, m):
     sec1 = cp.sample_sec(rng, count, n, -2.0, 2.0)
     block = cp.sample_sec(rng, count, min(n, m), -2.0, 2.0)
     assert (lam[:, 0] * lam[:, 1] >= cp.BOUNDARY_RANGE[0]).sum() >= count * cp.BOUNDARY_FRAC
-    master = cp.master_gaps(lam, h, sec1, cp.pad_sec2(block, n))
+    master = cp.master_gaps(lam, h)
     claim = cp.pair_claim_gaps(lam, h)
     exact = np.vectorize(Fraction, otypes=[object])
     master_err, claim_err = [], []
@@ -328,9 +328,7 @@ def test_float64_kernels_do_not_read_longdouble(monkeypatch):
         rng = np.random.default_rng(9)
         lam = cp.sample_spectra(rng, 256, n, m)
         h = cp.sample_h(rng, 256, n, m)
-        sec1 = cp.sample_sec(rng, 256, n, -2.0, 2.0)
-        sec2 = cp.pad_sec2(cp.sample_sec(rng, 256, min(n, m), -2.0, 2.0), n)
-        values = [cp.master_gaps(lam, h, sec1, sec2), cp.pair_claim_gaps(lam, h)]
+        values = [cp.master_gaps(lam, h), cp.pair_claim_gaps(lam, h)]
         extras = []
         for suite in FLOAT64_SUITES:
             for tag, body in cp.SPECS[suite].streams.items():
@@ -507,7 +505,7 @@ def test_master_gaps_match_formula_with_curvature(n, m):
     sec1 = cp.sample_sec(rng, 2048, n, -2.0, 2.0)
     sec2 = cp.pad_sec2(cp.sample_sec(rng, 2048, min(n, m), -2.0, 2.0), n)
     ref = _master_gaps_with_curvature(lam, h, sec1, sec2)
-    err = np.abs(cp.master_gaps(lam, h, sec1, sec2) - ref)
+    err = np.abs(cp.master_gaps(lam, h) - ref)
     if n == 2:
         # the gap is rounding noise around an identity here
         assert err.max() <= 1e-11

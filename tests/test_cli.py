@@ -221,9 +221,34 @@ README_LOOP_DIGESTS = {
 }
 
 
-def test_readme_criteria_and_curvature_loop_is_pinned(capsys):
+# Verdicts the README loop never reaches (all 22 block on the
+# area-decreasing side): a witness under each theorem, and a rho^2 interval
+# too thin for its witness.  Spectra are written with 17 digits.
+PROFILE_DIGESTS = {
+    ("sectional_witness", "sectional"): (
+        {"source": "s(4)", "target": "cp(2) scaled 1.1",
+         "spectra": [[0.52345678901234567, 0.41234567890123456, 0.10987654321098765, 0.0]]},
+        "0d1b169632194a62829564b422c19b26d9303927e5d30d3ebc0fca4b1f163f7a"),
+    ("ricci_witness", "ricci"): (
+        {"source": "s(5)", "target": "cp(2)",
+         "spectra": [[0.81234567890123457, 0.69876543210987654, 0.23456789012345678, 0.0, 0.0]]},
+        "3b945e3c1a0e75218118ebf03173464888816e354733377de8a7f05045b65b79"),
+    ("thin_twin", "ricci"): (
+        {"source": "cp(3) scaled 1.0617181278349546",
+         "target": "cp(2) scaled 1.1107590000066985",
+         "spectra": [[1.2080362778892992, 1.2080362778892992, 0.0, 0.0, 0.0, 0.0]]},
+        "ffb7afd86a03373d1c20ebbd3ce48ac165ca8acb165b1ce9661a4831d2b488b1"),
+}
+
+
+def test_readme_criteria_and_curvature_loop_is_pinned(capsys, tmp_path):
+    argvs = dict(README_LOOP_DIGESTS)
+    for (name, theorem), (profile, digest) in PROFILE_DIGESTS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"name": name, **profile}))
+        argvs["criteria", f"@{path}", "--theorem", theorem] = digest
     changed = []
-    for argv, digest in README_LOOP_DIGESTS.items():
+    for argv, digest in argvs.items():
         rc, out = run_cli(capsys, *argv)
         assert rc == 0
         if hashlib.sha256(out.encode()).hexdigest() != digest:
@@ -352,6 +377,8 @@ BAD_PROFILES = {
 @pytest.mark.parametrize("argv", [
     *[("criteria", f"@{{tmp}}/{name}.json", "--theorem", "13") for name in BAD_PROFILES],
     ("criteria", "@{tmp}", "--theorem", "13"),
+    ("criteria", "hopf_s3_s2:5", "--theorem", "13"),
+    ("criteria", "hopf_s15_s8(2)", "--theorem", "ricci"),
     ("flow", "{tmp}", "--out", "{tmp}/out"),
     ("curvature", "cp(2)", "--plane", "0.1", "0.2"),
     ("curvature", "hp(2)", "--plane", "0.5"),

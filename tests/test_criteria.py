@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,26 +47,42 @@ def test_polynomial_degree_bound():
 
 
 def test_sectional_criterion_sphere_pairs():
-    ok = cr.check_sectional_criterion(geo.sphere(3), geo.sphere(2, radius=1.0))
+    ok = cr.check_criterion("sectional", geo.sphere(3), geo.sphere(2, radius=1.0))
     assert ok.ok  # sec2 = 1 < 3
-    boundary = cr.check_sectional_criterion(geo.sphere(2), geo.sphere(2))
+    boundary = cr.check_criterion("sectional", geo.sphere(2), geo.sphere(2))
     assert not boundary.ok  # bound is 1; sec2 = 1 fails strictness
     assert "failed" in boundary.details
-    flat = cr.check_sectional_criterion(geo.flat_torus(3), geo.sphere(2, radius=0.4))
+    flat = cr.check_criterion("sectional", geo.flat_torus(3), geo.sphere(2, radius=0.4))
     assert not flat.ok  # source curvature 0 < 1
-    big_r = cr.check_sectional_criterion(geo.sphere(4), geo.sphere(2, radius=0.2))
+    big_r = cr.check_criterion("sectional", geo.sphere(4), geo.sphere(2, radius=0.2))
     assert not big_r.ok  # sec2 = 25 > 5
+
+
+def test_rows_with_a_zero_side_compare_exactly():
+    # the Einstein slack absorbs round trips between two nonzero numbers;
+    # sec1 >= 1 has none
+    below = geo.sphere(3, radius=1 + 1e-13)
+    assert geo.curvature_bounds(below)[0] < 1.0
+    check = cr.check_criterion("sectional", below, geo.sphere(2))
+    assert check.details["failed"] == "source sectional curvature must be >= 1"
+    assert cr._rho_sq_range(cr._hypotheses("sectional", below, geo.sphere(2))[1])[0] is None
+    # nor has a flat source's Einstein constant 0 against a target's 1e-14
+    flat, far = geo.flat_torus(3), geo.sphere(2, scale=1e7)
+    check = cr.check_criterion("ricci", flat, far)
+    assert check.details["failed"] == "source Einstein constant must dominate the target's"
+    profile = cr.MapProfile("far", flat, far, (cr.spectrum([0.5, 0.5, 0.0], m=2),))
+    assert cr.dilation_trick(profile, "ricci").details["curvature_rho_sq"] is None
 
 
 def test_ricci_criterion_examples():
     # CP^n -> CP^m at unit scale: 2(n+1) >= 2(m+1), sec sums >= 2 > 0
-    assert cr.check_ricci_criterion(geo.cp(3), geo.cp(2)).ok
-    assert cr.check_ricci_criterion(geo.cp(2), geo.cp(2)).ok
-    tori = cr.check_ricci_criterion(geo.flat_torus(3), geo.flat_torus(2))
+    assert cr.check_criterion("ricci", geo.cp(3), geo.cp(2)).ok
+    assert cr.check_criterion("ricci", geo.cp(2), geo.cp(2)).ok
+    tori = cr.check_criterion("ricci", geo.flat_torus(3), geo.flat_torus(2))
     assert not tori.ok  # sec1 + sec2 = 0 is not > 0
     # m = 1: CP^1 carries the curvature data of S^2(1/2) it is isometric to
-    route = cr.check_ricci_criterion(geo.cp(3), geo.cp(1))
-    half = cr.check_ricci_criterion(geo.cp(3), geo.sphere(2, radius=0.5))
+    route = cr.check_criterion("ricci", geo.cp(3), geo.cp(1))
+    half = cr.check_criterion("ricci", geo.cp(3), geo.sphere(2, radius=0.5))
     assert route.ok and half.ok
     for key in ("target_ricci", "target_sec_min"):
         assert route.details[key] == half.details[key] == 4.0
@@ -75,12 +92,12 @@ def test_ricci_criterion_sphere_to_cp_scalings():
     # the Einstein comparison forces rho^2 >= (n+1)/n for S^{2n+1} -> CP^n
     for n in (1, 2, 4):
         source = geo.sphere(2 * n + 1)
-        forced = cr.check_ricci_criterion(source, geo.rescale(geo.cp(n),
-                                                              math.sqrt((n + 1) / n)))
+        forced = cr.check_criterion("ricci", source,
+                                    geo.rescale(geo.cp(n), math.sqrt((n + 1) / n)))
         assert forced.ok
         slightly_less = math.sqrt((2 * n + 1) / (2 * n))
-        assert not cr.check_ricci_criterion(source,
-                                            geo.rescale(geo.cp(n), slightly_less)).ok
+        assert not cr.check_criterion("ricci", source,
+                                      geo.rescale(geo.cp(n), slightly_less)).ok
 
 
 def test_dilation_trick_sphere_boundary():
@@ -114,7 +131,7 @@ def test_dilation_trick_validates_witness():
     result = cr.dilation_trick(profile, "sectional")
     assert result.rho is not None
     rescaled = geo.rescale(profile.target, result.rho)
-    assert cr.check_sectional_criterion(profile.source, rescaled).ok
+    assert cr.check_criterion("sectional", profile.source, rescaled).ok
     assert profile.sup_two_dilation * result.rho**2 < 1.0
 
 
@@ -230,3 +247,92 @@ def test_verdict_is_trivial_exactly_below_the_certified_bound():
             assert math.isclose(sup, bound, rel_tol=1e-12)
             exceptions += 1
     assert 0 < exceptions < 300  # 19 of the 300 boundary twins at seed 3
+
+
+# a row a rho^2 - b > 0 (or >= 0) with a, b zero or of magnitude in
+# [1e-2, 1e3]: a relative margin of 1e-9 then exceeds the Einstein slack
+_COEFF = st.one_of(st.just(0.0), st.floats(1e-2, 1e3), st.floats(-1e3, -1e-2))
+
+
+@given(st.lists(st.tuples(_COEFF, _COEFF, st.booleans()), min_size=1, max_size=4),
+       st.floats(-6.0, 6.0))
+def test_rho_sq_range_is_where_every_row_holds(rows, log_x):
+    rows = [(a, b, strict, f"row {i}") for i, (a, b, strict) in enumerate(rows)]
+    found, why = cr._rho_sq_range(rows)
+    ends = [b / a for a, b, _, _ in rows if a]
+    probes = [10.0 ** log_x, *(end * (1 + side * 1e-9) for end in ends if end > 0
+                               for side in (-1, 1))]
+    for x in probes:
+        if any(abs(x - end) <= 1e-10 * x for end in ends):
+            continue  # on an end, rounding decides
+        inside = found is not None and found[0] < x < found[1]
+        assert all(cr._holds(row, x) for row in rows) == inside
+    if found is None:
+        # the row no rescaling meets, or the two rows whose ends cross
+        named = re.findall(r'"(row \d)"', why)
+        assert len(named) == (1 if why.startswith("no rescaling") else 2)
+    else:
+        assert why is None
+
+
+def test_check_on_the_rescaled_target_follows_the_rho_sq_range():
+    named = [cr.named_spectrum(name, n=n) for name, n in NAMED]
+    for profile in named + _random_profiles(3, 300):
+        source, target = profile.source, profile.target
+        for theorem in ("sectional", "ricci"):
+            found, _ = cr._rho_sq_range(cr._hypotheses(theorem, source, target)[1])
+
+            def holds(x):
+                rescaled = geo.rescale(target, math.sqrt(x))
+                return cr.check_criterion(theorem, source, rescaled).ok
+
+            if found is None:
+                assert not any(holds(x) for x in (0.01, 1.0, 100.0))
+                continue
+            lo, hi = found
+            inside = (lo * (1 + 1e-9), 2 * lo or 1.0, hi * (1 - 1e-9))
+            assert all(holds(x) for x in inside if 0 < x < hi)
+            outside = (lo * (1 - 1e-9), hi * (1 + 1e-9))
+            assert not any(holds(x) for x in outside if 0 < x < math.inf)
+
+
+def test_verdicts_print_the_profile_and_name_what_fails():
+    named = [cr.named_spectrum(name, n=n) for name, n in NAMED]
+    witnessed = 0
+    for profile in named + _random_profiles(3, 300):
+        own = {"source": geo.model_to_str(profile.source),
+               "target": geo.model_to_str(profile.target)}
+        for theorem in ("sectional", "ricci"):
+            result = cr.dilation_trick(profile, theorem)
+            details = result.details
+            assert {key: details[key] for key in own} == own
+            assert result.rho is not None or details["failed"]
+            if result.interval_sq is not None:
+                # a witness was checked: the numbers describe the printed models
+                numbers, _ = cr._hypotheses(theorem, profile.source, profile.target)
+                assert numbers.items() <= details.items()
+                witnessed += 1
+    assert witnessed > 0
+
+
+def test_blocked_verdicts_name_a_row():
+    # the thin twin: the witness rho^2 misses the area-decreasing row
+    source = geo.parse_model("cp(3) scaled 1.0617181278349546")
+    target = geo.parse_model("cp(2) scaled 1.1107590000066985")
+    lam = [1.2080362778892992] * 2 + [0.0] * 4
+    thin = cr.dilation_trick(cr.MapProfile("thin", source, target,
+                                           (cr.spectrum(lam, m=4),)), "ricci")
+    assert thin.rho is None and thin.interval_sq is not None
+    assert thin.details["target"] == "cp(2) scaled 1.1107590000066985"
+    assert thin.details["failed"].startswith("the rho^2 interval is too thin")
+    assert thin.details["failed"].endswith('misses "the rescaled map must be area-decreasing"')
+    # a flat source: no rescaling of the target meets one row
+    flat = cr.MapProfile("flat", geo.flat_torus(3), geo.sphere(2),
+                         (cr.spectrum([0.5, 0.5, 0.0], m=2),))
+    for theorem, row in (("sectional", "source sectional curvature must be >= 1"),
+                         ("ricci", "source Einstein constant must dominate the target's")):
+        failed = cr.dilation_trick(flat, theorem).details["failed"]
+        assert failed == f'the curvature side blocks: no rescaling of the target meets "{row}"'
+    # two rows whose ends cross
+    _, why = cr._rho_sq_range([(1.0, 2.0, True, "low"), (-1.0, -1.0, False, "high")])
+    assert why == '"low" needs rho^2 >= 2 and "high" needs rho^2 <= 1'
