@@ -492,7 +492,14 @@ def exact_samples(seed, count, n, m):
 
 def run_exact_checks(n, m, count, seed):
     """Exact-rational master gap >= 0, pair-claim gaps >= 0, and regroup
-    residual == 0, over small-denominator samples."""
+    residual == 0, over small-denominator samples.  The block is a pure
+    function of the arguments, so suites in one process share it; each call
+    gets its own dict."""
+    return dict(_exact_block(n, m, count, seed))
+
+
+@functools.lru_cache(maxsize=32)
+def _exact_block(n, m, count, seed):
     if n > 3:
         raise ValueError("exact mode is limited to n <= 3")
     stats = {"samples": count, "master_min": None, "claim_min": None,

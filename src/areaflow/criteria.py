@@ -115,13 +115,13 @@ def _hypotheses(criterion: str, source: CurvatureModel, target: CurvatureModel):
 def _holds(row, rho_sq) -> bool:
     """Whether a rho^2 - b > 0 (strict) or >= 0 at rho^2 = rho_sq.  A
     non-strict row between two nonzero numbers (the Einstein constants)
-    allows rounding-level slack: its sharp case arrives through sqrt/square
-    round trips.  With a zero side it is an exact sign test (sec1 >= 1, a
-    flat source)."""
+    allows a slack of 1e-12 relative to the larger side: its sharp case
+    arrives through sqrt/square round trips.  With a zero side it is an
+    exact sign test (sec1 >= 1, a flat source)."""
     a, b, strict, _ = row
     if strict:
         return a * rho_sq > b
-    slack = 1e-12 * max(abs(a * rho_sq), abs(b), 1.0) if a and b else 0.0
+    slack = 1e-12 * max(abs(a * rho_sq), abs(b)) if a and b else 0.0
     return a * rho_sq >= b - slack
 
 

@@ -164,9 +164,9 @@ def grad_restriction(rest: SRestriction, H: HCoefficients):
     c = rest.c
     out = np.empty((n, n, n), dtype=H.h.dtype if H.h.dtype == object else float)
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             for k in range(n):
-                out[i, j, k] = -(_hval(H, j, k, i) * c[j] + _hval(H, i, k, j) * c[i])
+                out[i, j, k] = out[j, i, k] = -(_hval(H, j, k, i) * c[j] + _hval(H, i, k, j) * c[i])
     return out
 
 
@@ -178,30 +178,37 @@ def ambient_curvature_entry(rest: SRestriction, curv: CurvatureSample, i, k):
     return -(ci * half) / 4
 
 
+def _evolution_rhs_diagonal(rest: SRestriction, H: HCoefficients, curv: CurvatureSample):
+    """Diagonal of evolution_rhs, the only part master_inequality_gap reads,
+    2 sum_a (S_ii + Stilde_aa) hsq[a][i] - 2 C_ii sum_k R_{kik(n+i)}, and the
+    squares hsq[a][i] = sum_k h[a,k,i]^2 it is built from."""
+    n, m = len(rest.lam), H.m
+    if curv.n != n or curv.m != m:
+        raise ValueError("dimension mismatch between h and curvature sample")
+    s, st = rest.s, _stilde(rest, m)
+    hsq = [[sum(H.h[a, k, i] ** 2 for k in range(n)) for i in range(n)] for a in range(m)]
+    return [2 * (sum((s[i] + st[a]) * hsq[a][i] for a in range(m))
+                 - rest.c[i] * sum(ambient_curvature_entry(rest, curv, i, k)
+                                   for k in range(n) if k != i))
+            for i in range(n)], hsq
+
+
 def evolution_rhs(rest: SRestriction, H: HCoefficients, curv: CurvatureSample):
     """Right side of the evolution equation of the restricted tensor in the
     SVD frame.  The h-part of entry (i, j) is
     sum_{k,a} h[a,k,i] h[a,k,j] (S_ii + S_jj + 2 Stilde_aa); the ambient
     curvature contributes -2 C_ii sum_k R_{kik(n+i)} on the diagonal.
     """
-    n = len(rest.lam)
-    m = H.m
-    if curv.n != n or curv.m != m:
-        raise ValueError("dimension mismatch between h and curvature sample")
-    s = rest.s
-    st = _stilde(rest, m)
+    diag, _ = _evolution_rhs_diagonal(rest, H, curv)
+    n, m = len(rest.lam), H.m
+    s, st = rest.s, _stilde(rest, m)
     out = np.empty((n, n), dtype=H.h.dtype if H.h.dtype == object else float)
     for i in range(n):
-        for j in range(i, n):
-            acc = 0
-            for k in range(n):
-                for a in range(m):
-                    acc = acc + H.h[a, k, i] * H.h[a, k, j] * (s[i] + s[j] + 2 * st[a])
-            out[i, j] = acc
-            out[j, i] = acc
-    for i in range(n):
-        curv_sum = sum(ambient_curvature_entry(rest, curv, i, k) for k in range(n))
-        out[i, i] = out[i, i] - 2 * rest.c[i] * curv_sum
+        out[i, i] = diag[i]
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = sum((s[i] + s[j] + 2 * st[a])
+                                        * sum(H.h[a, k, i] * H.h[a, k, j] for k in range(n))
+                                        for a in range(m))
     return out
 
 
@@ -230,22 +237,14 @@ def pair_claim_gap(rest: SRestriction, H: HCoefficients, i, j):
     s, c = rest.s, rest.c
     st = _stilde(rest, m)
     sij = s[i] + s[j]
-    term_i = 0
-    for k in range(n):
-        for l in range(m):
-            term_i = term_i + H.h[l, k, i] ** 2 * (s[i] + st[l]) \
-                + H.h[l, k, j] ** 2 * (s[j] + st[l])
-    term_ii = sum((_hval(H, i, k, i) * c[i] + _hval(H, j, k, j) * c[j]) ** 2
-                  for k in range(n)) / sij
-    rhs = 0
-    for k in range(n):
-        sq = (_hval(H, j, k, i) ** 2 + _hval(H, i, k, j) ** 2
-              + _hval(H, i, k, i) ** 2 + _hval(H, j, k, j) ** 2)
-        for l in range(n, m):
-            sq = sq + H.h[l, k, i] ** 2 + H.h[l, k, j] ** 2
-        rhs = rhs + sij * sq
-        rhs = rhs + (_hval(H, i, k, i) * c[j] + _hval(H, j, k, j) * c[i]) ** 2 / sij
-    return term_i + term_ii - rhs
+    hi = [sum(H.h[l, k, i] ** 2 for k in range(n)) for l in range(m)]
+    hj = [sum(H.h[l, k, j] ** 2 for k in range(n)) for l in range(m)]
+    term_i = sum((s[i] + st[l]) * hi[l] + (s[j] + st[l]) * hj[l] for l in range(m))
+    # II and the swapped-C square share the divisor S_ii + S_jj
+    cross = sum((a * c[i] + b * c[j]) ** 2 - (a * c[j] + b * c[i]) ** 2
+                for a, b in ((_hval(H, i, k, i), _hval(H, j, k, j)) for k in range(n)))
+    retained = sum(hi[l] + hj[l] for l in range(m) if l in (i, j) or l >= n)
+    return term_i + cross / sij - sij * retained
 
 
 def gradient_square_term(rest: SRestriction, H: HCoefficients):
@@ -256,10 +255,9 @@ def gradient_square_term(rest: SRestriction, H: HCoefficients):
     total = 0
     for i in range(n):
         for j in range(i + 1, n):
-            inv2 = 1 / (s[i] + s[j]) ** 2
-            for k in range(n):
-                total = total + inv2 * (_hval(H, i, k, i) * c[i] + _hval(H, j, k, j) * c[j]) ** 2
-                total = total + inv2 * (_hval(H, i, k, i) * c[j] + _hval(H, j, k, j) * c[i]) ** 2
+            acc = sum((a * c[i] + b * c[j]) ** 2 + (a * c[j] + b * c[i]) ** 2
+                      for a, b in ((_hval(H, i, k, i), _hval(H, j, k, j)) for k in range(n)))
+            total = total + acc / (s[i] + s[j]) ** 2
     return total
 
 
@@ -272,17 +270,13 @@ def curvature_term(rest: SRestriction, curv: CurvatureSample):
     _require_area_decreasing(rest)
     n = len(rest.lam)
     s, c = rest.s, rest.c
-
-    def row(i):
-        acc = 0
-        for k in range(n):
-            acc = acc + (1 + s[k]) * curv.sec1[i, k] - (1 - s[k]) * curv.sec2_at(i, k)
-        return acc
-
+    plus, minus = [1 + v for v in s], [1 - v for v in s]
+    weighted = [c[i] ** 2 * sum(plus[k] * curv.sec1[i, k] - minus[k] * curv.sec2_at(i, k)
+                                for k in range(n) if k != i) for i in range(n)]
     total = 0
     for i in range(n):
         for j in range(i + 1, n):
-            total = total + (c[i] ** 2 * row(i) + c[j] ** 2 * row(j)) / (4 * (s[i] + s[j]))
+            total = total + (weighted[i] + weighted[j]) / (4 * (s[i] + s[j]))
     return total
 
 
@@ -325,7 +319,8 @@ def master_inequality_gap(rest: SRestriction, H: HCoefficients, curv: CurvatureS
 
     Assembles the left side algebraically,
     E = sum_A Q^AA d(S^[2])_AA + sum_{A,B} Q^AA Q^BB |grad S^[2]_{AB}|^2,
-    from evolution_rhs and grad_restriction, and subtracts
+    from the diagonal of evolution_rhs and from grad_restriction (the squares
+    summed over k before they are weighted), and subtracts
     2|A|^2 + 2(n-2) sum h[i,k,i]^2 + 2 R_S + 2 Q_S.
     """
     _require_area_decreasing(rest)
@@ -333,16 +328,15 @@ def master_inequality_gap(rest: SRestriction, H: HCoefficients, curv: CurvatureS
     s = rest.s
     pairs = pair_index(n)
     q = [1 / (s[i] + s[j]) for i, j in pairs]
-    rhs = evolution_rhs(rest, H, curv)
-    energy = sum(q[A] * (rhs[i, i] + rhs[j, j]) for A, (i, j) in enumerate(pairs))
+    rhs, hsq = _evolution_rhs_diagonal(rest, H, curv)
     grad = grad_restriction(rest, H)
-    for k in range(n):
-        gk = _pair_operator_rows([[grad[i, j, k] for j in range(n)] for i in range(n)], pairs)
-        for A in range(len(pairs)):
-            for B in range(len(pairs)):
-                energy = energy + q[A] * q[B] * gk[A][B] ** 2
-    diag_h_sq = sum(_hval(H, i, k, i) ** 2 for i in range(n) for k in range(n))
-    bound = (2 * H.norm_sq() + 2 * (n - 2) * diag_h_sq
+    g = [_pair_operator_rows([[grad[i, j, k] for j in range(n)] for i in range(n)], pairs)
+         for k in range(n)]
+    energy = sum(q[A] * (rhs[i] + rhs[j] + sum(q[B] * sum(gk[A][B] ** 2 for gk in g)
+                                               for B in range(len(pairs))))
+                 for A, (i, j) in enumerate(pairs))
+    diag_h_sq = sum(hsq[i][i] for i in range(min(n, H.m)))
+    bound = (2 * sum(map(sum, hsq)) + 2 * (n - 2) * diag_h_sq
              + 2 * curvature_term(rest, curv) + 2 * gradient_square_term(rest, H))
     return energy - bound
 
@@ -411,13 +405,13 @@ def triple_weight(li, lj, lk):
     """The non-negative regrouping weight, in factored form:
     (1+lk^2) [ (li-lj)^2 (1+li^2 lj^2 lk^2) + 2 li lj (1-li lj lk^2)(1-li lj) ]
     / (2 (1+li^2)(1+lj^2)(1-li^2 lk^2)(1-lj^2 lk^2))."""
-    d1 = 1 - li**2 * lk**2
-    d2 = 1 - lj**2 * lk**2
+    li2, lj2, lk2, p = li**2, lj**2, lk**2, li * lj
+    d1 = 1 - li2 * lk2
+    d2 = 1 - lj2 * lk2
     if not (d1 > 0 and d2 > 0):
         raise ValueError("need li^2 lk^2 < 1 and lj^2 lk^2 < 1")
-    num = (li - lj) ** 2 * (1 + li**2 * lj**2 * lk**2) \
-        + 2 * li * lj * (1 - li * lj * lk**2) * (1 - li * lj)
-    return (1 + lk**2) * num / (2 * (1 + li**2) * (1 + lj**2) * d1 * d2)
+    num = (li - lj) ** 2 * (1 + li2 * lj2 * lk2) + 2 * p * (1 - p * lk2) * (1 - p)
+    return (1 + lk2) * num / (2 * (1 + li2) * (1 + lj2) * d1 * d2)
 
 
 def triple_weight_expanded(li, lj, lk):
@@ -446,10 +440,11 @@ def _regrouped_sum(rest: SRestriction, X, W):
     with X(i) = Ric1 - Ric2 and W(i, j) = sec1 + sec2 for R_S itself."""
     n = len(rest.lam)
     lam, s, c = rest.lam, rest.s, rest.c
+    x = [c[i] ** 2 * X(i) for i in range(n)]
     total = 0
     for i in range(n):
         for j in range(i + 1, n):
-            total = total + (c[i] ** 2 * X(i) + c[j] ** 2 * X(j)) / (4 * (s[i] + s[j]))
+            total = total + (x[i] + x[j]) / (4 * (s[i] + s[j]))
             total = total + _pair_weight(lam[i], lam[j]) * W(i, j)
     for i in range(n):
         for j in range(i + 1, n):

@@ -257,6 +257,34 @@ def test_readme_criteria_and_curvature_loop_is_pinned(capsys, tmp_path):
     assert changed == []
 
 
+# sha256 of `verify <suite> --samples 1500 --seed 3 --exact`, the README
+# verify loop's passing reports with their exact-rational blocks.  Master,
+# pair_claim and regroup share one memoised block per process, so the
+# in-process run also pins that a shared block prints what a fresh one does.
+README_EXACT_DIGESTS = {
+    "oracle": "f633053ebec9e3e0af55a1ba69abd1e9e72631fe130142d2bda5971ffed0e1d3",
+    "master": "75fb7987a709d024edfae00edea0beb5e0d0fe8db379027a96bbe1ad3afada3e",
+    "pair_claim": "8d4a75a7eccad8e6dcb2fca0403944669aa976c9320dae2b11e294620c3c39ad",
+    "pinch": "b07de5202e76a3548d6aa70fe5e698ba376c56282dda11cdce8afb03de643b4d",
+    "gradient_bound": "ebe7eab4e009f662dbf2e9b28014d57ac4d286f9afa097b09de230c2c18f1903",
+    "triple_weight": "692fa4aaa028e0b3cbd9e93b5d083a9a5cb5a40d10bbae9b556ef26b15c1abef",
+    "regroup": "4a00c00d201f0ff7d24a9e43f91e817385f1781d0f334e50ff41762d2c5c4209",
+    "sectional": "8f8649e23dcb7cced12cfb7db54ad875d4a724f27f1db1cd77403737a07b6fc7",
+    "ricci": "c23e59307d7794a44d6cae2ade5965b769702bd2c3d17fb5b4dd1707159af633",
+}
+
+
+def test_readme_verify_exact_loop_is_pinned(capsys):
+    changed = []
+    for suite, digest in README_EXACT_DIGESTS.items():
+        rc, out = run_cli(capsys, "verify", suite, "--samples", "1500", "--seed", "3", "--exact")
+        assert rc == 0
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(suite)
+    assert sorted(README_EXACT_DIGESTS) == sorted(campaigns.SUITES)
+    assert changed == []
+
+
 def test_verify_subcommand_report_and_violation(capsys, tmp_path):
     rc, out = run_cli(capsys, "verify", "triple_weight", "--samples", "3000",
                       "--out", str(tmp_path))

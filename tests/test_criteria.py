@@ -74,6 +74,20 @@ def test_rows_with_a_zero_side_compare_exactly():
     assert cr.dilation_trick(profile, "ricci").details["curvature_rho_sq"] is None
 
 
+def test_einstein_slack_is_relative():
+    # Ric(S^3, scale 1e5) = 2e-10; the target's Einstein constant exceeds it
+    # by 2e-5 relative, far above rounding, so the check fails at any scale
+    source = geo.sphere(3, scale=1e5)
+    above = geo.sphere(2, scale=1e5 / math.sqrt(2) * (1 - 1e-5))
+    check = cr.check_criterion("ricci", source, above)
+    assert check.details["failed"] == "source Einstein constant must dominate the target's"
+    lo = cr._rho_sq_range(cr._hypotheses("ricci", source, above)[1])[0][0]
+    assert lo > 1
+    # equal Einstein constants reached through a sqrt round trip still hold
+    assert cr.check_criterion("ricci", source, geo.sphere(2, scale=1e5 / math.sqrt(2))).ok
+    assert cr.check_criterion("ricci", geo.sphere(3), geo.sphere(2, scale=1 / math.sqrt(2))).ok
+
+
 def test_ricci_criterion_examples():
     # CP^n -> CP^m at unit scale: 2(n+1) >= 2(m+1), sec sums >= 2 > 0
     assert cr.check_criterion("ricci", geo.cp(3), geo.cp(2)).ok

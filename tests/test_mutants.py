@@ -129,6 +129,33 @@ def test_seeded_fault_turns_suite_red(monkeypatch, fault, suite, n, m):
     assert not report["passed"], report["configs"]
 
 
+# Faults in the verifier statements that the exact-rational block reads.
+# The block is memoised per process, and the unpatched cases fill the memo
+# with the same keys; the autouse fixture in conftest.py clears it, so each
+# fault is evaluated rather than served a clean block.
+EXACT_FAULTS = {
+    "master_gap_negated": ("master_inequality_gap", lambda gap: lambda *a: -gap(*a)),
+    "pair_claim_negated": ("pair_claim_gap", lambda gap: lambda *a: -gap(*a)),
+    "regroup_residual_one": ("ricci_regroup_residual", lambda residual: lambda *a: 1),
+}
+
+
+@pytest.mark.parametrize("suite", ["master", "pair_claim", "regroup"])
+def test_exact_block_passes_unpatched(suite):
+    report = cp.run_suite(suite, n=2, m=2, samples=1000, seed=SEED, exact=True)
+    assert report["passed"] and len(report["exact"]) == 3
+
+
+@pytest.mark.parametrize("fault", sorted(EXACT_FAULTS))
+def test_seeded_verifier_fault_turns_exact_block_red(monkeypatch, fault):
+    attr, make_faulty = EXACT_FAULTS[fault]
+    monkeypatch.setattr(vf, attr, make_faulty(getattr(vf, attr)))
+    report = cp.run_suite("master", n=2, m=2, samples=1000, seed=SEED, exact=True)
+    assert all(c["passed"] for c in report["configs"])
+    assert not report["passed"], report["exact"]
+    assert sum(e["violations"] for e in report["exact"]) > 0
+
+
 def _no_constants(token):
     raise ValueError(f"{token} is not JSON")
 

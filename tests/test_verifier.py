@@ -374,3 +374,188 @@ def test_exact_campaign_runner():
     assert stats["violations"] == 0
     assert stats["regroup_exact_zero"]
     assert stats["master_min"] >= 0
+    # the block is memoised; a caller that edits its dict edits only its copy
+    expected = dict(stats)
+    stats["violations"] = 99
+    stats["master_min"] = -1.0
+    assert campaigns.run_exact_checks(3, 2, 15, seed=2) == expected
+
+
+# ---------------------------------------------------------------------------
+# master_inequality_gap, pair_claim_gap and ricci_regroup_residual as they
+# were written before their Fraction operations were trimmed: every entry of
+# the evolution right side, the pair-operator squares weighted one k at a
+# time, each row sum of R_S formed once per pair, and the loops as stated.
+# In exact arithmetic the trimmed statements must return the same Fraction.
+
+
+def _ref_evolution_rhs(rest, H, curv):
+    n, m = len(rest.lam), H.m
+    s = rest.s
+    st = vf._stilde(rest, m)
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(i, n):
+            acc = 0
+            for k in range(n):
+                for a in range(m):
+                    acc = acc + H.h[a, k, i] * H.h[a, k, j] * (s[i] + s[j] + 2 * st[a])
+            out[i, j] = acc
+            out[j, i] = acc
+    for i in range(n):
+        curv_sum = sum(vf.ambient_curvature_entry(rest, curv, i, k) for k in range(n))
+        out[i, i] = out[i, i] - 2 * rest.c[i] * curv_sum
+    return out
+
+
+def _ref_grad_restriction(rest, H):
+    n = len(rest.lam)
+    c = rest.c
+    out = np.empty((n, n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i, j, k] = -(vf._hval(H, j, k, i) * c[j] + vf._hval(H, i, k, j) * c[i])
+    return out
+
+
+def _ref_gradient_square_term(rest, H):
+    vf._require_area_decreasing(rest)
+    n = len(rest.lam)
+    s, c = rest.s, rest.c
+    total = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            inv2 = 1 / (s[i] + s[j]) ** 2
+            for k in range(n):
+                a, b = vf._hval(H, i, k, i), vf._hval(H, j, k, j)
+                total = total + inv2 * (a * c[i] + b * c[j]) ** 2
+                total = total + inv2 * (a * c[j] + b * c[i]) ** 2
+    return total
+
+
+def _ref_curvature_term(rest, curv):
+    vf._require_area_decreasing(rest)
+    n = len(rest.lam)
+    s, c = rest.s, rest.c
+
+    def row(i):
+        acc = 0
+        for k in range(n):
+            acc = acc + (1 + s[k]) * curv.sec1[i, k] - (1 - s[k]) * curv.sec2_at(i, k)
+        return acc
+
+    total = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total = total + (c[i] ** 2 * row(i) + c[j] ** 2 * row(j)) / (4 * (s[i] + s[j]))
+    return total
+
+
+def _ref_master_inequality_gap(rest, H, curv):
+    vf._require_area_decreasing(rest)
+    n = len(rest.lam)
+    s = rest.s
+    pairs = pair_index(n)
+    q = [1 / (s[i] + s[j]) for i, j in pairs]
+    rhs = _ref_evolution_rhs(rest, H, curv)
+    energy = sum(q[A] * (rhs[i, i] + rhs[j, j]) for A, (i, j) in enumerate(pairs))
+    grad = _ref_grad_restriction(rest, H)
+    for k in range(n):
+        gk = vf._pair_operator_rows([[grad[i, j, k] for j in range(n)] for i in range(n)], pairs)
+        for A in range(len(pairs)):
+            for B in range(len(pairs)):
+                energy = energy + q[A] * q[B] * gk[A][B] ** 2
+    diag_h_sq = sum(vf._hval(H, i, k, i) ** 2 for i in range(n) for k in range(n))
+    bound = (2 * H.norm_sq() + 2 * (n - 2) * diag_h_sq
+             + 2 * _ref_curvature_term(rest, curv) + 2 * _ref_gradient_square_term(rest, H))
+    return energy - bound
+
+
+def _ref_pair_claim_gap(rest, H, i, j):
+    vf._require_area_decreasing(rest)
+    n = len(rest.lam)
+    m = H.m
+    s, c = rest.s, rest.c
+    st = vf._stilde(rest, m)
+    sij = s[i] + s[j]
+    hv = vf._hval
+    term_i = 0
+    for k in range(n):
+        for l in range(m):
+            term_i = term_i + H.h[l, k, i] ** 2 * (s[i] + st[l]) \
+                + H.h[l, k, j] ** 2 * (s[j] + st[l])
+    term_ii = sum((hv(H, i, k, i) * c[i] + hv(H, j, k, j) * c[j]) ** 2 for k in range(n)) / sij
+    rhs = 0
+    for k in range(n):
+        sq = hv(H, j, k, i) ** 2 + hv(H, i, k, j) ** 2 + hv(H, i, k, i) ** 2 + hv(H, j, k, j) ** 2
+        for l in range(n, m):
+            sq = sq + H.h[l, k, i] ** 2 + H.h[l, k, j] ** 2
+        rhs = rhs + sij * sq
+        rhs = rhs + (hv(H, i, k, i) * c[j] + hv(H, j, k, j) * c[i]) ** 2 / sij
+    return term_i + term_ii - rhs
+
+
+def _ref_triple_weight(li, lj, lk):
+    d1 = 1 - li**2 * lk**2
+    d2 = 1 - lj**2 * lk**2
+    num = (li - lj) ** 2 * (1 + li**2 * lj**2 * lk**2) \
+        + 2 * li * lj * (1 - li * lj * lk**2) * (1 - li * lj)
+    return (1 + lk**2) * num / (2 * (1 + li**2) * (1 + lj**2) * d1 * d2)
+
+
+def _ref_ricci_regroup_residual(rest, curv):
+    vf._require_area_decreasing(rest)
+    n = len(rest.lam)
+    lam, s, c = rest.lam, rest.s, rest.c
+
+    def X(i):
+        return curv.ric1(i) - curv.ric2(i)
+
+    def W(i, j):
+        return curv.sec1[i, j] + curv.sec2_at(i, j)
+
+    total = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total = total + (c[i] ** 2 * X(i) + c[j] ** 2 * X(j)) / (4 * (s[i] + s[j]))
+            total = total + vf._pair_weight(lam[i], lam[j]) * W(i, j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = total + _ref_triple_weight(lam[i], lam[j], lam[k]) * W(i, j)
+                total = total + _ref_triple_weight(lam[j], lam[k], lam[i]) * W(j, k)
+                total = total + _ref_triple_weight(lam[i], lam[k], lam[j]) * W(i, k)
+    return abs(_ref_curvature_term(rest, curv) - total)
+
+
+def _float_draws_as_fractions(n, m, count):
+    """Kernel float draws (boundary stratum first) as exact Fractions."""
+    rng = campaigns._rng(11, "master", n, m, 0)
+    exact = np.vectorize(Fraction, otypes=[object])
+    lam = exact(campaigns.sample_spectra(rng, count, n, m))
+    h = exact(campaigns.sample_h(rng, count, n, m))
+    sec1 = exact(campaigns.sample_sec(rng, count, n, -2.0, 2.0))
+    sec2 = exact(campaigns.sample_sec(rng, count, min(n, m), -2.0, 2.0))
+    return [(list(lam[b]), h[b], sec1[b], sec2[b]) for b in range(count)]
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3), (2, 3), (4, 2), (4, 4)])
+def test_trimmed_statements_equal_their_references(n, m):
+    """(2, 3) reaches the normal directions beyond n that the pair claim
+    retains; the exact block itself never has m > n."""
+    if n <= 3:
+        samples = [s for seed in range(1, 6) for s in campaigns.exact_samples(seed, 8, n, m)]
+    else:
+        samples = _float_draws_as_fractions(n, m, 6)
+    for lam, h, sec1, sec2 in samples:
+        rest = vf.restriction_from_lambdas(lam)
+        H = vf.HCoefficients(h)
+        curv = vf.CurvatureSample(n, m, sec1, sec2)
+        gap = vf.master_inequality_gap(rest, H, curv)
+        assert isinstance(gap, Fraction)
+        assert gap == _ref_master_inequality_gap(rest, H, curv)
+        for i, j in pair_index(n):
+            assert vf.pair_claim_gap(rest, H, i, j) == _ref_pair_claim_gap(rest, H, i, j)
+        assert vf.ricci_regroup_residual(rest, curv) == _ref_ricci_regroup_residual(rest, curv)
+        assert (vf.evolution_rhs(rest, H, curv) == _ref_evolution_rhs(rest, H, curv)).all()
