@@ -32,7 +32,8 @@ import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, GraphicalBreakdownError
 from ..svcore import pair_flags
-from .state import CFL_MAX, EquivariantState, MonitorRecord
+from .state import (CFL_MAX, EquivariantState, MonitorRecord, second_difference,
+                    source_side)
 
 RHO_PRIME_BREAKDOWN = 1e3
 
@@ -58,43 +59,37 @@ def profile_derivative(state: EquivariantState) -> np.ndarray:
         / (12.0 * state.h)
 
 
+def profile_trig(state: EquivariantState) -> np.ndarray:
+    """(cos rho, sin rho) as the two rows of one array."""
+    return np.array((np.cos(state.rho), np.sin(state.rho)))
+
+
 def _geometry(state: EquivariantState):
     """Per-node frames and projected second-derivative vectors at theta = 0.
 
-    Second derivatives along the meridian come from centered differences of
-    the embedding; tangents are assembled from the (fourth-order) profile
-    derivative, which keeps the theta-trace term second-order accurate at
-    the pole-adjacent nodes.
+    Second derivatives along the meridian are the centred differences of
+    the embedding that the step reads, on the interior nodes; tangents are
+    assembled from the (fourth-order) profile derivative, which keeps the
+    theta-trace term second-order accurate at the pole-adjacent nodes.
     """
     J = state.resolution
-    dr = state.h
-    r = state.r
-    rho = state.rho
-    ext_rho = _extended(state)
-    ext_r = np.concatenate([[-r[1]], r, [2.0 * r[-1] - r[-2]]])
-
-    def embed(rr, pp):
-        z = np.zeros_like(rr)
-        return np.stack([np.cos(rr), np.sin(rr), z, np.cos(pp), np.sin(pp), z], axis=-1)
-
-    X = embed(ext_r, ext_rho)
-    Xc, Xp, Xm = X[1:-1], X[2:], X[:-2]
-    rhop = state.rhop
-    X_rr = (Xp - 2.0 * Xc + Xm) / dr**2
-    sr, sp = np.sin(r), np.sin(rho)
-    zeros = np.zeros_like(r)
-    pr = np.stack([-sr, np.cos(r), zeros], axis=-1)
-    qr = np.stack([-sp, np.cos(rho), zeros], axis=-1)
+    src, trig, rhop = source_side(J), state.trig, state.rhop
+    (cr, sr), (cp, sp) = src["trig"], trig
+    zeros = np.zeros(J + 1)
+    X_rr = np.zeros((J + 1, 6))
+    X_rr[1:-1, [0, 1, 3, 4]] = np.concatenate(
+        (src["trig_rr"], second_difference(trig, state.h))).T
+    pr = np.stack([-sr, cr, zeros], axis=-1)
+    qr = np.stack([-sp, cp, zeros], axis=-1)
     X_r = np.concatenate([pr, rhop[:, None] * qr], axis=-1)
     X_tt = np.stack([zeros, -sr, zeros, zeros, -sp, zeros], axis=-1)
-    X_rt = np.stack([zeros, zeros, np.cos(r), zeros, zeros,
-                     rhop * np.cos(rho)], axis=-1)
+    X_rt = np.stack([zeros, zeros, cr, zeros, zeros, rhop * cp], axis=-1)
     X_t = np.stack([zeros, zeros, sr, zeros, zeros, sp], axis=-1)
-    n1 = np.concatenate([Xc[:, :3], np.zeros((J + 1, 3))], axis=-1)
-    n2 = np.concatenate([np.zeros((J + 1, 3)), Xc[:, 3:]], axis=-1)
+    n1 = np.stack([cr, sr, zeros, zeros, zeros, zeros], axis=-1)
+    n2 = np.stack([zeros, zeros, zeros, cp, sp, zeros], axis=-1)
     g_rr = 1.0 + rhop**2
     g_tt = sr**2 + sp**2
-    # pole rows are coordinate-singular; they are masked by callers
+    # pole rows are coordinate-singular (X_rr is 0 there); callers mask them
     safe_tt = np.where(g_tt > 1e-300, g_tt, 1.0)
     t1 = X_r / np.sqrt(g_rr)[:, None]
     t2 = X_t / np.sqrt(safe_tt)[:, None]
@@ -139,14 +134,15 @@ def profile_velocity(state: EquivariantState) -> np.ndarray:
     term is the closed form's
     (rho' sin r cos r - sin rho cos rho) / (sin^2 r + sin^2 rho).
     """
-    X = (np.cos(state.r), np.sin(state.r), np.cos(state.rho), np.sin(state.rho))
-    cr, sr, cp, sp = (x[1:-1] for x in X)
-    X_rr = [(x[2:] - 2.0 * x[1:-1] + x[:-2]) / state.h**2 for x in X]
+    src, trig = source_side(state.resolution), state.trig
+    (cr, sr), (cp, sp) = src["trig"][:, 1:-1], trig[:, 1:-1]
+    (cr_rr, sr_rr), (cp_rr, sp_rr) = src["trig_rr"], second_difference(trig, state.h)
     p = state.rhop[1:-1]
+    psr = p * sr
     v = np.zeros_like(state.rho)
-    v[1:-1] = ((p * sr * X_rr[0] - p * cr * X_rr[1] - sp * X_rr[2] + cp * X_rr[3])
+    v[1:-1] = ((psr * cr_rr - p * cr * sr_rr - sp * cp_rr + cp * sp_rr)
                / (1.0 + p**2)
-               + (p * sr * cr - sp * cp) / (sr**2 + sp**2))
+               + (psr * cr - sp * cp) / (src["sin_sq"] + sp**2))
     return v
 
 
@@ -161,24 +157,18 @@ def closed_form_velocity(state: EquivariantState, rhop=None, rhopp=None) -> np.n
     can pass exact arrays to isolate the geometric pipeline's truncation
     error.  Poles return zero.
     """
-    r = state.r
-    rho = state.rho
-    if rhop is None:
-        rhop = state.rhop
-    if rhopp is None:
-        ext = _extended(state)
-        rhopp = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / state.h**2
-    den = np.sin(r) ** 2 + np.sin(rho) ** 2
-    out = np.zeros_like(rho)
+    rhop = state.rhop if rhop is None else rhop
+    rhopp = second_difference(_extended(state), state.h) if rhopp is None else rhopp
+    (cr, sr), (cp, sp) = source_side(state.resolution)["trig"], state.trig
+    out = np.zeros_like(state.rho)
     inner = slice(1, -1)
     out[inner] = (rhopp[inner] / (1.0 + rhop[inner] ** 2)
-                  + (rhop[inner] * np.sin(r[inner]) * np.cos(r[inner])
-                     - np.sin(rho[inner]) * np.cos(rho[inner])) / den[inner])
+                  + (rhop * sr * cr - sp * cp)[inner] / (sr**2 + sp**2)[inner])
     return out
 
 
 def max_step(state: EquivariantState, cfl: float) -> float:
-    return cfl * state.h**2 * float(np.min(1.0 + state.rhop**2))
+    return cfl * state.h**2 * float(np.minimum.reduce(1.0 + state.rhop**2))
 
 
 def step_equivariant(state: EquivariantState, dt: float,
@@ -187,13 +177,13 @@ def step_equivariant(state: EquivariantState, dt: float,
     the meridian metric coefficient 1/(1 + rho'^2)."""
     if not 0 < cfl <= CFL_MAX:
         raise ConfigurationError(f"cfl must lie in (0, {CFL_MAX}]")
-    if np.abs(state.rhop).max() > RHO_PRIME_BREAKDOWN:
+    if np.maximum.reduce(np.abs(state.rhop)) > RHO_PRIME_BREAKDOWN:
         raise GraphicalBreakdownError("profile derivative blow-up")
     if dt > max_step(state, cfl) * (1 + 1e-12):
         raise ConfigurationError(
             f"dt = {dt:g} violates the equivariant CFL bound {max_step(state, cfl):g}")
     rho_new = state.rho + dt * profile_velocity(state)
-    if not np.all(np.isfinite(rho_new)):
+    if not np.logical_and.reduce(np.isfinite(rho_new)):
         raise DivergenceError("non-finite values in equivariant flow")
     return EquivariantState(resolution=state.resolution, rho=rho_new,
                             t=state.t + dt, steps=state.steps + 1)
@@ -203,26 +193,26 @@ def profile_spectrum(state: EquivariantState):
     """(lambda_1, lambda_2) fields: |rho'| and |sin rho / sin r| with the
     analytic pole limit lambda_2 = |rho'|."""
     lam1 = np.abs(state.rhop)
-    sr = np.sin(state.r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lam2 = np.where(sr > 1e-12, np.abs(np.sin(state.rho) / sr), lam1)
+    src = source_side(state.resolution)
+    lam2 = np.where(src["off_pole"], np.abs(state.trig[1] / src["safe_sin"]), lam1)
     return lam1, lam2
 
 
 def pointwise_phi_stats(lam1, lam2):
     """(min_phi, max_pair, max_lambda, flagged) of the (lambda_1, lambda_2)
-    fields.
+    fields; min_phi is formed only unflagged, where every log1p is finite.
 
     The pair product enters as (l1 l2)^2, not l1^2 l2^2: the two round
     differently in the last bit, and the flow outputs are pinned to this
     form.
     """
     pair = lam1 * lam2
-    flagged = bool(pair_flags(pair**2).any())
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phi = np.log1p(-(pair**2)) - np.log1p(lam1**2) - np.log1p(lam2**2)
-    min_phi = float("nan") if flagged else float(phi.min())
-    return min_phi, float(pair.max()), float(max(lam1.max(), lam2.max())), flagged
+    pair_sq = pair**2
+    flagged = bool(np.logical_or.reduce(pair_flags(pair_sq)))
+    min_phi = float("nan") if flagged else float(np.minimum.reduce(
+        np.log1p(-pair_sq) - np.log1p(lam1**2) - np.log1p(lam2**2)))
+    lam_max = max(np.maximum.reduce(lam1), np.maximum.reduce(lam2))
+    return min_phi, float(np.maximum.reduce(pair)), float(lam_max), flagged
 
 
 def second_fundamental_norm_sq(state: EquivariantState) -> np.ndarray:

@@ -53,6 +53,26 @@ def node_angles(resolution: int) -> np.ndarray:
     return r
 
 
+def second_difference(x: np.ndarray, h: float) -> np.ndarray:
+    """Centred second differences along the last axis, on interior nodes."""
+    return (x[..., 2:] - 2.0 * x[..., 1:-1] + x[..., :-2]) / h**2
+
+
+@lru_cache(maxsize=None)
+def source_side(resolution: int) -> dict:
+    """(cos r, sin r) as two rows, their second differences, sin^2 r on the
+    interior nodes, the mask sin r > 1e-12 and sin r with 1 at the poles:
+    one read-only set per resolution, shared like node_angles."""
+    trig = np.array((np.cos(node_angles(resolution)), np.sin(node_angles(resolution))))
+    off_pole = trig[1] > 1e-12
+    side = dict(trig=trig, trig_rr=second_difference(trig, math.pi / resolution),
+                sin_sq=trig[1, 1:-1]**2, off_pole=off_pole,
+                safe_sin=np.where(off_pole, trig[1], 1.0))
+    for a in side.values():
+        a.flags.writeable = False
+    return side
+
+
 @dataclass(frozen=True)
 class EquivariantState:
     """Rotationally symmetric sphere-pair profile rho(r) on r_j = j pi / J.
@@ -60,9 +80,9 @@ class EquivariantState:
     rho(0) = 0 and rho(pi) is 0 (trivial class) or pi (identity class);
     both poles are held fixed and ghost values extend the profile by odd
     reflection about the pole values.  States are frozen and derive
-    ``rhop`` and the projected ``frame`` once; writing into ``rho`` after
-    reading either is unsupported.  ``r`` is the read-only node array that
-    all states of a resolution share.
+    ``rhop``, ``trig`` (cos rho, sin rho) and the projected ``frame`` once;
+    writing into ``rho`` after reading any is unsupported.  ``r`` is the
+    read-only node array that all states of a resolution share.
     """
 
     resolution: int              # J: number of intervals
@@ -82,6 +102,11 @@ class EquivariantState:
     def rhop(self):
         from . import equivariant
         return equivariant.profile_derivative(self)
+
+    @cached_property
+    def trig(self):
+        from . import equivariant
+        return equivariant.profile_trig(self)
 
     @cached_property
     def frame(self):

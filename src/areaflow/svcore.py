@@ -19,21 +19,25 @@ with log det S^[2] = (n(n-1)/2) log 2 + Phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 # Pairs with 1 - (li*lj)^2 below this guard are rejected as not
 # area-decreasing: downstream formulas divide by that factor.
 PAIR_PRODUCT_GUARD = 1e-14
+_EXACT_GUARD_LIMIT = Fraction(1.0 - PAIR_PRODUCT_GUARD)    # for Fraction input
 
 
 def pair_flags(pair_sq):
     """True where a squared pair product (li*lj)^2 is within the guard of
     one or beyond it, i.e. where the pair is not strictly area-decreasing.
 
-    Elementwise on arrays; exact on `fractions.Fraction` (a Fraction compares
-    with the float 1 - PAIR_PRODUCT_GUARD without rounding).
+    Elementwise on arrays; exact on `fractions.Fraction` (compared with the
+    double 1 - PAIR_PRODUCT_GUARD as a Fraction, converted once).
     """
+    if isinstance(pair_sq, Fraction):
+        return pair_sq >= _EXACT_GUARD_LIMIT
     return pair_sq >= 1.0 - PAIR_PRODUCT_GUARD
 
 

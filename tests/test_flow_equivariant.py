@@ -9,6 +9,8 @@ from areaflow.errors import (ConfigurationError, DivergenceError,
 from areaflow.flowsim import (EquivariantState, ScenarioConfig, initial_state,
                               run, step_equivariant)
 from areaflow.flowsim import equivariant as eq
+from areaflow.flowsim.state import source_side
+from areaflow.svcore import pair_flags
 
 
 def profile_state(J, fn):
@@ -87,6 +89,22 @@ def test_node_angles_are_shared_and_read_only():
         a.r[1] = 0.0
 
 
+def test_source_side_is_shared_and_read_only():
+    a = profile_state(64, lambda r: 0.3 * np.sin(r))
+    src = source_side(64)
+    built = source_side.cache_info().misses
+    # the step, the spectrum, the frame and the oracle build no other
+    b = step_equivariant(a, 0.2 * a.h**2, 0.2)
+    eq.profile_spectrum(b), eq.closed_form_velocity(b), b.frame
+    assert source_side.cache_info().misses == built
+    assert source_side(64) is src and source_side(32) is not src
+    assert np.array_equal(src["trig"], [np.cos(a.r), np.sin(a.r)])
+    assert np.array_equal(src["off_pole"][[0, 1, -2, -1]], [False, True, True, False])
+    for arr in src.values():
+        with pytest.raises(ValueError):
+            arr[1] = 0.0
+
+
 def test_mu_component_vanishes_by_symmetry():
     state = profile_state(96, lambda r: 0.4 * np.sin(r) + 0.05 * np.sin(2 * r))
     _, h_mu, h_norm = eq.normal_velocity(state)
@@ -152,6 +170,26 @@ def test_profile_derivative_runs_once_per_state(monkeypatch):
     _, verdict = run(config)
     assert verdict["steps"] >= 10
     assert len(calls) == verdict["steps"] + 1
+
+
+def test_profile_trig_runs_once_per_state(monkeypatch):
+    calls = []
+    original = eq.profile_trig
+
+    def counted(state):
+        calls.append(state.steps)
+        return original(state)
+
+    monkeypatch.setattr(eq, "profile_trig", counted)
+    config = ScenarioConfig(backend="equivariant_sphere", resolution=32,
+                            initial="sine", amplitude=0.3, t_max=0.05,
+                            cadence=5)
+    start = initial_state(config)
+    _, verdict = run(config, start)
+    assert verdict["steps"] >= 10
+    assert calls == list(range(verdict["steps"] + 1))
+    # derived on the run's copy
+    assert "trig" not in vars(start)
 
 
 def test_mu_check_runs_with_every_record_and_never_in_the_step(monkeypatch):
@@ -225,3 +263,79 @@ def test_cached_rhop_is_exact_and_belongs_to_one_state():
     assert np.array_equal(moved.rhop, eq.profile_derivative(moved))
     with pytest.raises(dataclasses.FrozenInstanceError):
         out.rho = state.rho
+
+
+# ---------------------------------------------------------------------------
+# profile_velocity, profile_spectrum and pointwise_phi_stats as they were
+# written before the source side was derived once per resolution and
+# (cos rho, sin rho) once per state.  Every node keeps the same operands in
+# the same order, so the step and the light monitor must return the same
+# bits.
+
+
+def _ref_profile_velocity(state):
+    X = (np.cos(state.r), np.sin(state.r), np.cos(state.rho), np.sin(state.rho))
+    cr, sr, cp, sp = (x[1:-1] for x in X)
+    X_rr = [(x[2:] - 2.0 * x[1:-1] + x[:-2]) / state.h**2 for x in X]
+    p = state.rhop[1:-1]
+    v = np.zeros_like(state.rho)
+    v[1:-1] = ((p * sr * X_rr[0] - p * cr * X_rr[1] - sp * X_rr[2] + cp * X_rr[3])
+               / (1.0 + p**2)
+               + (p * sr * cr - sp * cp) / (sr**2 + sp**2))
+    return v
+
+
+def _ref_profile_spectrum(state):
+    lam1 = np.abs(state.rhop)
+    sr = np.sin(state.r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam2 = np.where(sr > 1e-12, np.abs(np.sin(state.rho) / sr), lam1)
+    return lam1, lam2
+
+
+def _ref_pointwise_phi_stats(lam1, lam2):
+    pair = lam1 * lam2
+    flagged = bool(pair_flags(pair**2).any())
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.log1p(-(pair**2)) - np.log1p(lam1**2) - np.log1p(lam2**2)
+    min_phi = float("nan") if flagged else float(phi.min())
+    return min_phi, float(pair.max()), float(max(lam1.max(), lam2.max())), flagged
+
+
+BYTE_PROFILES = {
+    "sine_03": PROFILES["sine_03"],
+    "two_mode": PROFILES["two_mode"],
+    "identity": PROFILES["identity"],
+    "sine_09": lambda r: 0.9 * np.sin(r),
+}
+
+
+@pytest.mark.parametrize("J", [32, 64, 128])
+@pytest.mark.parametrize("name", sorted(BYTE_PROFILES))
+def test_step_and_light_monitor_equal_their_references(name, J):
+    state = profile_state(J, BYTE_PROFILES[name])
+    dt = 0.2 * state.h**2
+    for _ in range(30):
+        assert np.array_equal(eq.profile_velocity(state), _ref_profile_velocity(state))
+        lam, ref_lam = eq.profile_spectrum(state), _ref_profile_spectrum(state)
+        assert all(np.array_equal(a, b) for a, b in zip(lam, ref_lam))
+        # repr tells NaN from NaN and -0.0 from 0.0 alike
+        stats = eq.pointwise_phi_stats(*lam)
+        assert list(map(repr, stats)) == list(map(repr, _ref_pointwise_phi_stats(*ref_lam)))
+        assert stats[3] == (name == "identity")
+        state = step_equivariant(state, dt, 0.2)
+
+
+def test_phi_stats_equal_their_reference_on_random_fields():
+    # (l1 l2)^2 and l1^2 l2^2 differ in the last bit at few nodes, so a
+    # form change reaches min_phi only on some fields; the scale 1.1 lets
+    # about half of them flag
+    rng = np.random.default_rng(19)
+    flagged = 0
+    for _ in range(400):
+        lam1 = rng.uniform(0.0, 1.1, 129)
+        lam2 = rng.uniform(0.0, 1.1, 129) * rng.choice([0.8, 1.0])
+        stats = eq.pointwise_phi_stats(lam1, lam2)
+        assert list(map(repr, stats)) == list(map(repr, _ref_pointwise_phi_stats(lam1, lam2)))
+        flagged += stats[3]
+    assert 0 < flagged < 400

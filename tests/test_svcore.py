@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,6 +227,21 @@ def test_one_guard_flags_the_same_pair_products(pair, flagged):
             verifier._require_area_decreasing(rest)
     else:
         verifier._require_area_decreasing(rest)
+
+
+_LIMIT = 1.0 - svcore.PAIR_PRODUCT_GUARD
+
+
+@pytest.mark.parametrize("pair_sq", [math.nextafter(_LIMIT, 0.0), _LIMIT,
+                                     math.nextafter(_LIMIT, 2.0)],
+                         ids=["below", "limit", "above"])
+def test_fraction_guard_decides_as_the_float_comparison(pair_sq):
+    """A Fraction compares with the guard limit converted once; the
+    decision is the one the Fraction-against-float comparison makes."""
+    exact = Fraction(pair_sq)
+    for x in (exact, exact - Fraction(1, 10**40), exact + Fraction(1, 10**40)):
+        assert svcore.pair_flags(x) is (x >= _LIMIT)
+    assert svcore.pair_flags(exact) is svcore.pair_flags(pair_sq) is (pair_sq >= _LIMIT)
 
 
 @given(spectra())
