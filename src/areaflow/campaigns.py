@@ -3,13 +3,14 @@
 Each suite draws hypothesis-respecting random inputs (spectra, second
 fundamental forms, curvature arrays), evaluates a gap or residual with the
 batched kernels below, and reports the worst value against its tolerance.
-Sampling is chunked with counter-based per-chunk seeds, so results are
-independent of how chunks are scheduled.
+Sampling is chunked with counter-based per-chunk seeds, and each chunk is
+checked row by row in BLOCK-row slices, so results are independent of how
+chunks are scheduled and of the block size.
 
 Every kernel computes in the dtype of its inputs, so on the float64 draws
 the gap kernels run in float64 (``master_gaps`` and ``pair_claim_gaps`` on
 forms whose terms do not cancel).  Only ``key_identity_residuals`` and the
-regroup, ricci and triple_weight chunks cast to ``np.longdouble`` (LD, 80-bit
+regroup, ricci and triple_weight checks cast to ``np.longdouble`` (LD, 80-bit
 on x86): each compares large terms, or two evaluations, that float64 rounds
 close to its tolerance where pair products up to 0.999 make
 (S_ii + S_jj)^-1 large.
@@ -35,6 +36,9 @@ from .svcore import pair_index, phi_batch, s_two_matrix
 LD = np.longdouble
 
 CHUNK = 8192
+# Rows per check call: it bounds the checks' intermediates, and as checks
+# work row by row it changes no byte of a report.
+BLOCK = 1024
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 7
 
@@ -305,7 +309,7 @@ def master_gaps(lam, h):
     row_i = sum_k sec1_ik (1 + S_kk) - sec2_ik (1 - S_kk), is 2 R_S, the
     bound's own curvature term, so they cancel identically (proved in exact
     arithmetic by the test-suite), and the gap reads no curvature.  The
-    master chunk still draws ``sec1`` and ``sec2``, so the generator stream
+    master draw still takes ``sec1`` and ``sec2``, so the generator stream
     and the failing-sample payload stay the same.
     """
     n = lam.shape[1]
@@ -320,8 +324,10 @@ def master_gaps(lam, h):
     # diagonal of the evolution right side, without its curvature part
     rhs_diag = 2 * s * hsq.sum(axis=1) + 2 * np.einsum("bli,bl->bi", hsq, _stilde(s, m))
     q = 1 / (s[:, iA] + s[:, jA])
-    energy = (np.einsum("ba,ba->b", q, rhs_diag[:, iA] + rhs_diag[:, jA]
-                        + 2 * _keep_minus_swap(s, D2))
+    # summed column by column, as np.einsum sums these column-major factors
+    # for two rows or more; it sums a single row in another order
+    energy = (_sum_pair_columns(q * (rhs_diag[:, iA] + rhs_diag[:, jA]
+                                     + 2 * _keep_minus_swap(s, D2)))
               + offdiag_gradient_energy(lam, h))
     bound = 2 * hsq.sum(axis=(1, 2)) + 2 * (n - 2) * D2.sum(axis=1)
     return energy - bound
@@ -542,36 +548,48 @@ def _chunks(total):
         idx += 1
 
 
-# Chunk bodies draw one chunk of samples from ``rng`` and evaluate it. Each
-# returns (checked values, replay arrays, extra-field values): row b of the
-# replay arrays is the failing-sample payload, and the extra values are
-# folded into the report fields the suite declares in SPECS.
+# A stream is a (draw, check) pair.  draw(rng, size, n, m) draws one chunk
+# from ``rng`` and returns its sample, a dict of arrays with one row per
+# sample; row b is the failing-sample payload.  check(sample, n, m) returns
+# (checked values, extra-field values) and works row by row, so any slice of
+# rows, or one replayed failing sample, gets the bits it gets in its chunk.
+# The extra values are folded into the report fields the suite declares in
+# SPECS.
 
 
-def _oracle_chunk(rng, size, n, m):
+def _spectra_draw(rng, size, n, m):
+    return {"lambda": sample_spectra(rng, size, n, m)}
+
+
+def _spectra_h_draw(rng, size, n, m):
+    return {**_spectra_draw(rng, size, n, m), "h": sample_h(rng, size, n, m)}
+
+
+def _curvature_draw(rng, size, n, m):
+    return {"sec1": sample_sec(rng, size, n, -2.0, 2.0),
+            "sec2": pad_sec2(sample_sec(rng, size, min(n, m), -2.0, 2.0), n)}
+
+
+def _oracle_check(sample, n, m):
     """Sum-of-logs formula vs assembled-operator log-determinant."""
-    lam = sample_spectra(rng, size, n, m)
-    diff = np.abs(logdet_pair_formula(lam) - logdet_pair_oracle(lam))
-    return diff, {"lambda": lam}, {}
+    lam = sample["lambda"]
+    return np.abs(logdet_pair_formula(lam) - logdet_pair_oracle(lam)), {}
 
 
-def _master_chunk(rng, size, n, m):
+def _master_draw(rng, size, n, m):
+    return {**_spectra_h_draw(rng, size, n, m), **_curvature_draw(rng, size, n, m)}
+
+
+def _master_check(sample, n, m):
     """Evolution inequality for log det S^[2]."""
-    lam = sample_spectra(rng, size, n, m)
-    h = sample_h(rng, size, n, m)
-    sec1 = sample_sec(rng, size, n, -2.0, 2.0)
-    sec2 = pad_sec2(sample_sec(rng, size, min(n, m), -2.0, 2.0), n)
-    gaps = master_gaps(lam, h)
-    return gaps, {"lambda": lam, "h": h, "sec1": sec1, "sec2": sec2}, {}
+    return master_gaps(sample["lambda"], sample["h"]), {}
 
 
-def _pair_claim_chunk(rng, size, n, m):
+def _pair_claim_check(sample, n, m):
     """Per-pair grouping claim, all pairs per sample, plus the key identity."""
-    lam = sample_spectra(rng, size, n, m)
-    h = sample_h(rng, size, n, m)
-    gaps = pair_claim_gaps(lam, h).min(axis=1)
-    key = float(key_identity_residuals(lam).max())
-    return gaps, {"lambda": lam, "h": h}, {"key_identity_max": key}
+    lam = sample["lambda"]
+    return pair_claim_gaps(lam, sample["h"]).min(axis=1), {
+        "key_identity_max": float(key_identity_residuals(lam).max())}
 
 
 # Budgets of sample_phi_level: safeguarded Newton steps per ray, and rounds
@@ -612,10 +630,10 @@ def sample_phi_level(rng, count, n, m, delta):
     on a Newton correction below half an ulp of t, on a bracket a few ulps
     wide, or at its start when Phi >= level there (the cap rows).  One
     ``phi_values`` call then checks Phi(t d) >= level on the returned rows
-    with the float64 values that the pinch chunk reads; rows that fail step
+    with the float64 values that the pinch check reads; rows that fail step
     down (by that residual over the slope, plus a doubling number of ulps)
     and are checked again.  So every row has Phi >= level >= -delta as the
-    chunk reads it, and t lies within a few ulps of the largest such
+    check reads it, and t lies within a few ulps of the largest such
     t <= cap.
 
     Raises HypothesisError when either loop runs out of its budget.
@@ -683,61 +701,59 @@ def sample_phi_level(rng, count, n, m, delta):
 PINCH_DELTAS = (0.1, 1.0, 3.0)
 
 
-def _pinch_chunk(rng, size, n, m, delta):
+def _pinch_draw(rng, size, n, m, delta):
+    return {"lambda": sample_phi_level(rng, size, n, m, delta)}
+
+
+def _pinch_check(sample, n, m, delta):
     """Quantitative bounds from Phi >= -delta with the constructive c1."""
     lam2_max, pair_max, c1 = verifier.phi_pinch_bounds(n, delta)
-    lam = sample_phi_level(rng, size, n, m, delta)
+    lam = sample["lambda"]
     vals = phi_values(lam)
     sq = lam**2
     viol = np.maximum(sq.max(axis=1) - lam2_max, sq[:, 0] * sq[:, 1] - pair_max)
-    viol = np.maximum(viol, np.abs(vals) - c1 * sq.sum(axis=1))
-    return viol, {"lambda": lam}, {}
+    return np.maximum(viol, np.abs(vals) - c1 * sq.sum(axis=1)), {}
 
 
-def _gradient_bound_chunk(rng, size, n, m):
+def _gradient_bound_draw(rng, size, n, m):
+    sample = _spectra_h_draw(rng, size, n, m)
+    delta = -phi_values(sample["lambda"]) + rng.uniform(0.0, 2.0, size)
+    sample["delta"] = np.maximum(delta, 1e-9)
+    return sample
+
+
+def _gradient_bound_check(sample, n, m):
     """|grad log det S^[2]|^2 against c2 e^{4d}(e^d-1)|A|^2."""
     c2 = 4.0 * n**2 * (n - 1) ** 2
-    lam = sample_spectra(rng, size, n, m)
-    h = sample_h(rng, size, n, m)
-    vals = phi_values(lam)
-    delta = -vals + rng.uniform(0.0, 2.0, size)
-    delta = np.maximum(delta, 1e-9)
-    lhs = log_det_gradient_sq(lam, h)
+    h, delta = sample["h"], sample["delta"]
+    lhs = log_det_gradient_sq(sample["lambda"], h)
     a2 = np.einsum("blki,blki->b", h, h)
-    rhs = c2 * np.exp(4 * delta) * np.expm1(delta) * a2
-    return lhs - rhs, {"lambda": lam, "h": h, "delta": delta}, {}
+    return lhs - c2 * np.exp(4 * delta) * np.expm1(delta) * a2, {}
 
 
-def _triple_weight_chunk(rng, size, n, m):
+def _triple_weight_check(sample, n, m):
     """Non-negativity of the regrouping weight and agreement of its two
     algebraic forms, on triples of sampled spectra (n = m = 3)."""
-    lam = sample_spectra(rng, size, n, m)
-    li, lj, lk = (lam[:, col].astype(LD) for col in range(3))
+    li, lj, lk = (sample["lambda"][:, col].astype(LD) for col in range(3))
     v1 = triple_weight_values(li, lj, lk)
     v2 = triple_weight_values_expanded(li, lj, lk)
-    diff = np.abs(v1 - v2).astype(float)
-    return diff, {"lambda": lam}, {"min_weight": float(v1.min()),
-                                   "violations": int((v1 < 0).sum())}
+    return np.abs(v1 - v2).astype(float), {"min_weight": float(v1.min()),
+                                           "violations": int((v1 < 0).sum())}
 
 
-def _regroup_chunk(rng, size, n, m):
+def _regroup_draw(rng, size, n, m):
+    return {**_spectra_draw(rng, size, n, m), **_curvature_draw(rng, size, n, m)}
+
+
+def _regroup_check(sample, n, m):
     """Direct vs regrouped R_S."""
-    lam = sample_spectra(rng, size, n, m)
-    sec1 = sample_sec(rng, size, n, -2.0, 2.0)
-    sec2 = pad_sec2(sample_sec(rng, size, min(n, m), -2.0, 2.0), n)
-    args = [a.astype(LD) for a in (lam, sec1, sec2)]
-    diff = np.abs(curvature_terms(*args) - regrouped_curvature_terms(*args)).astype(float)
-    return diff, {"lambda": lam, "sec1": sec1, "sec2": sec2}, {}
+    args = [sample[k].astype(LD) for k in ("lambda", "sec1", "sec2")]
+    return np.abs(curvature_terms(*args) - regrouped_curvature_terms(*args)).astype(float), {}
 
 
-def _sectional_chunk(rng, size, n, m):
-    """Lower bound of R_S under sec1 >= 1, sec2 <= tau, including the tight
-    family sec1 = 1, sec2 = tau and the m = 2 displays.
-
-    Also reports the empirical minimum of (lower bound)/(sum lambda_i^2)
-    over samples with a positive bracket (2n-m-1) - (m-1) tau: the decay-rate
-    constant is existence-only, so the ratio is reported, never asserted.
-    """
+def _sectional_draw(rng, size, n, m):
+    """Spectra, tau, and curvatures with sec1 >= 1, sec2 <= tau; the first
+    size // 8 rows are the tight family sec1 = 1, sec2 = tau."""
     lam = sample_spectra(rng, size, n, m)
     tau = rng.uniform(0.02, 2.0 * (2 * n - m - 1) / (m - 1), size)
     sec1 = sample_sec(rng, size, n, 1.0, 3.0)
@@ -749,21 +765,31 @@ def _sectional_chunk(rng, size, n, m):
     block[tight] = tau[tight, None, None]
     sec1 = _sym_zero_diag(sec1)
     block = _sym_zero_diag(block)
-    sec2 = pad_sec2(block, n)
-    gaps, coeff = sectional_gaps(lam, sec1, sec2, tau, m)
+    return {"lambda": lam, "tau": tau, "sec1": sec1, "sec2": pad_sec2(block, n)}
+
+
+def _sectional_check(sample, n, m):
+    """Lower bound of R_S under sec1 >= 1, sec2 <= tau, including the tight
+    family sec1 = 1, sec2 = tau and the m = 2 displays.
+
+    Also reports the empirical minimum of (lower bound)/(sum lambda_i^2)
+    over samples with a positive bracket (2n-m-1) - (m-1) tau: the decay-rate
+    constant is existence-only, so the ratio is reported, never asserted.
+    """
+    lam, tau = sample["lambda"], sample["tau"]
+    gaps, coeff = sectional_gaps(lam, sample["sec1"], sample["sec2"], tau, m)
     paird, crossd = m2_claim_displays(lam)
     bracket = (2 * n - m - 1) - (m - 1) * tau
     lam_sq = (lam ** 2).sum(axis=1)
     mask = (bracket > 0) & (lam_sq > 1e-12)
     ratio = float((coeff[mask] * bracket[mask] / lam_sq[mask]).min()) if mask.any() else None
-    return gaps, {"lambda": lam, "tau": tau, "sec1": sec1, "sec2": sec2}, {
-        "m2_display_min": float(min(paird.min(), crossd.min())),
-        "c3_empirical_min_ratio": ratio}
+    return gaps, {"m2_display_min": float(min(paird.min(), crossd.min())),
+                  "c3_empirical_min_ratio": ratio}
 
 
-def _ricci_chunk(rng, size, n, m):
-    """Lower bound of R_S under the sigma-pinched Ricci hypotheses; also
-    requires the bound itself to be non-negative."""
+def _ricci_draw(rng, size, n, m):
+    """Spectra, sigma, and curvatures with Ric1 >= (n-1) sigma and
+    sec2 <= sigma; the first size // 8 rows have sec2 = sigma."""
     lam = sample_spectra(rng, size, n, m)
     sigma = rng.uniform(0.05, 2.0, size)
     # rejection to rows with Ric1 >= (n-1) sigma
@@ -784,16 +810,21 @@ def _ricci_chunk(rng, size, n, m):
     tight = slice(0, size // 8)
     block[tight] = sigma[tight, None, None]
     block = _sym_zero_diag(block)
-    sec2 = pad_sec2(block, n)
-    gaps, bounds = ricci_gaps(*[a.astype(LD) for a in (lam, sec1, sec2, sigma)])
-    return gaps, {"lambda": lam, "sigma": sigma, "sec1": sec1, "sec2": sec2}, {
-        "bound_min": float(bounds.min())}
+    return {"lambda": lam, "sigma": sigma, "sec1": sec1, "sec2": pad_sec2(block, n)}
+
+
+def _ricci_check(sample, n, m):
+    """Lower bound of R_S under the sigma-pinched Ricci hypotheses; also
+    requires the bound itself to be non-negative."""
+    gaps, bounds = ricci_gaps(*[sample[k].astype(LD)
+                                for k in ("lambda", "sec1", "sec2", "sigma")])
+    return gaps, {"bound_min": float(bounds.min())}
 
 
 class Suite(NamedTuple):
     """One suite's declaration.
 
-    streams  rng tag -> chunk body; streams run one after another
+    streams  rng tag -> (draw, check); streams run one after another
     kind     "min_gap" (violation: value < tol) or "max_residual" (value > tol)
     tol      default tolerance
     configs  the (n, m) sweep; a forced configuration must lie in it
@@ -813,25 +844,30 @@ class Suite(NamedTuple):
 _PAIRS = [(n, m) for n in range(2, 7) for m in range(2, n + 1)]
 
 SPECS = {
-    "oracle": Suite({"oracle": _oracle_chunk}, "max_residual", 1e-10,
+    "oracle": Suite({"oracle": (_spectra_draw, _oracle_check)}, "max_residual", 1e-10,
                     [(n, n) for n in range(2, 9)]),
-    "master": Suite({"master": _master_chunk}, "min_gap", -1e-10, _PAIRS, exact=True),
-    "pair_claim": Suite({"pair_claim": _pair_claim_chunk}, "min_gap", -1e-12, _PAIRS,
-                        {"key_identity_max": (0.0, max, 1e-12)}, exact=True),
-    "pinch": Suite({f"pinch{d}": functools.partial(_pinch_chunk, delta=d)
+    "master": Suite({"master": (_master_draw, _master_check)}, "min_gap", -1e-10, _PAIRS,
+                    exact=True),
+    "pair_claim": Suite({"pair_claim": (_spectra_h_draw, _pair_claim_check)}, "min_gap",
+                        -1e-12, _PAIRS, {"key_identity_max": (0.0, max, 1e-12)}, exact=True),
+    "pinch": Suite({f"pinch{d}": (functools.partial(_pinch_draw, delta=d),
+                                  functools.partial(_pinch_check, delta=d))
                     for d in PINCH_DELTAS}, "max_residual", 0.0,
                    [(n, n) for n in range(2, 7)],
                    {"deltas": (list(PINCH_DELTAS), None, None)}),
-    "gradient_bound": Suite({"gradient_bound": _gradient_bound_chunk}, "max_residual", 0.0,
+    "gradient_bound": Suite({"gradient_bound": (_gradient_bound_draw, _gradient_bound_check)},
+                            "max_residual", 0.0,
                             list(dict.fromkeys((n, m) for n in range(2, 7) for m in (2, n)))),
-    "triple_weight": Suite({"triple_weight": _triple_weight_chunk}, "max_residual", 1e-12,
+    "triple_weight": Suite({"triple_weight": (_spectra_draw, _triple_weight_check)},
+                           "max_residual", 1e-12,
                            [(3, 3)], {"min_weight": (None, min, 0.0),
                                       "violations": (0, operator.add, None)}),
-    "regroup": Suite({"regroup": _regroup_chunk}, "max_residual", 1e-10, _PAIRS, exact=True),
-    "sectional": Suite({"sectional": _sectional_chunk}, "min_gap", -1e-10, _PAIRS,
-                       {"m2_display_min": (None, min, -1e-15),
-                        "c3_empirical_min_ratio": (None, min, None)}),
-    "ricci": Suite({"ricci": _ricci_chunk}, "min_gap", -1e-10,
+    "regroup": Suite({"regroup": (_regroup_draw, _regroup_check)}, "max_residual", 1e-10,
+                     _PAIRS, exact=True),
+    "sectional": Suite({"sectional": (_sectional_draw, _sectional_check)}, "min_gap", -1e-10,
+                       _PAIRS, {"m2_display_min": (None, min, -1e-15),
+                                "c3_empirical_min_ratio": (None, min, None)}),
+    "ricci": Suite({"ricci": (_ricci_draw, _ricci_check)}, "min_gap", -1e-10,
                    [(n, m) for n in range(2, 6) for m in range(2, n + 1)],
                    {"bound_min": (None, min, -1e-12)}),
 }
@@ -852,27 +888,30 @@ def run_config(name, n, m, samples, seed, tol=None):
         **{field: copy.copy(start) for field, (start, _, _) in spec.extras.items()},
     }
     finite_extras = True
-    for tag, body in spec.streams.items():
+    for tag, (draw, check) in spec.streams.items():
         for chunk, size in _chunks(samples):
-            values, replay, extras = body(_rng(seed, tag, n, m, chunk), size, n, m)
-            values = np.asarray(values, dtype=float)
-            finite = values[np.isfinite(values)]
-            if finite.size:
-                worst = float(pick(finite))
-                if res["worst"] is None or not within(worst, res["worst"]):
-                    res["worst"] = worst
-            bad = ~within(values, tol)
-            if bad.any():
-                res["violations"] += int(bad.sum())
-                if res["failing_sample"] is None:
-                    b = int(np.argmax(bad))
-                    res["failing_sample"] = {k: v[b].tolist() for k, v in replay.items()}
-            for field, value in extras.items():
-                if value is not None and not np.isfinite(value):
-                    finite_extras = False
-                elif value is not None:
-                    fold = spec.extras[field][1]
-                    res[field] = value if res[field] is None else fold(res[field], value)
+            sample = draw(_rng(seed, tag, n, m, chunk), size, n, m)
+            for start in range(0, size, BLOCK):
+                block = {k: v[start:start + BLOCK] for k, v in sample.items()}
+                values, extras = check(block, n, m)
+                values = np.asarray(values, dtype=float)
+                finite = values[np.isfinite(values)]
+                if finite.size:
+                    worst = float(pick(finite))
+                    if res["worst"] is None or not within(worst, res["worst"]):
+                        res["worst"] = worst
+                bad = ~within(values, tol)
+                if bad.any():
+                    res["violations"] += int(bad.sum())
+                    if res["failing_sample"] is None:
+                        b = int(np.argmax(bad))
+                        res["failing_sample"] = {k: v[b].tolist() for k, v in block.items()}
+                for field, value in extras.items():
+                    if value is not None and not np.isfinite(value):
+                        finite_extras = False
+                    elif value is not None:
+                        fold = spec.extras[field][1]
+                        res[field] = value if res[field] is None else fold(res[field], value)
     res["passed"] = finite_extras and res["violations"] == 0 and all(
         limit is None or (res[field] >= limit if fold is min else res[field] <= limit)
         for field, (_, fold, limit) in spec.extras.items())

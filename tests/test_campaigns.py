@@ -2,6 +2,8 @@ import ast
 import copy
 import inspect
 import itertools
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +90,102 @@ def test_violation_reports_replay_payload():
     assert conf["violations"] > 0
     assert conf["failing_sample"] is not None
     assert "lambda" in conf["failing_sample"] and "h" in conf["failing_sample"]
+
+
+def _fold_extras(spec, parts):
+    """The extras of consecutive slices, folded the way run_config folds them."""
+    out = {}
+    for extras in parts:
+        for field, value in extras.items():
+            if out.get(field) is None:
+                out[field] = value
+            elif value is not None:
+                out[field] = spec.extras[field][1](out[field], value)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(cp.SPECS))
+def test_checks_work_row_by_row(name):
+    """Each check on 200 drawn rows equals the same check run on 7-row and on
+    64-row slices, concatenated, and its extras equal the slices' folded."""
+    spec = cp.SPECS[name]
+    for (n, m), (tag, (draw, check)) in itertools.product(spec.configs,
+                                                          spec.streams.items()):
+        sample = draw(cp._rng(13, tag, n, m, 0), 200, n, m)
+        values, extras = check(sample, n, m)
+        for rows in (7, 64):
+            parts = [check({k: v[lo:lo + rows] for k, v in sample.items()}, n, m)
+                     for lo in range(0, 200, rows)]
+            assert np.array_equal(np.concatenate([p[0] for p in parts]), values), \
+                (tag, n, m, rows)
+            assert _fold_extras(spec, [p[1] for p in parts]) == extras, (tag, n, m, rows)
+
+
+def _worst_of_first_block(name, n, m, seed):
+    """A tolerance that the first block of chunk 0 meets, so that violations
+    start in a later block."""
+    spec = cp.SPECS[name]
+    tag, (draw, check) = next(iter(spec.streams.items()))
+    sample = draw(cp._rng(seed, tag, n, m, 0), cp.CHUNK, n, m)
+    values, _ = check({k: v[:cp.BLOCK] for k, v in sample.items()}, n, m)
+    return float(values.min() if spec.kind == "min_gap" else values.max())
+
+
+@pytest.mark.parametrize("name,n,m", [("pair_claim", 2, 2), ("triple_weight", 3, 3)])
+def test_blocks_fold_to_the_report_of_one_block_per_chunk(monkeypatch, name, n, m):
+    """Two chunks with violations that start after the first block: the
+    report has the bytes of a run that checks each chunk in one call."""
+    tol = _worst_of_first_block(name, n, m, 5)
+    report = cp.run_config(name, n, m, cp.CHUNK + 1500, 5, tol=tol)
+    assert report["violations"] > 0 and report["failing_sample"] is not None
+    monkeypatch.setattr(cp, "BLOCK", cp.CHUNK)
+    whole = cp.run_config(name, n, m, cp.CHUNK + 1500, 5, tol=tol)
+    assert json.dumps(report) == json.dumps(whole)
+
+
+@pytest.mark.parametrize("name", sorted(cp.SPECS))
+def test_failing_sample_replays_exactly(name):
+    """The failing_sample of each configuration of the README loop's forced
+    violation, checked as a one-row sample, gives the bits that its row had
+    in its chunk."""
+    spec = cp.SPECS[name]
+    tol = 1e6 if spec.kind == "min_gap" else -1e6
+    replayed = 0
+    for conf in cp.run_suite(name, samples=1500, seed=3, tol=tol)["configs"]:
+        n, m, payload = conf["n"], conf["m"], conf["failing_sample"]
+        if payload is None:
+            continue
+        for tag, (draw, check) in spec.streams.items():
+            sample = draw(cp._rng(3, tag, n, m, 0), 1500, n, m)
+            values = check(sample, n, m)[0].astype(float)
+            bad = values < tol if spec.kind == "min_gap" else values > tol
+            if bad.any():
+                break
+        b = int(np.argmax(bad))
+        assert payload == {k: v[b].tolist() for k, v in sample.items()}
+        one_row = check({k: np.array([v]) for k, v in payload.items()}, n, m)[0]
+        assert one_row.astype(float).tobytes() == values[b:b + 1].tobytes(), (n, m)
+        replayed += 1
+    assert replayed > 0
+
+
+def _traced_peak(name, n, m):
+    tracemalloc.start()
+    try:
+        cp.run_config(name, n, m, cp.CHUNK, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name,n,m", [("oracle", 8, 8), ("regroup", 6, 6)])
+def test_blocks_bound_the_memory_of_a_check(monkeypatch, name, n, m):
+    """Checking a full chunk in blocks at most halves the traced peak of
+    checking it in one call (measured: oracle 99 -> 16 MiB, regroup
+    67 -> 24 MiB of resident memory above the interpreter)."""
+    blocked = _traced_peak(name, n, m)
+    monkeypatch.setattr(cp, "BLOCK", cp.CHUNK)
+    assert blocked <= _traced_peak(name, n, m) / 2
 
 
 def _bisection_phi_level(d, level, cap):
@@ -285,13 +383,14 @@ LOG_DET_GRADIENT_ULPS = 8
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3), (4, 2)])
 def test_float64_sectional_and_gradient_match_exact_route(n, m):
-    """The sectional chunk's gaps and log_det_gradient_sq against
+    """The sectional check's gaps and log_det_gradient_sq against
     verifier.sectional_lower_bound_gap and verifier.log_det_gradient on the
     same float inputs as exact Fractions.  The first rows are the boundary
     stratum and the tight family sec1 = 1, sec2 = tau."""
     count = 40
-    gaps, replay, _ = cp._sectional_chunk(cp._rng(11, "sectional", n, m, 0), count, n, m)
-    lam, tau, sec1, sec2 = (replay[k] for k in ("lambda", "tau", "sec1", "sec2"))
+    sample = cp._sectional_draw(cp._rng(11, "sectional", n, m, 0), count, n, m)
+    gaps, _ = cp._sectional_check(sample, n, m)
+    lam, tau, sec1, sec2 = (sample[k] for k in ("lambda", "tau", "sec1", "sec2"))
     rng = cp._rng(11, "gradient_bound", n, m, 0)
     glam = cp.sample_spectra(rng, count, n, m)
     h = cp.sample_h(rng, count, n, m)
@@ -321,9 +420,8 @@ FLOAT64_SUITES = ("oracle", "pinch", "gradient_bound", "sectional")
 
 
 def test_float64_kernels_do_not_read_longdouble(monkeypatch):
-    """master_gaps, pair_claim_gaps and the chunk bodies of the oracle,
-    pinch, gradient_bound and sectional suites compute in float64 whatever
-    LD is."""
+    """master_gaps, pair_claim_gaps and the checks of the oracle, pinch,
+    gradient_bound and sectional suites compute in float64 whatever LD is."""
     def evaluate(n, m):
         rng = np.random.default_rng(9)
         lam = cp.sample_spectra(rng, 256, n, m)
@@ -331,8 +429,8 @@ def test_float64_kernels_do_not_read_longdouble(monkeypatch):
         values = [cp.master_gaps(lam, h), cp.pair_claim_gaps(lam, h)]
         extras = []
         for suite in FLOAT64_SUITES:
-            for tag, body in cp.SPECS[suite].streams.items():
-                checked, _, extra = body(cp._rng(9, tag, n, m, 0), 256, n, m)
+            for tag, (draw, check) in cp.SPECS[suite].streams.items():
+                checked, extra = check(draw(cp._rng(9, tag, n, m, 0), 256, n, m), n, m)
                 values.append(checked)
                 extras.append(extra)
         return values, extras
@@ -348,14 +446,14 @@ def test_float64_kernels_do_not_read_longdouble(monkeypatch):
 
 
 def test_longdouble_is_read_by_four_checks_only():
-    """Only the key identity and the regroup, triple_weight and ricci chunk
-    bodies cast to LD; every other function follows its inputs' dtype."""
+    """Only the key identity and the regroup, triple_weight and ricci checks
+    cast to LD; every other function follows its inputs' dtype."""
     tree = ast.parse(inspect.getsource(cp))
     readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                and any(isinstance(node, ast.Name) and node.id == "LD"
                        for node in ast.walk(fn))}
-    assert readers == {"key_identity_residuals", "_regroup_chunk", "_triple_weight_chunk",
-                       "_ricci_chunk"}
+    assert readers == {"key_identity_residuals", "_regroup_check", "_triple_weight_check",
+                       "_ricci_check"}
 
 
 def _pair_loop_reference(lam, h):

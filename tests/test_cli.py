@@ -285,6 +285,63 @@ def test_readme_verify_exact_loop_is_pinned(capsys):
     assert changed == []
 
 
+# sha256 of the rest of the README verify loop: each suite's forced
+# violations in both directions, whose reports carry `failing_sample`, and
+# the two multi-chunk runs.
+README_VERIFY_DIGESTS = {
+    "oracle --samples 1500 --seed 3 --tol 1e6":
+        "b40c608bd546a35430c7646a714a1597a2c60550f08e19ac952aa381073ff69b",
+    "oracle --samples 1500 --seed 3 --tol=-1e6":
+        "abcc2c063c86b784b229afa12a8362e2a705e7f4f7d8a39e33b3c1f1e4d3ea09",
+    "master --samples 1500 --seed 3 --tol 1e6":
+        "9806df672384b568d158a4b454e796db8ea394cd3588f085c3483f0edf8b3496",
+    "master --samples 1500 --seed 3 --tol=-1e6":
+        "452e878620a1b2adf71756190bdc307439db069924023cc82bddf8202123350f",
+    "pair_claim --samples 1500 --seed 3 --tol 1e6":
+        "46387e9ec81d571a4fd385d10d155b8e1543a81bf89bd8acea9e76291c825f08",
+    "pair_claim --samples 1500 --seed 3 --tol=-1e6":
+        "616647525a7bc52989448c88f2c42a15ac121b820df1278d7fef02481cbf30be",
+    "pinch --samples 1500 --seed 3 --tol 1e6":
+        "2909ead763d9cc7d0ce450106a451f8dd979c818a921c420d38d3e21602b4d0e",
+    "pinch --samples 1500 --seed 3 --tol=-1e6":
+        "cc7bd950f2c8c6bc1423e6b12bfa5884ad43b382a4dd48c8a839981aa40c9865",
+    "gradient_bound --samples 1500 --seed 3 --tol 1e6":
+        "b4df463607d2a5dfcfe75861e1cc289689297c35109d0ec494ea1f2b9bd3ab7a",
+    "gradient_bound --samples 1500 --seed 3 --tol=-1e6":
+        "924e847eb136bf347cbd838cbc4c5cb27597474b53b300464cc44349f2efd093",
+    "triple_weight --samples 1500 --seed 3 --tol 1e6":
+        "b5069be2560fae8d03a988aa31bbf39fd6e32efa7ddf9c9f88f0d53839779272",
+    "triple_weight --samples 1500 --seed 3 --tol=-1e6":
+        "2d7605769bb8637449181e5109e718a3a3e74041394fa8394383d8003770e66c",
+    "regroup --samples 1500 --seed 3 --tol 1e6":
+        "ce5a6688573a93ccc641a861b9eda8d6b97f52c684c479d889b0a0f846f8f399",
+    "regroup --samples 1500 --seed 3 --tol=-1e6":
+        "f4d665e3872e4b76179195044d26880030f1fdaf69639b722eee903ab59d0f36",
+    "sectional --samples 1500 --seed 3 --tol 1e6":
+        "4c6a0954b58549776caef6cd7bfdf95dd837a9ecd95e8111bd01fc5fcdaa1c68",
+    "sectional --samples 1500 --seed 3 --tol=-1e6":
+        "a4bb322156f4ba512f7c2510e26039dc6288f7b02634e738face6957e72a24ab",
+    "ricci --samples 1500 --seed 3 --tol 1e6":
+        "a3be85cbcc491884e5d80b0387944460b86a6d04fb2e8c4e55c908a6a8abcbb7",
+    "ricci --samples 1500 --seed 3 --tol=-1e6":
+        "6c3dc0780f30f96363f7335ab1411a55fe613274f18d01a58d49d3e5a43f642f",
+    "pinch --n 4 --samples 20000 --seed 3 --tol=-1":
+        "e7be5544a42176ebd4e070c5021779fb14dc2de1c4e3592c4cf5dc0e13ff2dbc",
+    "master --n 4 --m 3 --samples 20000 --seed 5":
+        "fe81a453c8cf5f1fa7c715911752833ba8da9b9538f6f9838ba5652a5ff1d604",
+}
+
+
+def test_readme_verify_violation_and_multi_chunk_loop_is_pinned(capsys):
+    changed = []
+    for argv, digest in README_VERIFY_DIGESTS.items():
+        _, out = run_cli(capsys, "verify", *argv.split())
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(argv)
+    assert len(README_VERIFY_DIGESTS) == 2 * len(campaigns.SUITES) + 2
+    assert changed == []
+
+
 def test_verify_subcommand_report_and_violation(capsys, tmp_path):
     rc, out = run_cli(capsys, "verify", "triple_weight", "--samples", "3000",
                       "--out", str(tmp_path))

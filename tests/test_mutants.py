@@ -79,7 +79,8 @@ def _no_offdiag_energy(offdiag_gradient_energy):
 
 
 def _nan_at_row_3(kernel):
-    """Row 3 of every chunk turns NaN, as a 0/0 inside the kernel would."""
+    """Row 3 of every kernel call (one per checked block) turns NaN, as a 0/0
+    inside the kernel would."""
     def faulty(*args):
         out = np.array(kernel(*args))
         out[3] = np.nan
@@ -170,9 +171,9 @@ def test_nan_fault_prints_strict_json(monkeypatch, capsys, fault, suite, n, m):
     assert rc == 1 and not report["passed"]
     (config,) = report["configs"]
     assert math.isfinite(config["worst"])
-    # a NaN gap is a violation: one per chunk; a NaN extra leaves its field finite
+    # a NaN gap is a violation: one per block; a NaN extra leaves its field finite
     if fault == "master_gap_nan":
-        assert config["violations"] == 1
+        assert config["violations"] == -(-SAMPLES // cp.BLOCK)
     else:
         assert config["violations"] == 0 and math.isfinite(config["key_identity_max"])
 
