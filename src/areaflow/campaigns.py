@@ -793,15 +793,17 @@ def _ricci_draw(rng, size, n, m):
     lam = sample_spectra(rng, size, n, m)
     sigma = rng.uniform(0.05, 2.0, size)
     # rejection to rows with Ric1 >= (n-1) sigma
-    sec1 = _sym_zero_diag(rng.uniform(-sigma[:, None, None] * 0.999,
-                                      3 * sigma[:, None, None] + 2.0, (size, n, n)))
+    lo, hi = -sigma[:, None, None] * 0.999, 3 * sigma[:, None, None] + 2.0
+    sec1 = _sym_zero_diag(rng.uniform(lo, hi, (size, n, n)))
+    span = hi - lo
     for _round in range(400):
         redo = (sec1.sum(axis=2) < (n - 1) * sigma[:, None]).any(axis=1)
         if not redo.any():
             break
-        fresh = _sym_zero_diag(rng.uniform(-sigma[:, None, None] * 0.999,
-                                           3 * sigma[:, None, None] + 2.0, (size, n, n)))
-        sec1[redo] = fresh[redo]
+        # each round draws size * n * n doubles, as uniform(lo, hi) did (it
+        # forms lo + (hi - lo) * u), and maps only the redo rows
+        u = rng.random((size, n, n))
+        sec1[redo] = _sym_zero_diag(lo[redo] + span[redo] * u[redo])
     else:
         raise HypothesisError("ricci: rows with Ric1 < (n-1) sigma remain "
                               "after 400 redraws")

@@ -4,6 +4,13 @@
 
 with periodic centered differences on the lift f = winding @ x + u.
 Constant and linear (pure winding) maps are fixed points.
+
+Grid stencils (the step, `first_derivatives`, `second_derivatives`) read
+neighbours and run on the whole grid.  The per-node algebra of the cadence
+|A|^2 (`second_fundamental_sq`) and of criterion 11's QR frames runs over
+the flattened node axis in slices of `NODE_BLOCK` nodes (`node_blocks`),
+so no (P, ...) stack of the whole grid is held; every such operation is
+per node, so the values are those of one whole-grid evaluation.
 """
 
 from __future__ import annotations
@@ -13,6 +20,18 @@ import numpy as np
 from ..errors import ConfigurationError, DivergenceError
 from ..svcore import pair_flags, phi_batch
 from .state import CFL_MAX, MonitorRecord, TorusState
+
+# nodes per slice of the per-node algebra: 1024, 2048 and 4096 give the same
+# peak RSS on the torus_refine work; 4096 raises the cadence monitor's traced
+# peak at 128^2 (2.10 against 1.64 MiB)
+NODE_BLOCK = 2048
+
+
+def node_blocks(count: int):
+    """Consecutive slices of NODE_BLOCK nodes (the last may be shorter)
+    covering a flattened node axis of the given length."""
+    for start in range(0, count, NODE_BLOCK):
+        yield slice(start, min(start + NODE_BLOCK, count))
 
 
 def _padded(u: np.ndarray, n: int) -> np.ndarray:
@@ -227,8 +246,10 @@ def graph_frames(df: np.ndarray, d2: np.ndarray):
     (normal-normal) and S_X (normal-tangent) of the ambient split tensor
     diag(I_n, -I_m) in orthonormal tangent and normal frames (QR of the
     coordinate tangents and of the projected coordinate normals), and the
-    frame components h[alpha, a, b] of the second fundamental form.  Serves
-    `consistency` and is the QR-frame oracle for `second_fundamental_sq`.
+    frame components h[alpha, a, b] of the second fundamental form, as
+    (P, ...) stacks over the P nodes of any trailing node shape.  Serves
+    `consistency`, which calls it on node blocks, and is the QR-frame oracle
+    for `second_fundamental_sq`.
     """
     m, n = df.shape[:2]
     P = int(np.prod(df.shape[2:]))
@@ -259,13 +280,24 @@ def graph_frames(df: np.ndarray, d2: np.ndarray):
 
 
 def second_fundamental_sq(df: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """|A|^2 per node, in closed form for a graph.
+    """|A|^2 per node, in closed form for a graph, evaluated in node blocks.
 
     The coordinate normals nu_a = (-d f^a, e_a) have Gram matrix
     I_m + df df^T and <(0, v), nu_a> = v_a, so the normal part of
     (0, f_ij) pairs as <f_ij, (I_m + df df^T)^{-1} f_kl> and
     |A|^2 = g^{ik} g^{jl} <f_ij, (I_m + df df^T)^{-1} f_kl>.
     """
+    m, n = df.shape[:2]
+    df_p, d2_p = df.reshape(m, n, -1), d2.reshape(m, n, n, -1)
+    a2 = np.empty(df_p.shape[-1])
+    for nodes in node_blocks(a2.size):
+        a2[nodes] = _a2_closed_form(df_p[..., nodes], d2_p[..., nodes])
+    return a2.reshape(df.shape[2:])
+
+
+def _a2_closed_form(df: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """The closed form of `second_fundamental_sq` on (m, n, nodes) and
+    (m, n, n, nodes) fields."""
     _, ginv = induced_metric(df)
     nm = np.einsum("ai...,bi...->ab...", df, df)
     for a in range(df.shape[0]):

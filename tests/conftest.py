@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis
 import pytest
 
@@ -15,3 +17,16 @@ def _fresh_exact_blocks():
     campaigns._exact_block.cache_clear()
     yield
     campaigns._exact_block.cache_clear()
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args): the tracemalloc peak, in bytes, of one call fn(*args)."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -3,7 +3,6 @@ import copy
 import inspect
 import itertools
 import json
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -169,23 +168,50 @@ def test_failing_sample_replays_exactly(name):
     assert replayed > 0
 
 
-def _traced_peak(name, n, m):
-    tracemalloc.start()
-    try:
-        cp.run_config(name, n, m, cp.CHUNK, 1)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("name,n,m", [("oracle", 8, 8), ("regroup", 6, 6)])
-def test_blocks_bound_the_memory_of_a_check(monkeypatch, name, n, m):
+def test_blocks_bound_the_memory_of_a_check(monkeypatch, traced_peak, name, n, m):
     """Checking a full chunk in blocks at most halves the traced peak of
     checking it in one call (measured: oracle 99 -> 16 MiB, regroup
     67 -> 24 MiB of resident memory above the interpreter)."""
-    blocked = _traced_peak(name, n, m)
+    args = (cp.run_config, name, n, m, cp.CHUNK, 1)
+    blocked = traced_peak(*args)
     monkeypatch.setattr(cp, "BLOCK", cp.CHUNK)
-    assert blocked <= _traced_peak(name, n, m) / 2
+    assert blocked <= traced_peak(*args) / 2
+
+
+def _ricci_draw_full_rounds(rng, size, n, m):
+    """The ricci draw that mapped every row of each rejection round through
+    uniform(lo, hi) and kept only the redo rows."""
+    lam = cp.sample_spectra(rng, size, n, m)
+    sigma = rng.uniform(0.05, 2.0, size)
+    sec1 = cp._sym_zero_diag(rng.uniform(-sigma[:, None, None] * 0.999,
+                                         3 * sigma[:, None, None] + 2.0, (size, n, n)))
+    for _round in range(400):
+        redo = (sec1.sum(axis=2) < (n - 1) * sigma[:, None]).any(axis=1)
+        if not redo.any():
+            break
+        fresh = cp._sym_zero_diag(rng.uniform(-sigma[:, None, None] * 0.999,
+                                              3 * sigma[:, None, None] + 2.0, (size, n, n)))
+        sec1[redo] = fresh[redo]
+    block = rng.uniform(sigma[:, None, None] - 3.0, sigma[:, None, None],
+                        (size, min(n, m), min(n, m)))
+    tight = slice(0, size // 8)
+    block[tight] = sigma[tight, None, None]
+    block = cp._sym_zero_diag(block)
+    return {"lambda": lam, "sigma": sigma, "sec1": sec1, "sec2": cp.pad_sec2(block, n)}
+
+
+@pytest.mark.parametrize("size", [cp.CHUNK, 1696])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ricci_draw_maps_only_redo_rows_to_the_same_draw(seed, size):
+    """Mapping only the redo rows of each round takes the same stream and
+    gives the same sample, bit for bit, as mapping every row."""
+    for n, m in cp.SPECS["ricci"].configs:
+        new = cp._ricci_draw(cp._rng(seed, "ricci", n, m, 0), size, n, m)
+        old = _ricci_draw_full_rounds(cp._rng(seed, "ricci", n, m, 0), size, n, m)
+        assert new.keys() == old.keys()
+        for key in old:
+            assert np.array_equal(new[key], old[key]), (n, m, key)
 
 
 def _bisection_phi_level(d, level, cap):

@@ -421,6 +421,32 @@ def test_flow_subcommand_outputs_and_determinism(capsys, tmp_path):
     assert set(manifest["outputs"]) == {"timeseries.csv", "verdict.json"}
 
 
+# A short 128^2 torus run whose monitor is read every 5 steps (6 records),
+# pinned by the sha256 of its two deterministic outputs.
+SHORT_128_SCENARIO = """
+backend = torus
+resolution = 128
+initial = sine
+amplitude = 0.5
+t_max = 0.005
+cadence = 5
+"""
+SHORT_128_DIGESTS = {
+    "timeseries.csv": "955458fc817a92aaedf005c306e6d307014a38fe0e2d150004c5a8b620e463e5",
+    "verdict.json": "493137fe3734b79c4b6f5d81ba6027c4ec3ac53b640ac29a46b421fefb98eafb",
+}
+
+
+def test_short_128_torus_flow_outputs_are_pinned(capsys, tmp_path):
+    scenario = tmp_path / "short_128.cfg"
+    scenario.write_text(SHORT_128_SCENARIO)
+    rc, _ = run_cli(capsys, "flow", str(scenario), "--out", str(tmp_path / "o"))
+    assert rc == 1   # stopped at t_max: outcome "timeout"
+    digests = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+               for name in SHORT_128_DIGESTS}
+    assert digests == SHORT_128_DIGESTS
+
+
 def test_flow_timings_go_to_manifest_only(capsys, tmp_path):
     scenario = tmp_path / "tiny.cfg"
     scenario.write_text(TINY_SCENARIO)

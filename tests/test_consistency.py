@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,14 @@ def test_convergence_orders_reach_two():
     r64 = study["residuals"][64]
     for key in r16:
         assert r64[key] < r16[key] / 8.0
+
+
+def test_convergence_study_is_pinned():
+    """sha256 of repr(convergence_study((32, 64, 128), 0.25, 0.05)): every
+    residual and order to the last bit."""
+    study = convergence_study((32, 64, 128), 0.25, 0.05)
+    assert hashlib.sha256(repr(study).encode()).hexdigest() == \
+        "dc91cc021a5f792e4f7867e9b58f083d73b1450fc038e8a00689e9629d9e007b"
 
 
 def test_residuals_positive_on_curved_data():
@@ -125,3 +135,15 @@ def test_residuals_derive_one_metric_per_state(monkeypatch):
     state = initial_state(config)
     consistency_residuals(state, torus.max_step(state, 0.2))
     assert len(calls) == 3
+
+
+def test_blocked_residuals_bound_their_memory(monkeypatch, traced_peak):
+    """At 128^2 the residuals in node blocks peak at most 0.6 times as high
+    as in one block (measured: 7.26 against 13.63 MiB)."""
+    config = ScenarioConfig(backend="torus", resolution=128, initial="sine",
+                            amplitude=0.25)
+    state = initial_state(config)
+    dt = torus.max_step(state, 0.2)
+    blocked = traced_peak(consistency_residuals, state, dt)
+    monkeypatch.setattr(torus, "NODE_BLOCK", 128**2)
+    assert blocked <= 0.6 * traced_peak(consistency_residuals, state, dt)

@@ -8,7 +8,7 @@ from areaflow import svcore
 from areaflow.errors import ConfigurationError, DivergenceError
 from areaflow.flowsim import (ScenarioConfig, initial_state, run, step_torus,
                               torus_monitors)
-from areaflow.flowsim import torus
+from areaflow.flowsim import consistency, torus
 from areaflow.flowsim.runner import records_to_csv
 from areaflow.flowsim.state import TorusState
 
@@ -272,6 +272,48 @@ def test_closed_form_a2_matches_qr_frames(n, m, winding_scale):
     closed = torus.second_fundamental_sq(state.df, d2).reshape(-1)
     assert oracle.min() > 0
     assert np.all(np.abs(closed - oracle) <= 1e-13 * oracle)
+
+
+# (n, m, resolution, NODE_BLOCK): 48^2 = 2304 nodes end on a partial block at
+# the module's block size; the general shapes are cut into 100-node blocks
+BLOCKED_GRIDS = [(2, 2, 48, None), (3, 2, 8, 100), (2, 3, 12, 100), (3, 3, 8, 100)]
+
+
+@pytest.mark.parametrize("n, m, resolution, block", BLOCKED_GRIDS)
+def test_blocked_per_node_algebra_equals_one_block(monkeypatch, n, m, resolution, block):
+    """|A|^2, the cadence record and criterion 11's QR-frame sides and
+    |grad S|^2 contraction get the bits of one whole-grid block."""
+    state = _rough_state(n, m, resolution, seed=5, winding_scale=0.7)
+    d2 = torus.second_derivatives(state)
+    g, ginv, shat = consistency._metric_fields(state.df)
+
+    def evaluate():
+        return {"a2": torus.second_fundamental_sq(state.df, d2),
+                "sides": consistency._algebraic_sides(state),
+                "grad_sq": consistency._measured_grad_sq(g, ginv, shat, state.h),
+                "record": repr(torus_monitors(state))}   # min_phi may be nan
+
+    if block is not None:
+        monkeypatch.setattr(torus, "NODE_BLOCK", block)
+    assert torus.NODE_BLOCK < resolution**n
+    blocked = evaluate()
+    monkeypatch.setattr(torus, "NODE_BLOCK", resolution**n)
+    whole = evaluate()
+    assert blocked["a2"].shape == state.u.shape[1:]
+    assert blocked["sides"].shape == (3, resolution**n)
+    assert blocked.pop("record") == whole.pop("record")
+    for key in whole:
+        assert np.array_equal(blocked[key], whole[key]), key
+
+
+def test_blocked_monitor_bounds_its_memory(monkeypatch, traced_peak):
+    """At 128^2 the cadence monitor in node blocks peaks at most half as
+    high as in one block (measured: 1.64 against 5.00 MiB)."""
+    _, state = make_state(resolution=128)
+    state.df   # cached before tracing: the state's memory, not the monitor's
+    blocked = traced_peak(torus_monitors, state)
+    monkeypatch.setattr(torus, "NODE_BLOCK", 128**2)
+    assert blocked <= 0.5 * traced_peak(torus_monitors, state)
 
 
 @pytest.mark.parametrize("m", [2, 3])
