@@ -517,13 +517,12 @@ def _exact_block(n, m, count, seed):
         gap = verifier.master_inequality_gap(rest, H, curv)
         if stats["master_min"] is None or gap < stats["master_min"]:
             stats["master_min"] = gap
-        for i in range(n):
-            for j in range(i + 1, n):
-                cg = verifier.pair_claim_gap(rest, H, i, j)
-                if stats["claim_min"] is None or cg < stats["claim_min"]:
-                    stats["claim_min"] = cg
-                if cg < 0:
-                    stats["violations"] += 1
+        for i, j in pair_index(n):
+            cg = verifier.pair_claim_gap(rest, H, i, j)
+            if stats["claim_min"] is None or cg < stats["claim_min"]:
+                stats["claim_min"] = cg
+            if cg < 0:
+                stats["violations"] += 1
         if gap < 0:
             stats["violations"] += 1
         if verifier.ricci_regroup_residual(rest, curv) != 0:

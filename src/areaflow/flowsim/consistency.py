@@ -18,8 +18,9 @@ is subtracted to land on the normal-parametrization operator the formulas
 are stated in.  Ambient curvature vanishes on the flat torus.
 
 Differences (the time stencil, coordinate gradients, d g) run on the whole
-grid.  The per-node algebra (the QR frames and their contractions, the
-covariant contraction of |grad S|^2) runs in `torus.node_blocks`.
+grid, in space through the step's padded stencil (`_centered_diffs`).  The
+per-node algebra (the QR frames and their contractions, the covariant
+contraction of |grad S|^2) runs in `torus.node_blocks`.
 """
 
 from __future__ import annotations
@@ -30,8 +31,17 @@ from .state import ScenarioConfig, TorusState, initial_state
 from . import torus
 
 
-def _roll_diff(field, axis, h):
-    return (np.roll(field, -1, axis) - np.roll(field, 1, axis)) / (2.0 * h)
+def _centered_diffs(field, h):
+    """d[k] = (f(x + e_k) - f(x - e_k)) / 2h along each grid axis k of a
+    (components, ...grid) field f, through the step's padded stencil: the
+    slice form of (np.roll(f, -1, 1 + k) - np.roll(f, 1, 1 + k)) / 2h."""
+    n = field.ndim - 1
+    p = torus._padded(field, n)
+    d = np.empty((n,) + field.shape)
+    for k in range(n):
+        np.subtract(torus._shifted(p, {k: 1}), torus._shifted(p, {k: -1}), out=d[k])
+        d[k] /= 2.0 * h
+    return d
 
 
 def _metric_fields(df):
@@ -85,8 +95,7 @@ def _measured_grad_sq(g, ginv, shat, h):
     coordinate components; g is differenced once on the whole grid, for the
     Christoffel symbols and d Shat = -d g, and contracted in node blocks."""
     n = g.shape[0]
-    dg = np.stack([_roll_diff(g, 2 + k, h) for k in range(n)])  # dg[k, i, j]
-    dg = dg.reshape(n, n, n, -1)
+    dg = _centered_diffs(g.reshape((n * n,) + g.shape[2:]), h).reshape(n, n, n, -1)
     ginv, shat = ginv.reshape(n, n, -1), shat.reshape(n, n, -1)
     grad_sq = np.empty(dg.shape[-1])
     for nodes in torus.node_blocks(grad_sq.size):
@@ -134,11 +143,11 @@ def consistency_residuals(state: TorusState, dt: float):
     sq = np.sqrt(np.linalg.det(np.moveaxis(np.moveaxis(g, 0, -1), 0, -1)))
 
     def measured(u, du):
-        grad = np.stack([_roll_diff(u, k, h) for k in range(n)])
+        grad = _centered_diffs(u[None], h)[:, 0]
         adv = np.einsum("i...,i...->...", v, grad)
         # Laplace-Beltrami in divergence form, (1/sqrt g) d_i (sqrt g g^ij d_j u)
-        w = sq * np.einsum("ij...,j...->i...", ginv, grad)
-        lap = sum(_roll_diff(w[i], i, h) for i in range(n)) / sq
+        dw = _centered_diffs(sq * np.einsum("ij...,j...->i...", ginv, grad), h)
+        lap = sum(dw[i, i] for i in range(n)) / sq
         return du - adv - lap
 
     res_trace = np.abs(measured(u1c, du1).reshape(-1) - trace_rhs)

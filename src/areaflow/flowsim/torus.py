@@ -256,7 +256,7 @@ def graph_frames(df: np.ndarray, d2: np.ndarray):
     T = np.zeros((P, n + m, n))
     for i in range(n):
         T[:, i, i] = 1.0
-    T[:, n:, :] = df.reshape(m, n, -1).transpose(2, 0, 1)
+    T[:, n:, :] = _node_matrices(df)
     E, _ = np.linalg.qr(T)
     V = np.zeros((P, n + m, m))
     for a in range(m):

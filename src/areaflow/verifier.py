@@ -16,7 +16,7 @@ against each other in the test-suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,11 +27,25 @@ from .svcore import pair_flags, pair_index
 @dataclass(frozen=True)
 class SRestriction:
     """Diagonal values of the restricted tensor in the SVD frame:
-    S_ii = (1 - l_i^2)/(1 + l_i^2) and C_ii = 2 l_i/(1 + l_i^2)."""
+    S_ii = (1 - l_i^2)/(1 + l_i^2) and C_ii = 2 l_i/(1 + l_i^2).
+
+    The area-decreasing guard runs once, here, in the dtype of lam: _flagged
+    is the first pair (i, j, l_i l_j) that pair_flags((l_i l_j)^2) flags, or
+    None."""
 
     s: np.ndarray
     c: np.ndarray
     lam: np.ndarray
+    _flagged: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lam, flagged = self.lam, None
+        for i, j in pair_index(len(lam)):
+            prod = lam[i] * lam[j]
+            if pair_flags(prod * prod):
+                flagged = i, j, prod
+                break
+        object.__setattr__(self, "_flagged", flagged)
 
 
 @dataclass(frozen=True)
@@ -119,24 +133,16 @@ def restriction_from_lambdas(lams) -> SRestriction:
     """SRestriction over any scalar type (Fractions stay exact)."""
     s = [(1 - l * l) / (1 + l * l) for l in lams]
     c = [(2 * l) / (1 + l * l) for l in lams]
-    return SRestriction(s=np.array(s, dtype=object if _is_exact(lams) else float),
-                        c=np.array(c, dtype=object if _is_exact(lams) else float),
-                        lam=np.array(list(lams), dtype=object if _is_exact(lams) else float))
-
-
-def _is_exact(values):
-    return any(not isinstance(v, (int, float, np.floating)) for v in values)
+    dtype = object if any(not isinstance(v, (int, float, np.floating)) for v in lams) else float
+    return SRestriction(s=np.array(s, dtype=dtype), c=np.array(c, dtype=dtype),
+                        lam=np.array(list(lams), dtype=dtype))
 
 
 def _require_area_decreasing(rest: SRestriction):
-    lam = rest.lam
-    n = len(lam)
-    for i in range(n):
-        for j in range(i + 1, n):
-            prod = lam[i] * lam[j]
-            if pair_flags(prod * prod):
-                raise NotAreaDecreasingError(
-                    f"pair ({i},{j}) has product {float(prod):.17g}")
+    """Raise on the pair the restriction's guard flagged, if any."""
+    if rest._flagged is not None:
+        i, j, prod = rest._flagged
+        raise NotAreaDecreasingError(f"pair ({i},{j}) has product {float(prod):.17g}")
 
 
 def _hval(H: HCoefficients, a, k, i):
@@ -146,13 +152,7 @@ def _hval(H: HCoefficients, a, k, i):
 def _stilde(rest: SRestriction, m):
     """Diagonal restriction values along the m normal directions."""
     n = len(rest.lam)
-    out = []
-    for a in range(m):
-        if a < min(n, m):
-            out.append(rest.s[a])
-        else:
-            out.append(1 + 0 * rest.s[0])
-    return out
+    return [rest.s[a] if a < n else 1 + 0 * rest.s[0] for a in range(m)]
 
 
 def grad_restriction(rest: SRestriction, H: HCoefficients):
@@ -205,10 +205,10 @@ def evolution_rhs(rest: SRestriction, H: HCoefficients, curv: CurvatureSample):
     out = np.empty((n, n), dtype=H.h.dtype if H.h.dtype == object else float)
     for i in range(n):
         out[i, i] = diag[i]
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = sum((s[i] + s[j] + 2 * st[a])
-                                        * sum(H.h[a, k, i] * H.h[a, k, j] for k in range(n))
-                                        for a in range(m))
+    for i, j in pair_index(n):
+        out[i, j] = out[j, i] = sum((s[i] + s[j] + 2 * st[a])
+                                    * sum(H.h[a, k, i] * H.h[a, k, j] for k in range(n))
+                                    for a in range(m))
     return out
 
 
@@ -253,11 +253,10 @@ def gradient_square_term(rest: SRestriction, H: HCoefficients):
     n = len(rest.lam)
     s, c = rest.s, rest.c
     total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = sum((a * c[i] + b * c[j]) ** 2 + (a * c[j] + b * c[i]) ** 2
-                      for a, b in ((_hval(H, i, k, i), _hval(H, j, k, j)) for k in range(n)))
-            total = total + acc / (s[i] + s[j]) ** 2
+    for i, j in pair_index(n):
+        acc = sum((a * c[i] + b * c[j]) ** 2 + (a * c[j] + b * c[i]) ** 2
+                  for a, b in ((_hval(H, i, k, i), _hval(H, j, k, j)) for k in range(n)))
+        total = total + acc / (s[i] + s[j]) ** 2
     return total
 
 
@@ -274,9 +273,8 @@ def curvature_term(rest: SRestriction, curv: CurvatureSample):
     weighted = [c[i] ** 2 * sum(plus[k] * curv.sec1[i, k] - minus[k] * curv.sec2_at(i, k)
                                 for k in range(n) if k != i) for i in range(n)]
     total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total = total + (weighted[i] + weighted[j]) / (4 * (s[i] + s[j]))
+    for i, j in pair_index(n):
+        total = total + (weighted[i] + weighted[j]) / (4 * (s[i] + s[j]))
     return total
 
 
@@ -287,12 +285,11 @@ def curvature_term_from_ambient(rest: SRestriction, curv: CurvatureSample):
     n = len(rest.lam)
     s, c = rest.s, rest.c
     total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            inner = sum(ambient_curvature_entry(rest, curv, i, k) * c[i]
-                        + ambient_curvature_entry(rest, curv, j, k) * c[j]
-                        for k in range(n))
-            total = total - inner / (s[i] + s[j])
+    for i, j in pair_index(n):
+        inner = sum(ambient_curvature_entry(rest, curv, i, k) * c[i]
+                    + ambient_curvature_entry(rest, curv, j, k) * c[j]
+                    for k in range(n))
+        total = total - inner / (s[i] + s[j])
     return total
 
 
@@ -365,11 +362,10 @@ def log_det_gradient(rest: SRestriction, H: HCoefficients):
     out = []
     for k in range(n):
         acc = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                pref = (1 + lam[i] ** 2) * (1 + lam[j] ** 2) / (1 - lam[i] ** 2 * lam[j] ** 2)
-                acc = acc + pref * (_hval(H, i, k, i) * lam[i] / (1 + lam[i] ** 2)
-                                    + _hval(H, j, k, j) * lam[j] / (1 + lam[j] ** 2))
+        for i, j in pair_index(n):
+            pref = (1 + lam[i] ** 2) * (1 + lam[j] ** 2) / (1 - lam[i] ** 2 * lam[j] ** 2)
+            acc = acc + pref * (_hval(H, i, k, i) * lam[i] / (1 + lam[i] ** 2)
+                                + _hval(H, j, k, j) * lam[j] / (1 + lam[j] ** 2))
         out.append(-2 * acc)
     return np.array(out, dtype=object if rest.lam.dtype == object else float)
 
@@ -389,15 +385,12 @@ def gradient_bound_check(rest: SRestriction, H: HCoefficients, delta):
 
 
 def _phi_from_rest(rest: SRestriction):
+    _require_area_decreasing(rest)
     lam = [float(v) for v in rest.lam]
-    n = len(lam)
     total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pp = lam[i] ** 2 * lam[j] ** 2
-            if pair_flags(pp):
-                raise NotAreaDecreasingError(f"pair ({i},{j}) product^2 = {pp}")
-            total += math.log1p(-pp) - math.log1p(lam[i] ** 2) - math.log1p(lam[j] ** 2)
+    for i, j in pair_index(len(lam)):
+        pp = lam[i] ** 2 * lam[j] ** 2
+        total += math.log1p(-pp) - math.log1p(lam[i] ** 2) - math.log1p(lam[j] ** 2)
     return total
 
 
@@ -442,16 +435,14 @@ def _regrouped_sum(rest: SRestriction, X, W):
     lam, s, c = rest.lam, rest.s, rest.c
     x = [c[i] ** 2 * X(i) for i in range(n)]
     total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total = total + (x[i] + x[j]) / (4 * (s[i] + s[j]))
-            total = total + _pair_weight(lam[i], lam[j]) * W(i, j)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = total + triple_weight(lam[i], lam[j], lam[k]) * W(i, j)
-                total = total + triple_weight(lam[j], lam[k], lam[i]) * W(j, k)
-                total = total + triple_weight(lam[i], lam[k], lam[j]) * W(i, k)
+    for i, j in pair_index(n):
+        total = total + (x[i] + x[j]) / (4 * (s[i] + s[j]))
+        total = total + _pair_weight(lam[i], lam[j]) * W(i, j)
+    for i, j in pair_index(n):
+        for k in range(j + 1, n):
+            total = total + triple_weight(lam[i], lam[j], lam[k]) * W(i, j)
+            total = total + triple_weight(lam[j], lam[k], lam[i]) * W(j, k)
+            total = total + triple_weight(lam[i], lam[k], lam[j]) * W(i, k)
     return total
 
 
@@ -504,8 +495,7 @@ def sectional_lower_bound_gap(rest: SRestriction, curv: CurvatureSample, tau):
             if i != k and curv.sec2[i, k] > tau:
                 raise HypothesisError("sec2 must be <= tau entrywise")
     s, c = rest.s, rest.c
-    coeff = sum((c[i] ** 2 + c[j] ** 2) / (4 * (s[i] + s[j]))
-                for i in range(n) for j in range(i + 1, n))
+    coeff = sum((c[i] ** 2 + c[j] ** 2) / (4 * (s[i] + s[j])) for i, j in pair_index(n))
     bound = coeff * ((2 * n - m - 1) - (m - 1) * tau)
     return curvature_term(rest, curv) - bound
 

@@ -227,6 +227,63 @@ def test_one_guard_flags_the_same_pair_products(pair, flagged):
             verifier._require_area_decreasing(rest)
     else:
         verifier._require_area_decreasing(rest)
+    assert set(_guard_decisions(1.0, pair).values()) == {flagged}
+
+
+def _guard_decisions(l1, l2):
+    """Whether each guarded route flags the spectrum (l1, l2), l1 >= l2."""
+    rest = verifier.restriction_from_lambdas([l1, l2])
+    H = verifier.HCoefficients(np.zeros((2, 2, 2)))
+
+    def rejects(route, *args):
+        try:
+            route(rest, *args)
+        except NotAreaDecreasingError:
+            return True
+        return False
+
+    closed = np.zeros((2, 2, 1, 1))     # (2, 2) closed form
+    by_svd = np.zeros((3, 3, 1, 1))     # SVD path, spectrum (l1, l2, 0)
+    for df in (closed, by_svd):
+        df[0, 0], df[1, 1] = l1, l2
+    return {"_require_area_decreasing": rejects(verifier._require_area_decreasing),
+            "_phi_from_rest": rejects(verifier._phi_from_rest),
+            "gradient_bound_check": rejects(verifier.gradient_bound_check, H, 100.0),
+            "log_det_gradient": rejects(verifier.log_det_gradient, H),
+            "torus_closed_form": torus.pointwise_phi_stats(closed)[3],
+            "torus_svd": torus.pointwise_phi_stats(by_svd)[3],
+            "equivariant": equivariant.pointwise_phi_stats(np.array([l1]), np.array([l2]))[3]}
+
+
+@pytest.mark.parametrize("l1, l2, flagged", [(1.238486049109887, 0.8074374359878381, False),
+                                             (1.2683653259749783, 0.7884163809281889, True)],
+                         ids=["pair_sq_below", "pair_sq_at_limit"])
+def test_one_guard_flags_the_same_spectra(l1, l2, flagged):
+    """Spectra not of the form (1, x), where squaring the pair product,
+    (l1 l2)^2, and squaring each value first, l1^2 l2^2, round to different
+    sides of the guard: every guarded route decides by (l1 l2)^2."""
+    assert svcore.pair_flags((l1 * l2) ** 2) == flagged
+    assert svcore.pair_flags(l1**2 * l2**2) != flagged
+    decisions = _guard_decisions(l1, l2)
+    assert decisions == dict.fromkeys(decisions, flagged)
+
+
+def test_one_guard_flags_the_same_edge_sample():
+    """2,000 seeded spectra (l1, l2) with l1 l2 at the guard's root or one
+    ulp of l2 to either side: every route flags exactly the spectra that
+    pair_flags((l1 l2)^2) flags.  Squaring each value first decides some of
+    them differently, so the sample tells the two squarings apart."""
+    rng = np.random.default_rng(24)
+    l1 = rng.uniform(1.0, 2.0, 2000)
+    l2 = _EDGE / l1
+    step = rng.integers(-1, 2, l1.size)
+    l2 = np.where(step < 0, np.nextafter(l2, 0.0), np.where(step > 0, np.nextafter(l2, 2.0), l2))
+    flagged = svcore.pair_flags((l1 * l2) ** 2)
+    assert 0 < flagged.sum() < l1.size
+    assert np.any(flagged != svcore.pair_flags(l1**2 * l2**2))
+    disagree = [(a, b) for a, b, f in zip(l1.tolist(), l2.tolist(), flagged.tolist())
+                if set(_guard_decisions(a, b).values()) != {f}]
+    assert disagree == []
 
 
 _LIMIT = 1.0 - svcore.PAIR_PRODUCT_GUARD

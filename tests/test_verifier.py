@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from areaflow import campaigns, verifier as vf
 from areaflow.errors import HypothesisError, NotAreaDecreasingError
-from areaflow.svcore import pair_index, spectrum
+from areaflow.svcore import pair_flags, pair_index, spectrum
 
 RNG = np.random.default_rng(20240811)
 
@@ -103,6 +103,48 @@ def test_pair_claim_requires_area_decreasing():
     rest = vf.restriction_from_lambdas([1.2, 1.0])
     with pytest.raises(NotAreaDecreasingError):
         vf.pair_claim_gap(rest, zero_h(2, 2), 0, 1)
+
+
+# every statement that states the area-decreasing hypothesis, called with
+# zero h and zero curvature; its guard must fire before any other check
+GUARDED = {
+    "pair_claim_gap": lambda rest, H, curv: vf.pair_claim_gap(rest, H, 0, 1),
+    "gradient_square_term": lambda rest, H, curv: vf.gradient_square_term(rest, H),
+    "curvature_term": lambda rest, H, curv: vf.curvature_term(rest, curv),
+    "curvature_term_from_ambient":
+        lambda rest, H, curv: vf.curvature_term_from_ambient(rest, curv),
+    "master_inequality_gap": lambda rest, H, curv: vf.master_inequality_gap(rest, H, curv),
+    "log_det_gradient": lambda rest, H, curv: vf.log_det_gradient(rest, H),
+    "gradient_bound_check": lambda rest, H, curv: vf.gradient_bound_check(rest, H, 1.0),
+    "regrouped_curvature_term": lambda rest, H, curv: vf.regrouped_curvature_term(rest, curv),
+    "sectional_lower_bound_gap":
+        lambda rest, H, curv: vf.sectional_lower_bound_gap(rest, curv, 1.0),
+    "ricci_lower_bound_gap": lambda rest, H, curv: vf.ricci_lower_bound_gap(rest, curv, 1.0),
+}
+
+
+@pytest.mark.parametrize("lam", [[1.2, 1.0], [Fraction(6, 5), Fraction(1)]],
+                         ids=["float", "fraction"])
+@pytest.mark.parametrize("statement", sorted(GUARDED))
+def test_guarded_statement_requires_area_decreasing(statement, lam):
+    rest = vf.restriction_from_lambdas(lam)
+    with pytest.raises(NotAreaDecreasingError, match=r"pair \(0,1\) has product 1\.2"):
+        GUARDED[statement](rest, zero_h(2, 2), vf.zero_curvature(2, 2))
+
+
+@pytest.mark.parametrize("n, m, per_sample", [(2, 2, 1), (3, 3, 3)])
+def test_exact_block_evaluates_the_guard_once_per_sample(monkeypatch, n, m, per_sample):
+    """One pair_flags call per pair of each exact sample, however many
+    guarded statements the block evaluates on it."""
+    calls = []
+
+    def counted(pair_sq):
+        calls.append(pair_sq)
+        return pair_flags(pair_sq)
+
+    monkeypatch.setattr(vf, "pair_flags", counted)
+    campaigns._exact_block.__wrapped__(n, m, 81, 7)
+    assert len(calls) == 81 * per_sample
 
 
 @given(st.floats(0.0, 1.3), st.floats(0.0, 1.3))
