@@ -136,16 +136,6 @@ def _srest(lam):
     return (1 - lam * lam) / den, 2 * lam / den
 
 
-def _stilde(s, m):
-    """Restriction values along the m normal directions, shape (B, m): the
-    first min(n, m) columns of s, padded with 1 (lambda = 0) beyond n."""
-    count, n = s.shape
-    mp = min(n, m)
-    out = np.ones((count, m), dtype=s.dtype)
-    out[:, :mp] = s[:, :mp]
-    return out
-
-
 def phi_values(lam):
     return phi_batch(lam)
 
@@ -189,23 +179,31 @@ def _keep_minus_swap(s, D2):
     return -(s[:, i] - s[:, j]) * (D2[:, i] - D2[:, j])
 
 
+def _h_moments(s, h):
+    """(hsq, A, D2) of h (B, m, n, n) with m <= n: hsq = sum_k h_lki^2
+    (B, m, n); the h part A_i = S_ii sum_l hsq_li + sum_l hsq_li S_ll of
+    the evolution's right-side diagonal, which master doubles; and
+    D2_i = hsq_ii = sum_k h_iki^2 (B, n), zero for i >= m, in float64."""
+    m = h.shape[1]
+    hsq = np.einsum("blki,blki->bli", h, h)
+    A = s * hsq.sum(axis=1) + np.einsum("bli,bl->bi", hsq, s[:, :m])
+    D2 = np.zeros(s.shape)
+    D2[:, :m] = np.einsum("bii->bi", hsq[:, :, :m])
+    return hsq, A, D2
+
+
 def pair_claim_gaps(lam, h):
     """Per-pair grouping-claim slack, shape (B, n(n-1)/2), in float64: the
     claim's two gradient squares over S_ii + S_jj enter as their difference,
     ``_keep_minus_swap``."""
     count, n = lam.shape
-    m = h.shape[1]
     s, _ = _srest(lam)
-    hsq = np.einsum("blki,blki->bli", h, h)          # (B, m, n): sum_k h^2
-    A = s * hsq.sum(axis=1) + np.einsum("bli,bl->bi", hsq, _stilde(s, m))
+    hsq, A, D2 = _h_moments(s, h)
     hsq_pad = np.zeros((count, n, n))
-    hsq_pad[:, :min(n, m)] = hsq[:, :min(n, m)]      # (B, l<=n, i)
-    D2 = np.einsum("bii->bi", hsq_pad)               # sum_k h_iki^2
-    tail = hsq[:, n:, :].sum(axis=1)                 # zero unless m > n
+    hsq_pad[:, :h.shape[1]] = hsq                    # (B, l<=n, i)
     i, j = np.triu_indices(n, 1)
     sij = s[:, i] + s[:, j]
-    cross = hsq_pad[:, j, i] + hsq_pad[:, i, j] + D2[:, i] + D2[:, j] \
-        + tail[:, i] + tail[:, j]
+    cross = hsq_pad[:, j, i] + hsq_pad[:, i, j] + D2[:, i] + D2[:, j]
     return A[:, i] + A[:, j] - sij * cross + _keep_minus_swap(s, D2)
 
 
@@ -313,16 +311,12 @@ def master_gaps(lam, h):
     and the failing-sample payload stay the same.
     """
     n = lam.shape[1]
-    m = h.shape[1]
-    mp = min(n, m)
     s, _ = _srest(lam)
     iA, jA = np.triu_indices(n, 1)
-    hsq = np.einsum("blki,blki->bli", h, h)
-    D2 = np.zeros(lam.shape)
-    D2[:, :mp] = np.einsum("bii->bi", hsq[:, :mp, :mp])     # sum_k h_iki^2
-
-    # diagonal of the evolution right side, without its curvature part
-    rhs_diag = 2 * s * hsq.sum(axis=1) + 2 * np.einsum("bli,bl->bi", hsq, _stilde(s, m))
+    hsq, A, D2 = _h_moments(s, h)
+    # diagonal of the evolution right side, without its curvature part;
+    # doubling is exact, so 2 A has the bits of 2 s hsq + 2 sum_l hsq S_ll
+    rhs_diag = 2 * A
     q = 1 / (s[:, iA] + s[:, jA])
     # summed column by column, as np.einsum sums these column-major factors
     # for two rows or more; it sums a single row in another order
@@ -334,10 +328,10 @@ def master_gaps(lam, h):
 
 
 def triple_weight_values(li, lj, lk):
-    num = (li - lj) ** 2 * (1 + li**2 * lj**2 * lk**2) \
-        + 2 * li * lj * (1 - li * lj * lk**2) * (1 - li * lj)
-    den = 2 * (1 + li**2) * (1 + lj**2) * (1 - li**2 * lk**2) * (1 - lj**2 * lk**2)
-    return (1 + lk**2) * num / den
+    """``_triple_weight`` at (li, lj, lk), as the regroup and ricci kernels
+    run it."""
+    lam = np.stack(np.broadcast_arrays(li, lj, lk), axis=1)
+    return _triple_weight(_pair_factors(lam), 0, 1, 2)
 
 
 def triple_weight_values_expanded(li, lj, lk):
@@ -354,9 +348,8 @@ def _pair_factors(lam):
         (l_a - l_b)^2,  l_a^2 l_b^2,  l_a l_b,  1 - l_a l_b,
         2 (1 + l_a^2)(1 + l_b^2),  1 - l_a^2 l_b^2.
 
-    Each is rounded exactly as ``triple_weight_values`` rounds it for any
-    pair of its arguments: a product of two factors has the same bits in
-    either order, and 2 x y = 2 (x y) because doubling is exact."""
+    A product of two factors has the same bits in either order, so
+    l_a^2 l_b^2 serves both (a, b) and (b, a)."""
     lt = np.ascontiguousarray(lam.T)
     sq = lt**2
     one_sq = 1 + sq
@@ -368,28 +361,29 @@ def _pair_factors(lam):
             2 * one_sq[:, None] * one_sq[None, :], 1 - prod_sq)
 
 
+def _triple_weight(F, i, j, k):
+    """The regrouping weight at (l_i, l_j, l_k) in the factored form of
+    ``verifier.triple_weight``, from the ``_pair_factors`` table F."""
+    sq, one_sq, diff_sq, prod_sq, prod, one_prod, den2, one_prod_sq = F
+    num = diff_sq[i, j] * (1 + prod_sq[i, j] * sq[k]) \
+        + 2 * prod[i, j] * (1 - prod[i, j] * sq[k]) * one_prod[i, j]
+    den = den2[i, j] * one_prod_sq[i, k] * one_prod_sq[j, k]
+    return one_sq[k] * num / den
+
+
 def _regrouped_sum(lam, X, W):
     """Ricci, pair and weighted-triple terms of the regrouped R_S:
 
         sum_{i<j} [(c_i^2 X_i + c_j^2 X_j) / (4 (S_ii + S_jj)) + pair weight W_ij]
         + sum_{i<j<k} triple weights times W_ij, W_jk, W_ik,
 
-    with X = Ric1 - Ric2 and W = sec1 + sec2 for R_S itself.  The triple
-    weights are ``triple_weight_values`` assembled from ``_pair_factors``,
-    bit for bit."""
+    with X = Ric1 - Ric2 and W = sec1 + sec2 for R_S itself, and the triple
+    weights ``_triple_weight``."""
     s, c = _srest(lam)
     n = lam.shape[1]
-    sq, one_sq, diff_sq, prod_sq, prod, one_prod, den2, one_prod_sq = _pair_factors(lam)
+    F = _pair_factors(lam)
+    sq, den2 = F[0], F[6]
     Wt = np.ascontiguousarray(np.moveaxis(W, 0, -1))
-
-    def weight(i, j, k):
-        # triple_weight_values(l_i, l_j, l_k) with its pair (i, j) and
-        # rounding order
-        num = diff_sq[i, j] * (1 + prod_sq[i, j] * sq[k]) \
-            + 2 * prod[i, j] * (1 - prod[i, j] * sq[k]) * one_prod[i, j]
-        den = den2[i, j] * one_prod_sq[i, k] * one_prod_sq[j, k]
-        return one_sq[k] * num / den
-
     row_terms = _row_pair_terms(s, c, X)
     total = np.zeros(lam.shape[0], dtype=row_terms.dtype)
     for A, (i, j) in enumerate(pair_index(n)):
@@ -397,9 +391,9 @@ def _regrouped_sum(lam, X, W):
         total += (sq[i] + sq[j]) / den2[i, j] * Wt[i, j]
     for i, j in pair_index(n):
         for k in range(j + 1, n):
-            total += weight(i, j, k) * Wt[i, j]
-            total += weight(j, k, i) * Wt[j, k]
-            total += weight(i, k, j) * Wt[i, k]
+            total += _triple_weight(F, i, j, k) * Wt[i, j]
+            total += _triple_weight(F, j, k, i) * Wt[j, k]
+            total += _triple_weight(F, i, k, j) * Wt[i, k]
     return total
 
 
@@ -426,13 +420,12 @@ def sectional_gaps(lam, sec1, sec2, tau, m):
 
 def m2_claim_displays(lam):
     """The two non-negative displays of the m = 2 branch, per sample, for the
-    top pair (l1, l2)."""
+    top pair (l1, l2); the cross display is the triple weight at l_k = 0."""
     l1, l2 = lam[:, 0], lam[:, 1]
     s, _ = _srest(lam[:, :2])
     pair = (l1**2 + l2**2) * (1 - l1**2 * l2**2) / ((1 + l1**2) ** 2 * (1 + l2**2) ** 2) \
         / (s[:, 0] + s[:, 1])
-    cross = ((l1 - l2) ** 2 + 2 * l1 * l2 * (1 - l1 * l2)) / (2 * (1 + l1**2) * (1 + l2**2))
-    return pair, cross
+    return pair, triple_weight_values(l1, l2, 0)
 
 
 def ricci_gaps(lam, sec1, sec2, sigma):
@@ -875,8 +868,13 @@ SPECS = {
 
 
 def run_config(name, n, m, samples, seed, tol=None):
-    """Run suite ``name`` on one (n, m) configuration; returns its report."""
+    """Run suite ``name`` on one (n, m) configuration; returns its report.
+    Raises ValueError outside the suite's sweep, on which the tolerances are
+    calibrated and every kernel's m <= n assumption holds."""
     spec = SPECS[name]
+    if (n, m) not in spec.configs:
+        raise ValueError(f"{name} has no configuration (n, m) = {(n, m)}; "
+                         f"its sweep is {spec.configs}")
     tol = spec.tol if tol is None else tol
     # within(v, tol) is False for NaN: a non-finite checked value is a
     # violation, a non-finite extra fails the report, and neither is folded
@@ -940,8 +938,8 @@ def canonical_suite(name):
 def run_suite(name, n=None, m=None, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
               tol=None, exact=False):
     """Run one suite over its (n, m) configurations, or over the one forced
-    by ``n`` (with ``m``, default ``n``), which must lie in the suite's sweep:
-    the tolerances are calibrated on the sweeps.
+    by ``n`` (with ``m``, default ``n``), which ``run_config`` requires to
+    lie in the suite's sweep.
 
     Returns a JSON-ready report dict with per-configuration results.
     Raises ValueError for samples < 1, for ``m`` without ``n`` and for a
@@ -954,11 +952,7 @@ def run_suite(name, n=None, m=None, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
     if n is None and m is not None:
         raise ValueError("m can only be forced together with n")
     if n is not None:
-        forced = (n, n if m is None else m)
-        if forced not in configs:
-            raise ValueError(f"{name} has no configuration (n, m) = {forced}; "
-                             f"its sweep is {configs}")
-        configs = [forced]
+        configs = [(n, n if m is None else m)]
     results = []
     for cn, cm in configs:
         results.append(fn(cn, cm, samples, seed, tol=tol))

@@ -73,12 +73,15 @@ def run(config: ScenarioConfig, state=None):
     records, mu_rels = [], []
 
     def record(s):
-        records.append(monitor(s))
+        # returns the record's light numbers: the monitor computed them with
+        # the same pointwise_phi_stats call, so light is not run again
+        rec = monitor(s)
+        records.append(rec)
         if mu_check is not None:
             mu_rels.append(mu_check(s))
+        return rec.min_phi, rec.max_lambda, rec.flagged
 
-    record(state)
-    prev_phi, _, _, ever_flagged = light(state)
+    prev_phi, _, ever_flagged = record(state)
     violations = 0
     worst_drop = 0.0
     outcome = "timeout"
@@ -92,7 +95,10 @@ def run(config: ScenarioConfig, state=None):
             # state still holds the last healthy state
             outcome = "diverged"
             break
-        min_phi, _, max_lam, flagged = light(state)
+        if state.steps % config.cadence == 0:
+            min_phi, max_lam, flagged = record(state)
+        else:
+            min_phi, _, max_lam, flagged = light(state)
         ever_flagged = ever_flagged or flagged
         if not (math.isnan(min_phi) or math.isnan(prev_phi)):
             drop = prev_phi - min_phi
@@ -102,8 +108,6 @@ def run(config: ScenarioConfig, state=None):
         prev_phi = min_phi
         light_t.append(state.t)
         light_phi.append(min_phi)
-        if state.steps % config.cadence == 0:
-            record(state)
         if max_lam < config.lambda_stop:
             outcome = "converged"
             break

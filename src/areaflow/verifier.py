@@ -463,15 +463,15 @@ def m2_claim_terms(rest: SRestriction, i, j):
 
     Returns (pair_display, cross_display) for the pair (i, j):
       pair:  (S_ii+S_jj)^{-1} (li^2+lj^2)(1-li^2 lj^2) / ((1+li^2)^2 (1+lj^2)^2)
-      cross: ((li-lj)^2 + 2 li lj (1-li lj)) / (2 (1+li^2)(1+lj^2))
+      cross: ((li-lj)^2 + 2 li lj (1-li lj)) / (2 (1+li^2)(1+lj^2)),
+             the triple weight at lk = 0
     Both are non-negative on the area-decreasing region.
     """
     li, lj = rest.lam[i], rest.lam[j]
     s = rest.s
     pair = ((li**2 + lj**2) * (1 - li**2 * lj**2)
             / ((1 + li**2) ** 2 * (1 + lj**2) ** 2)) / (s[i] + s[j])
-    cross = ((li - lj) ** 2 + 2 * li * lj * (1 - li * lj)) / (2 * (1 + li**2) * (1 + lj**2))
-    return pair, cross
+    return pair, triple_weight(li, lj, 0)
 
 
 def sectional_lower_bound_gap(rest: SRestriction, curv: CurvatureSample, tau):

@@ -488,7 +488,7 @@ def _pair_loop_reference(lam, h):
     count, n = lam.shape
     m = h.shape[1]
     s, c = cp._srest(lam.astype(cp.LD))
-    st = cp._stilde(s, m)
+    st = s[:, :m]
     h = h.astype(cp.LD)
     hsq = np.einsum("blki,blki->bli", h, h)
     A = s * hsq.sum(axis=1) + np.einsum("bli,bl->bi", hsq, st)
@@ -516,7 +516,7 @@ def _pair_loop_reference(lam, h):
 
 def test_vectorized_pair_kernels_match_pair_loops():
     rng = np.random.default_rng(8)
-    for n, m in ((2, 2), (4, 2), (4, 4), (5, 7)):
+    for n, m in ((2, 2), (4, 2), (4, 4)):
         lam = cp.sample_spectra(rng, 256, n, m)
         h = cp.sample_h(rng, 256, n, m)
         gaps, keys, q_s = _pair_loop_reference(lam, h)
@@ -561,6 +561,45 @@ def test_regrouped_sum_matches_triple_weights_bit_for_bit(n):
                                   _regrouped_sum_by_triples(lam, X, W))
 
 
+def _triple_weight_reference(li, lj, lk):
+    """triple_weight_values as it was written out before it read
+    ``_triple_weight``."""
+    num = (li - lj) ** 2 * (1 + li**2 * lj**2 * lk**2) \
+        + 2 * li * lj * (1 - li * lj * lk**2) * (1 - li * lj)
+    den = 2 * (1 + li**2) * (1 + lj**2) * (1 - li**2 * lk**2) * (1 - lj**2 * lk**2)
+    return (1 + lk**2) * num / den
+
+
+def _m2_cross_reference(l1, l2):
+    """m2_claim_displays' cross display as it was written out."""
+    return ((l1 - l2) ** 2 + 2 * l1 * l2 * (1 - l1 * l2)) / (2 * (1 + l1**2) * (1 + l2**2))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, cp.LD])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_one_triple_weight_keeps_its_bits(dtype, seed):
+    """triple_weight_values and the m = 2 cross display read ``_triple_weight``
+    on the ``_pair_factors`` table, with the bits of their written-out forms."""
+    rng = np.random.default_rng(seed)
+    lam = cp.sample_spectra(rng, 4096, 3, 3).astype(dtype)
+    for i, j, k in itertools.permutations(range(3)):
+        li, lj, lk = lam[:, i], lam[:, j], lam[:, k]
+        new = cp.triple_weight_values(li, lj, lk)
+        assert new.dtype == dtype
+        assert np.array_equal(new, _triple_weight_reference(li, lj, lk))
+    for n, m in ((2, 2), (4, 2), (6, 6)):
+        lam = cp.sample_spectra(rng, 4096, n, m).astype(dtype)
+        _, cross = cp.m2_claim_displays(lam)
+        assert cross.dtype == dtype
+        assert np.array_equal(cross, _m2_cross_reference(lam[:, 0], lam[:, 1]))
+
+
+def test_run_config_refuses_a_configuration_outside_the_sweep():
+    with pytest.raises(ValueError, match=r"pair_claim has no configuration "
+                                         r"\(n, m\) = \(5, 7\); its sweep is"):
+        cp.run_config("pair_claim", 5, 7, 100, 1)
+
+
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 4)])
 def test_master_curvature_terms_cancel_exactly(n, m):
     """The curvature part of master's energy is 2 R_S, the bound's own
@@ -590,7 +629,7 @@ def _master_gaps_with_curvature(lam, h, sec1, sec2):
     mp = min(n, m)
     lamld = lam.astype(cp.LD)
     s, c = cp._srest(lamld)
-    st = cp._stilde(s, m)
+    st = s[:, :m]
     hld = h.astype(cp.LD)
     sec1 = sec1.astype(cp.LD)
     sec2 = sec2.astype(cp.LD)

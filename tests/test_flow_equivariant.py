@@ -192,6 +192,26 @@ def test_profile_trig_runs_once_per_state(monkeypatch):
     assert "trig" not in vars(start)
 
 
+def test_phi_stats_run_once_per_state_and_once_more_for_the_final_record(monkeypatch):
+    """A recorded state's light numbers come from its record: one
+    pointwise_phi_stats call per state, plus the final off-cadence record."""
+    calls = []
+    original = eq.pointwise_phi_stats
+
+    def counted(lam1, lam2):
+        calls.append(1)
+        return original(lam1, lam2)
+
+    monkeypatch.setattr(eq, "pointwise_phi_stats", counted)
+    config = ScenarioConfig(backend="equivariant_sphere", resolution=32,
+                            initial="sine", amplitude=0.3, t_max=0.05,
+                            cadence=7)
+    records, verdict = run(config)
+    assert verdict["outcome"] == "timeout" and verdict["steps"] % config.cadence != 0
+    assert len(records) == verdict["steps"] // config.cadence + 2
+    assert len(calls) == verdict["steps"] + 2
+
+
 def test_mu_check_runs_with_every_record_and_never_in_the_step(monkeypatch):
     checked, framed = [], []
     original, geometry = eq.normal_velocity, eq._geometry

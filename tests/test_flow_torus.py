@@ -205,6 +205,25 @@ def test_first_derivatives_run_once_per_state(monkeypatch):
     assert "df" not in vars(state)
 
 
+def test_phi_stats_run_once_per_state_and_once_more_for_the_final_record(monkeypatch):
+    """A recorded state's light numbers come from its record: one
+    pointwise_phi_stats call per state, plus the final off-cadence record."""
+    calls = []
+    original = torus.pointwise_phi_stats
+
+    def counted(df):
+        calls.append(1)
+        return original(df)
+
+    monkeypatch.setattr(torus, "pointwise_phi_stats", counted)
+    config = ScenarioConfig(backend="torus", resolution=16, initial="sine",
+                            amplitude=0.4, t_max=0.2, cadence=7)
+    records, verdict = run(config)
+    assert verdict["outcome"] == "timeout" and verdict["steps"] % config.cadence != 0
+    assert len(records) == verdict["steps"] // config.cadence + 2
+    assert len(calls) == verdict["steps"] + 2
+
+
 def test_cached_df_is_exact_and_belongs_to_one_state():
     _, state = make_state(resolution=16)
     out = step_torus(state, torus.max_step(state, 0.2), 0.2)

@@ -71,6 +71,13 @@ def _swapped_pair_factor(pair_factors):
     return faulty
 
 
+def _scaled_triple_weight(triple_weight):
+    """The weight's leading coefficient off by 0.1 %."""
+    def faulty(F, i, j, k):
+        return triple_weight(F, i, j, k) * 1.001
+    return faulty
+
+
 def _no_offdiag_energy(offdiag_gradient_energy):
     """The gradient energy without its 2 sum_{x<y} (QQ)_xy g_xy^2 term."""
     def faulty(lam, h):
@@ -96,6 +103,7 @@ FAULTS = {
     "sectional_coeff_x0.99": (cp, "_sectional_coeff", _scaled_coeff),
     "pair_table_sign": (svcore, "_pair_operator_table", _flipped_table_sign),
     "pair_factor_swapped": (cp, "_pair_factors", _swapped_pair_factor),
+    "triple_weight_x1.001": (cp, "_triple_weight", _scaled_triple_weight),
     "offdiag_energy_dropped": (cp, "offdiag_gradient_energy", _no_offdiag_energy),
     "master_gap_nan": (cp, "master_gaps", _nan_at_row_3),
     "key_identity_nan": (cp, "key_identity_residuals", _nan_at_row_3),
@@ -112,6 +120,9 @@ CASES = [
     ("sec2_sign", "ricci", 3, 2),
     ("sectional_coeff_x0.99", "sectional", 3, 2),
     ("pair_factor_swapped", "regroup", 3, 2),
+    ("pair_factor_swapped", "triple_weight", 3, 3),
+    ("triple_weight_x1.001", "triple_weight", 3, 3),
+    ("triple_weight_x1.001", "regroup", 3, 2),
     ("master_gap_nan", "master", 3, 2),
     ("key_identity_nan", "pair_claim", 3, 2),
 ]

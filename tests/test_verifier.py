@@ -344,6 +344,23 @@ def test_m2_claim_terms_nonnegative():
         assert pair >= 0 and cross >= 0
 
 
+def test_m2_cross_is_the_triple_weight_at_zero():
+    """The cross display reads triple_weight(li, lj, 0): the same Fraction
+    and the same float bits as its written-out form."""
+    def written_out(li, lj):
+        return ((li - lj) ** 2 + 2 * li * lj * (1 - li * lj)) / (2 * (1 + li**2) * (1 + lj**2))
+
+    rng = np.random.default_rng(44)
+    samples = [lam for lam, *_ in campaigns.exact_samples(44, 200, 3, 3)]
+    samples += [list(lam) for lam in campaigns.sample_spectra(rng, 200, 3, 3)]
+    for lam in samples:
+        rest = vf.restriction_from_lambdas(lam)
+        for i, j in pair_index(3):
+            cross = vf.m2_claim_terms(rest, i, j)[1]
+            ref = written_out(rest.lam[i], rest.lam[j])
+            assert cross == ref and type(cross) is type(ref)
+
+
 def test_ricci_gap_trivial_case():
     n = 3
     sigma = 0.8
