@@ -15,6 +15,9 @@ on x86): each compares large terms, or two evaluations, that float64 rounds
 close to its tolerance where pair products up to 0.999 make
 (S_ii + S_jj)^-1 large.
 
+Every sampler and kernel takes 2 <= m <= n, the shapes the suites sweep;
+``run_config`` refuses any other configuration.
+
 The scalar reference implementations live in `verifier`; the test-suite
 checks both routes agree.
 """
@@ -70,31 +73,29 @@ def sample_spectra(rng, count, n, m):
     Keeping every value in the box bounds the (S_ii + S_jj)^-1 weights, so
     rounding noise stays far below the contract slacks.
     """
-    mp = min(n, m)
     lam = np.zeros((count, n))
-    lam[:, :mp] = np.sort(rng.uniform(0.0, LAM_MAX, (count, mp)), axis=1)[:, ::-1]
-    if mp >= 2:
-        ceiling = BOUNDARY_RANGE[1]
-        for _ in range(200):
-            bad = lam[:, 0] * lam[:, 1] > ceiling
-            if not bad.any():
-                break
-            redraw = np.sort(rng.uniform(0.0, LAM_MAX, (int(bad.sum()), mp)), axis=1)[:, ::-1]
-            lam[bad, :mp] = redraw
-        else:
-            raise HypothesisError(
-                f"sample_spectra: top pair products still above {ceiling} after 200 redraws")
-        k = int(count * BOUNDARY_FRAC)
-        if k:
-            target = rng.uniform(*BOUNDARY_RANGE, k)
-            lam0 = rng.uniform(np.sqrt(target), LAM_MAX)
-            lam1 = target / lam0
-            lam[:k] = 0.0
-            lam[:k, 0] = lam0
-            lam[:k, 1] = lam1
-            if mp > 2:
-                rest = rng.uniform(0.0, lam1[:, None], (k, mp - 2))
-                lam[:k, 2:mp] = -np.sort(-rest, axis=1)
+    lam[:, :m] = np.sort(rng.uniform(0.0, LAM_MAX, (count, m)), axis=1)[:, ::-1]
+    ceiling = BOUNDARY_RANGE[1]
+    for _ in range(200):
+        bad = lam[:, 0] * lam[:, 1] > ceiling
+        if not bad.any():
+            break
+        redraw = np.sort(rng.uniform(0.0, LAM_MAX, (int(bad.sum()), m)), axis=1)[:, ::-1]
+        lam[bad, :m] = redraw
+    else:
+        raise HypothesisError(
+            f"sample_spectra: top pair products still above {ceiling} after 200 redraws")
+    k = int(count * BOUNDARY_FRAC)
+    if k:
+        target = rng.uniform(*BOUNDARY_RANGE, k)
+        lam0 = rng.uniform(np.sqrt(target), LAM_MAX)
+        lam1 = target / lam0
+        lam[:k] = 0.0
+        lam[:k, 0] = lam0
+        lam[:k, 1] = lam1
+        if m > 2:
+            rest = rng.uniform(0.0, lam1[:, None], (k, m - 2))
+            lam[:k, 2:m] = -np.sort(-rest, axis=1)
     return lam
 
 
@@ -119,10 +120,10 @@ def sample_sec(rng, count, n, lo, hi):
 
 
 def pad_sec2(sec2_block, n):
-    """Zero-pad an mp x mp target-curvature block to n x n."""
-    count, mp, _ = sec2_block.shape
+    """Zero-pad an m x m target-curvature block to n x n."""
+    count, m, _ = sec2_block.shape
     out = np.zeros((count, n, n))
-    out[:, :mp, :mp] = sec2_block
+    out[:, :m, :m] = sec2_block
     return out
 
 
@@ -161,10 +162,9 @@ def _diag_h(h, n):
     """dg[b, i, k] = h[b, i, k, i] for i < m, zero-padded to n rows, in the
     dtype of h."""
     count, m = h.shape[:2]
-    mp = min(n, m)
     dg = np.zeros((count, n, n), dtype=h.dtype)
     # the diagonal of axes (1, 3) is a view, indexed (b, k, i)
-    dg[:, :mp, :] = np.diagonal(h[:, :mp], axis1=1, axis2=3).transpose(0, 2, 1)
+    dg[:, :m, :] = np.diagonal(h, axis1=1, axis2=3).transpose(0, 2, 1)
     return dg
 
 
@@ -273,7 +273,7 @@ def offdiag_gradient_energy(lam, h):
     g_k[x, y] = -(c_x h_xyk + c_y h_yxk), gathered per pair x < y.
     """
     count, n = lam.shape
-    mp = min(n, h.shape[1])
+    m = h.shape[1]
     s, c = _srest(lam)
     iA, jA = np.triu_indices(n, 1)
     q = 1 / (s[:, iA] + s[:, jA])
@@ -283,11 +283,11 @@ def offdiag_gradient_energy(lam, h):
     M = (Q @ Q)[:, iA, jA]
     # the sign of g drops out of every square; np.take gathers the pairs
     # with the bits of fancy indexing, in less time.  h has no rows beyond
-    # mp: those terms read a clipped row times c = 0
+    # m: those terms read a clipped row times c = 0
     cz = c.copy()
-    cz[:, mp:] = 0
+    cz[:, m:] = 0
     rows = h.reshape(count, -1, n)          # row a n + y holds h[a, y, :]
-    rx, ry = np.minimum(iA, mp - 1), np.minimum(jA, mp - 1)
+    rx, ry = np.minimum(iA, m - 1), np.minimum(jA, m - 1)
     g = (np.take(cz, iA, axis=1)[:, :, None] * np.take(rows, rx * n + jA, axis=1)
          + np.take(cz, jA, axis=1)[:, :, None] * np.take(rows, ry * n + iA, axis=1))
     return 2 * np.einsum("ba,bak,bak->b", M, g, g)
@@ -464,9 +464,9 @@ def exact_samples(seed, count, n, m):
     out = []
     while len(out) < count:
         lam = sorted((Fraction(int(rng.integers(0, 8)), int(rng.integers(4, 10)))
-                      for _ in range(min(n, m))), reverse=True)
-        lam = list(lam) + [Fraction(0)] * (n - min(n, m))
-        if n >= 2 and lam[0] * lam[1] >= 1:
+                      for _ in range(m)), reverse=True)
+        lam = list(lam) + [Fraction(0)] * (n - m)
+        if lam[0] * lam[1] >= 1:
             continue
         h = np.empty((m, n, n), dtype=object)
         for a in range(m):
@@ -476,9 +476,8 @@ def exact_samples(seed, count, n, m):
                     h[a, k, i] = v
                     h[a, i, k] = v
         sec1 = np.empty((n, n), dtype=object)
-        mp = min(n, m)
-        sec2 = np.empty((mp, mp), dtype=object)
-        for arr, d in ((sec1, n), (sec2, mp)):
+        sec2 = np.empty((m, m), dtype=object)
+        for arr, d in ((sec1, n), (sec2, m)):
             for i in range(d):
                 arr[i, i] = Fraction(0)
                 for j in range(i + 1, d):
@@ -559,7 +558,7 @@ def _spectra_h_draw(rng, size, n, m):
 
 def _curvature_draw(rng, size, n, m):
     return {"sec1": sample_sec(rng, size, n, -2.0, 2.0),
-            "sec2": pad_sec2(sample_sec(rng, size, min(n, m), -2.0, 2.0), n)}
+            "sec2": pad_sec2(sample_sec(rng, size, m, -2.0, 2.0), n)}
 
 
 def _oracle_check(sample, n, m):
@@ -630,17 +629,13 @@ def sample_phi_level(rng, count, n, m, delta):
 
     Raises HypothesisError when either loop runs out of its budget.
     """
-    mp = min(n, m)
     d = np.zeros((count, n))
-    d[:, :mp] = np.sort(rng.uniform(0.0, 1.0, (count, mp)), axis=1)[:, ::-1]
+    d[:, :m] = np.sort(rng.uniform(0.0, 1.0, (count, m)), axis=1)[:, ::-1]
     top = np.maximum(d[:, 0], 1e-12)
     d /= top[:, None]
     level = -rng.uniform(0.0, delta, count)
 
-    if mp >= 2:
-        cap = 0.9999 / np.sqrt(np.maximum(d[:, 0] * d[:, 1], 1e-300))
-    else:
-        cap = np.full(count, 1e6)
+    cap = 0.9999 / np.sqrt(np.maximum(d[:, 0] * d[:, 1], 1e-300))
     a = d * d
     i, j = np.triu_indices(n, 1)
     p = a[:, i] * a[:, j]
@@ -749,8 +744,7 @@ def _sectional_draw(rng, size, n, m):
     lam = sample_spectra(rng, size, n, m)
     tau = rng.uniform(0.02, 2.0 * (2 * n - m - 1) / (m - 1), size)
     sec1 = sample_sec(rng, size, n, 1.0, 3.0)
-    block = np.minimum(rng.uniform(-1.0, 1.0, (size, min(n, m), min(n, m))),
-                       tau[:, None, None])
+    block = np.minimum(rng.uniform(-1.0, 1.0, (size, m, m)), tau[:, None, None])
     # tight family sec1 = 1, sec2 = tau saturates the bound
     tight = slice(0, size // 8)
     sec1[tight] = 1.0
@@ -799,8 +793,7 @@ def _ricci_draw(rng, size, n, m):
     else:
         raise HypothesisError("ricci: rows with Ric1 < (n-1) sigma remain "
                               "after 400 redraws")
-    block = rng.uniform(sigma[:, None, None] - 3.0, sigma[:, None, None],
-                        (size, min(n, m), min(n, m)))
+    block = rng.uniform(sigma[:, None, None] - 3.0, sigma[:, None, None], (size, m, m))
     tight = slice(0, size // 8)
     block[tight] = sigma[tight, None, None]
     block = _sym_zero_diag(block)
@@ -870,12 +863,15 @@ SPECS = {
 def run_config(name, n, m, samples, seed, tol=None):
     """Run suite ``name`` on one (n, m) configuration; returns its report.
     Raises ValueError outside the suite's sweep, on which the tolerances are
-    calibrated and every kernel's m <= n assumption holds."""
+    calibrated, and for a tolerance that is not finite, against which a
+    check is vacuous or fails every value."""
     spec = SPECS[name]
     if (n, m) not in spec.configs:
         raise ValueError(f"{name} has no configuration (n, m) = {(n, m)}; "
                          f"its sweep is {spec.configs}")
     tol = spec.tol if tol is None else tol
+    if not np.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol}")
     # within(v, tol) is False for NaN: a non-finite checked value is a
     # violation, a non-finite extra fails the report, and neither is folded
     pick, within = ((np.min, np.greater_equal) if spec.kind == "min_gap"

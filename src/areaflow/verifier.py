@@ -7,6 +7,10 @@ attempt is made to certify that a sample is realized by an actual manifold
 (a deliberate over-approximation: the statements are algebraic in these
 variables).
 
+Every statement takes m <= n, as the paper does: `HCoefficients` and
+`CurvatureSample` refuse m > n, so normal direction a has restriction
+value S_aa.
+
 Everything here is scalar, loop-based and dtype-agnostic: feeding
 `fractions.Fraction` entries evaluates the rational identities exactly.  The
 vectorized float campaigns live in `campaigns`; both routes are cross-checked
@@ -51,7 +55,8 @@ class SRestriction:
 @dataclass(frozen=True)
 class HCoefficients:
     """Second-fundamental-form coefficients h[alpha, k, i], symmetric in
-    (k, i); alpha indexes the m normal directions matched to the target."""
+    (k, i); alpha indexes the m <= n normal directions matched to the
+    target."""
 
     h: object  # (m, n, n) array; may hold Fractions
 
@@ -59,6 +64,8 @@ class HCoefficients:
         h = np.asarray(self.h)
         if h.ndim != 3 or h.shape[1] != h.shape[2]:
             raise ValueError("h must have shape (m, n, n)")
+        if h.shape[0] > h.shape[1]:
+            raise ValueError("h must have m <= n normal directions")
         if h.dtype != object and not np.allclose(h, h.transpose(0, 2, 1), atol=1e-12):
             raise ValueError("h must be symmetric in its last two indices")
         object.__setattr__(self, "h", h)
@@ -81,9 +88,9 @@ class HCoefficients:
 class CurvatureSample:
     """Sectional curvatures of the two factors in the SVD frame.
 
-    sec1 is n x n (domain), sec2 is mp x mp with mp = min(n, m) (target);
-    both symmetric with zero diagonal.  Entries of sec2 beyond the stored
-    block count as zero.  Ricci diagonals are row sums.
+    sec1 is n x n (domain), sec2 is m x m with m <= n (target); both
+    symmetric with zero diagonal.  Entries of sec2 beyond the stored block
+    count as zero.  Ricci diagonals are row sums.
     """
 
     n: int
@@ -94,11 +101,12 @@ class CurvatureSample:
     def __post_init__(self):
         sec1 = np.asarray(self.sec1)
         sec2 = np.asarray(self.sec2)
-        mp = min(self.n, self.m)
+        if self.m > self.n:
+            raise ValueError("need m <= n")
         if sec1.shape != (self.n, self.n):
             raise ValueError("sec1 must be n x n")
-        if sec2.shape != (mp, mp):
-            raise ValueError(f"sec2 must be {mp} x {mp}")
+        if sec2.shape != (self.m, self.m):
+            raise ValueError(f"sec2 must be {self.m} x {self.m}")
         for arr in (sec1, sec2):
             if arr.dtype != object:
                 if not np.allclose(arr, arr.T, atol=1e-12):
@@ -109,8 +117,7 @@ class CurvatureSample:
         object.__setattr__(self, "sec2", sec2)
 
     def sec2_at(self, i, k):
-        mp = min(self.n, self.m)
-        if i < mp and k < mp:
+        if i < self.m and k < self.m:
             return self.sec2[i, k]
         return 0
 
@@ -118,15 +125,13 @@ class CurvatureSample:
         return sum(self.sec1[i, k] for k in range(self.n) if k != i)
 
     def ric2(self, i):
-        mp = min(self.n, self.m)
-        if i >= mp:
+        if i >= self.m:
             return 0
-        return sum(self.sec2[i, k] for k in range(mp) if k != i)
+        return sum(self.sec2[i, k] for k in range(self.m) if k != i)
 
 
 def zero_curvature(n, m) -> CurvatureSample:
-    mp = min(n, m)
-    return CurvatureSample(n, m, np.zeros((n, n)), np.zeros((mp, mp)))
+    return CurvatureSample(n, m, np.zeros((n, n)), np.zeros((m, m)))
 
 
 def restriction_from_lambdas(lams) -> SRestriction:
@@ -147,12 +152,6 @@ def _require_area_decreasing(rest: SRestriction):
 
 def _hval(H: HCoefficients, a, k, i):
     return H.h[a, k, i] if a < H.m else 0
-
-
-def _stilde(rest: SRestriction, m):
-    """Diagonal restriction values along the m normal directions."""
-    n = len(rest.lam)
-    return [rest.s[a] if a < n else 1 + 0 * rest.s[0] for a in range(m)]
 
 
 def grad_restriction(rest: SRestriction, H: HCoefficients):
@@ -180,14 +179,14 @@ def ambient_curvature_entry(rest: SRestriction, curv: CurvatureSample, i, k):
 
 def _evolution_rhs_diagonal(rest: SRestriction, H: HCoefficients, curv: CurvatureSample):
     """Diagonal of evolution_rhs, the only part master_inequality_gap reads,
-    2 sum_a (S_ii + Stilde_aa) hsq[a][i] - 2 C_ii sum_k R_{kik(n+i)}, and the
+    2 sum_a (S_ii + S_aa) hsq[a][i] - 2 C_ii sum_k R_{kik(n+i)}, and the
     squares hsq[a][i] = sum_k h[a,k,i]^2 it is built from."""
     n, m = len(rest.lam), H.m
     if curv.n != n or curv.m != m:
         raise ValueError("dimension mismatch between h and curvature sample")
-    s, st = rest.s, _stilde(rest, m)
+    s = rest.s
     hsq = [[sum(H.h[a, k, i] ** 2 for k in range(n)) for i in range(n)] for a in range(m)]
-    return [2 * (sum((s[i] + st[a]) * hsq[a][i] for a in range(m))
+    return [2 * (sum((s[i] + s[a]) * hsq[a][i] for a in range(m))
                  - rest.c[i] * sum(ambient_curvature_entry(rest, curv, i, k)
                                    for k in range(n) if k != i))
             for i in range(n)], hsq
@@ -196,17 +195,17 @@ def _evolution_rhs_diagonal(rest: SRestriction, H: HCoefficients, curv: Curvatur
 def evolution_rhs(rest: SRestriction, H: HCoefficients, curv: CurvatureSample):
     """Right side of the evolution equation of the restricted tensor in the
     SVD frame.  The h-part of entry (i, j) is
-    sum_{k,a} h[a,k,i] h[a,k,j] (S_ii + S_jj + 2 Stilde_aa); the ambient
+    sum_{k,a} h[a,k,i] h[a,k,j] (S_ii + S_jj + 2 S_aa); the ambient
     curvature contributes -2 C_ii sum_k R_{kik(n+i)} on the diagonal.
     """
     diag, _ = _evolution_rhs_diagonal(rest, H, curv)
     n, m = len(rest.lam), H.m
-    s, st = rest.s, _stilde(rest, m)
+    s = rest.s
     out = np.empty((n, n), dtype=H.h.dtype if H.h.dtype == object else float)
     for i in range(n):
         out[i, i] = diag[i]
     for i, j in pair_index(n):
-        out[i, j] = out[j, i] = sum((s[i] + s[j] + 2 * st[a])
+        out[i, j] = out[j, i] = sum((s[i] + s[j] + 2 * s[a])
                                     * sum(H.h[a, k, i] * H.h[a, k, j] for k in range(n))
                                     for a in range(m))
     return out
@@ -224,7 +223,7 @@ def pair_claim_gap(rest: SRestriction, H: HCoefficients, i, j):
     """Slack of the per-pair grouping claim in the evolution lower bound.
 
     Computes I + II minus the claimed right side, where
-    I  = sum_{k,l} h[l,k,i]^2 (S_ii + St_ll) + h[l,k,j]^2 (S_jj + St_ll),
+    I  = sum_{k,l} h[l,k,i]^2 (S_ii + S_ll) + h[l,k,j]^2 (S_jj + S_ll),
     II = (S_ii+S_jj)^{-1} sum_k (h[i,k,i] C_ii + h[j,k,j] C_jj)^2,
     and the right side collects the retained squares plus the swapped-C
     square.  Non-negative whenever the pair operator is positive.
@@ -235,15 +234,14 @@ def pair_claim_gap(rest: SRestriction, H: HCoefficients, i, j):
     n = len(rest.lam)
     m = H.m
     s, c = rest.s, rest.c
-    st = _stilde(rest, m)
     sij = s[i] + s[j]
     hi = [sum(H.h[l, k, i] ** 2 for k in range(n)) for l in range(m)]
     hj = [sum(H.h[l, k, j] ** 2 for k in range(n)) for l in range(m)]
-    term_i = sum((s[i] + st[l]) * hi[l] + (s[j] + st[l]) * hj[l] for l in range(m))
+    term_i = sum((s[i] + s[l]) * hi[l] + (s[j] + s[l]) * hj[l] for l in range(m))
     # II and the swapped-C square share the divisor S_ii + S_jj
     cross = sum((a * c[i] + b * c[j]) ** 2 - (a * c[j] + b * c[i]) ** 2
                 for a, b in ((_hval(H, i, k, i), _hval(H, j, k, j)) for k in range(n)))
-    retained = sum(hi[l] + hj[l] for l in range(m) if l in (i, j) or l >= n)
+    retained = sum(hi[l] + hj[l] for l in range(m) if l in (i, j))
     return term_i + cross / sij - sij * retained
 
 
@@ -332,7 +330,7 @@ def master_inequality_gap(rest: SRestriction, H: HCoefficients, curv: CurvatureS
     energy = sum(q[A] * (rhs[i] + rhs[j] + sum(q[B] * sum(gk[A][B] ** 2 for gk in g)
                                                for B in range(len(pairs))))
                  for A, (i, j) in enumerate(pairs))
-    diag_h_sq = sum(hsq[i][i] for i in range(min(n, H.m)))
+    diag_h_sq = sum(hsq[i][i] for i in range(H.m))
     bound = (2 * sum(map(sum, hsq)) + 2 * (n - 2) * diag_h_sq
              + 2 * curvature_term(rest, curv) + 2 * gradient_square_term(rest, H))
     return energy - bound
@@ -489,9 +487,8 @@ def sectional_lower_bound_gap(rest: SRestriction, curv: CurvatureSample, tau):
         for k in range(n):
             if i != k and curv.sec1[i, k] < 1:
                 raise HypothesisError("sec1 must be >= 1 entrywise")
-    mp = min(n, m)
-    for i in range(mp):
-        for k in range(mp):
+    for i in range(m):
+        for k in range(m):
             if i != k and curv.sec2[i, k] > tau:
                 raise HypothesisError("sec2 must be <= tau entrywise")
     s, c = rest.s, rest.c
@@ -518,9 +515,8 @@ def ricci_lower_bound_gap(rest: SRestriction, curv: CurvatureSample, sigma):
                 raise HypothesisError("sec1 must be > -sigma entrywise")
         if curv.ric1(i) < (n - 1) * sigma:
             raise HypothesisError("Ric1 must be >= (n-1) sigma on the diagonal")
-    mp = min(n, curv.m)
-    for i in range(mp):
-        for k in range(mp):
+    for i in range(curv.m):
+        for k in range(curv.m):
             if i != k and curv.sec2[i, k] > sigma:
                 raise HypothesisError("sec2 must be <= sigma entrywise")
     bound = _regrouped_sum(rest, lambda i: curv.ric1(i) - (n - 1) * sigma,

@@ -20,7 +20,7 @@ def test_sample_spectra_properties():
     assert lam.shape == (4096, 5)
     assert np.all(lam >= 0) and np.all(lam <= cp.LAM_MAX)
     assert np.all(np.diff(lam, axis=1) <= 1e-15)
-    assert np.all(lam[:, 3:] == 0)  # zero beyond min(n, m)
+    assert np.all(lam[:, 3:] == 0)  # zero beyond m
     pair = lam[:, 0] * lam[:, 1]
     assert pair.max() <= cp.BOUNDARY_RANGE[1] + 1e-12
     stratum = pair[: int(4096 * cp.BOUNDARY_FRAC)]
@@ -108,6 +108,7 @@ def test_checks_work_row_by_row(name):
     """Each check on 200 drawn rows equals the same check run on 7-row and on
     64-row slices, concatenated, and its extras equal the slices' folded."""
     spec = cp.SPECS[name]
+    assert all(2 <= m <= n for n, m in spec.configs)   # the samplers rely on it
     for (n, m), (tag, (draw, check)) in itertools.product(spec.configs,
                                                           spec.streams.items()):
         sample = draw(cp._rng(13, tag, n, m, 0), 200, n, m)
@@ -239,9 +240,8 @@ def _bisection_phi_level(d, level, cap):
 def _replay_rays(rng, count, n, m, delta):
     """The direction, Phi level and cap that sample_phi_level draws from a
     generator in this state."""
-    mp = min(n, m)
     d = np.zeros((count, n))
-    d[:, :mp] = np.sort(rng.uniform(0.0, 1.0, (count, mp)), axis=1)[:, ::-1]
+    d[:, :m] = np.sort(rng.uniform(0.0, 1.0, (count, m)), axis=1)[:, ::-1]
     d /= np.maximum(d[:, 0], 1e-12)[:, None]
     level = -rng.uniform(0.0, delta, count)
     cap = 0.9999 / np.sqrt(np.maximum(d[:, 0] * d[:, 1], 1e-300))
@@ -493,8 +493,7 @@ def _pair_loop_reference(lam, h):
     hsq = np.einsum("blki,blki->bli", h, h)
     A = s * hsq.sum(axis=1) + np.einsum("bli,bl->bi", hsq, st)
     hsq_pad = np.zeros((count, n, n), dtype=cp.LD)
-    hsq_pad[:, :min(n, m)] = hsq[:, :min(n, m)]
-    tail = hsq[:, n:, :].sum(axis=1) if m > n else np.zeros((count, n), dtype=cp.LD)
+    hsq_pad[:, :m] = hsq
     dg = cp._diag_h(h, n)
     D2 = np.einsum("bik,bik->bi", dg, dg)
     DD = np.einsum("bik,bjk->bij", dg, dg)
@@ -506,8 +505,7 @@ def _pair_loop_reference(lam, h):
                     + c[:, j] ** 2 * D2[:, j])
             swap = (c[:, j] ** 2 * D2[:, i] + 2 * c[:, i] * c[:, j] * DD[:, i, j]
                     + c[:, i] ** 2 * D2[:, j])
-            cross = hsq_pad[:, j, i] + hsq_pad[:, i, j] + D2[:, i] + D2[:, j] \
-                + tail[:, i] + tail[:, j]
+            cross = hsq_pad[:, j, i] + hsq_pad[:, i, j] + D2[:, i] + D2[:, j]
             gaps.append(A[:, i] + A[:, j] + keep / sij - sij * cross - swap / sij)
             keys.append(np.abs(2 * s[:, i] + c[:, i] ** 2 / sij - sij - c[:, j] ** 2 / sij))
             q_s += (keep + swap) / sij ** 2

@@ -394,6 +394,8 @@ def test_negative_exponent_tol_as_separate_word(capsys):
     ("pair_claim", "--n", "3", "--m", "0", "--samples", "100"),
     ("regroup", "--m", "2", "--samples", "100"),
     ("triple_weight", "--n", "7", "--samples", "100"),
+    ("oracle", "--tol", "inf", "--n", "2", "--samples", "10"),
+    ("master", "--tol", "nan", "--n", "2", "--samples", "10"),
 ])
 def test_verify_rejects_vacuous_or_out_of_sweep_input(capsys, argv):
     rc, out = run_cli(capsys, "verify", *argv)
