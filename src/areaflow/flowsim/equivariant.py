@@ -38,13 +38,11 @@ from .state import (CFL_MAX, EquivariantState, MonitorRecord, second_difference,
 RHO_PRIME_BREAKDOWN = 1e3
 
 
-def _extended(state: EquivariantState, ghosts: int = 1):
-    """Profile with ghost nodes per pole, by odd reflection about the fixed
-    pole values rho(0) = 0 and rho(pi) in {0, pi}."""
+def _extended(state: EquivariantState):
+    """Profile with two ghost nodes per pole, by odd reflection about the
+    fixed pole values rho(0) = 0 and rho(pi) in {0, pi}."""
     rho = state.rho
-    left = -rho[ghosts:0:-1]
-    right = 2.0 * rho[-1] - rho[-2:-2 - ghosts:-1]
-    return np.concatenate([left, rho, right])
+    return np.concatenate([-rho[2:0:-1], rho, 2.0 * rho[-1] - rho[-2:-4:-1]])
 
 
 def profile_derivative(state: EquivariantState) -> np.ndarray:
@@ -54,14 +52,23 @@ def profile_derivative(state: EquivariantState) -> np.ndarray:
     1/sin(r) amplification at the pole-adjacent nodes, which would degrade
     the velocity operator to first order in the max norm.
     """
-    ext = _extended(state, ghosts=2)
-    return (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) \
-        / (12.0 * state.h)
+    # (-ext[4:] + 8 ext[3:-1] - 8 ext[1:-3] + ext[:-4]) / 12h in place:
+    # x8 is exact, and -a + b rounds as b - a
+    ext = _extended(state)
+    ext8 = 8.0 * ext
+    d = ext8[3:-1] - ext[4:]
+    d -= ext8[1:-3]
+    d += ext[:-4]
+    d /= 12.0 * state.h
+    return d
 
 
 def profile_trig(state: EquivariantState) -> np.ndarray:
     """(cos rho, sin rho) as the two rows of one array."""
-    return np.array((np.cos(state.rho), np.sin(state.rho)))
+    trig = np.empty((2, state.rho.size))
+    np.cos(state.rho, out=trig[0])
+    np.sin(state.rho, out=trig[1])
+    return trig
 
 
 def _geometry(state: EquivariantState):
@@ -77,7 +84,7 @@ def _geometry(state: EquivariantState):
     (cr, sr), (cp, sp) = src["trig"], trig
     zeros = np.zeros(J + 1)
     X_rr = np.zeros((J + 1, 6))
-    X_rr[1:-1, [0, 1, 3, 4]] = np.concatenate(
+    X_rr[:, [0, 1, 3, 4]] = np.concatenate(
         (src["trig_rr"], second_difference(trig, state.h))).T
     pr = np.stack([-sr, cr, zeros], axis=-1)
     qr = np.stack([-sp, cp, zeros], axis=-1)
@@ -134,15 +141,23 @@ def profile_velocity(state: EquivariantState) -> np.ndarray:
     term is the closed form's
     (rho' sin r cos r - sin rho cos rho) / (sin^2 r + sin^2 rho).
     """
-    src, trig = source_side(state.resolution), state.trig
-    (cr, sr), (cp, sp) = src["trig"][:, 1:-1], trig[:, 1:-1]
-    (cr_rr, sr_rr), (cp_rr, sp_rr) = src["trig_rr"], second_difference(trig, state.h)
-    p = state.rhop[1:-1]
-    psr = p * sr
-    v = np.zeros_like(state.rho)
-    v[1:-1] = ((psr * cr_rr - p * cr * sr_rr - sp * cp_rr + cp * sp_rr)
-               / (1.0 + p**2)
-               + (psr * cr - sp * cp) / (src["sin_sq"] + sp**2))
+    src, trig, p = source_side(state.resolution), state.trig, state.rhop
+    # ((p sr) cr_rr - (p cr) sr_rr - sp cp_rr + cp sp_rr) / (1 + p^2)
+    #   + ((p sr) cr - sp cp) / (sin^2 r + sp^2) in this order at each node,
+    # products stacked by rows; the poles' finite placeholders are zeroed
+    a = p * src["p_by"]
+    a *= src["p_then"]                                  # (p sr) cr_rr, (p cr) sr_rr, (p sr) cr
+    b = trig[::-1] * second_difference(trig, state.h)   # sp cp_rr, cp sp_rr
+    c = trig[1] * trig                                  # sp cp, sp^2
+    v = a[0] - a[1]
+    v -= b[0]
+    v += b[1]
+    v /= 1.0 + p * p
+    c[1] += src["sin_sq"]
+    a[2] -= c[0]
+    a[2] /= c[1]
+    v += a[2]
+    v[0] = v[-1] = 0.0
     return v
 
 
@@ -158,7 +173,7 @@ def closed_form_velocity(state: EquivariantState, rhop=None, rhopp=None) -> np.n
     error.  Poles return zero.
     """
     rhop = state.rhop if rhop is None else rhop
-    rhopp = second_difference(_extended(state), state.h) if rhopp is None else rhopp
+    rhopp = second_difference(_extended(state), state.h)[2:-2] if rhopp is None else rhopp
     (cr, sr), (cp, sp) = source_side(state.resolution)["trig"], state.trig
     out = np.zeros_like(state.rho)
     inner = slice(1, -1)
@@ -177,12 +192,16 @@ def step_equivariant(state: EquivariantState, dt: float,
     the meridian metric coefficient 1/(1 + rho'^2)."""
     if not 0 < cfl <= CFL_MAX:
         raise ConfigurationError(f"cfl must lie in (0, {CFL_MAX}]")
-    if np.maximum.reduce(np.abs(state.rhop)) > RHO_PRIME_BREAKDOWN:
+    if np.maximum.reduce(state.abs_rhop) > RHO_PRIME_BREAKDOWN:
         raise GraphicalBreakdownError("profile derivative blow-up")
-    if dt > max_step(state, cfl) * (1 + 1e-12):
+    # max_step >= cfl h^2 (1 + rho'^2 >= 1, rounding is monotone), so its
+    # reduction is taken only for a dt above that floor
+    if dt > cfl * state.h**2 * (1 + 1e-12) and dt > max_step(state, cfl) * (1 + 1e-12):
         raise ConfigurationError(
             f"dt = {dt:g} violates the equivariant CFL bound {max_step(state, cfl):g}")
-    rho_new = state.rho + dt * profile_velocity(state)
+    rho_new = profile_velocity(state)     # rho + dt v in the velocity's buffer
+    rho_new *= dt
+    rho_new += state.rho
     if not np.logical_and.reduce(np.isfinite(rho_new)):
         raise DivergenceError("non-finite values in equivariant flow")
     return EquivariantState(resolution=state.resolution, rho=rho_new,
@@ -192,7 +211,7 @@ def step_equivariant(state: EquivariantState, dt: float,
 def profile_spectrum(state: EquivariantState):
     """(lambda_1, lambda_2) fields: |rho'| and |sin rho / sin r| with the
     analytic pole limit lambda_2 = |rho'|."""
-    lam1 = np.abs(state.rhop)
+    lam1 = state.abs_rhop
     src = source_side(state.resolution)
     lam2 = np.where(src["off_pole"], np.abs(state.trig[1] / src["safe_sin"]), lam1)
     return lam1, lam2
@@ -200,19 +219,24 @@ def profile_spectrum(state: EquivariantState):
 
 def pointwise_phi_stats(lam1, lam2):
     """(min_phi, max_pair, max_lambda, flagged) of the (lambda_1, lambda_2)
-    fields; min_phi is formed only unflagged, where every log1p is finite.
+    fields (lam1, lam2 >= 0); min_phi is formed only unflagged, where every
+    log1p is finite.
 
     The pair product enters as (l1 l2)^2, not l1^2 l2^2: the two round
     differently in the last bit, and the flow outputs are pinned to this
-    form.
+    form.  Rounding x^2 is monotone in x >= 0, so the guard flags the
+    largest pair iff it flags any; a NaN pair, which flags nothing but
+    hides the largest, sends the guard to every node.
     """
     pair = lam1 * lam2
+    top = np.maximum.reduce(pair)
     pair_sq = pair**2
-    flagged = bool(np.logical_or.reduce(pair_flags(pair_sq)))
+    flagged = bool(pair_flags(top * top) if top == top
+                   else np.logical_or.reduce(pair_flags(pair_sq)))
     min_phi = float("nan") if flagged else float(np.minimum.reduce(
         np.log1p(-pair_sq) - np.log1p(lam1**2) - np.log1p(lam2**2)))
     lam_max = max(np.maximum.reduce(lam1), np.maximum.reduce(lam2))
-    return min_phi, float(np.maximum.reduce(pair)), float(lam_max), flagged
+    return min_phi, float(top), float(lam_max), flagged
 
 
 def second_fundamental_norm_sq(state: EquivariantState) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,24 @@ from ..errors import ConfigurationError
 CFL_MAX = 0.25
 
 
+class derived:
+    """A state field computed by ``derive(state)`` on first read and stored
+    in the instance dict, where later reads find it: Python 3.11's
+    ``cached_property`` without its lock (no state is shared by threads)."""
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return self
+        value = state.__dict__[self.name] = self.derive(state)
+        return value
+
+
 @dataclass(frozen=True)
 class TorusState:
     """Periodic graph map T^n -> T^m, stored as winding + periodic residual.
@@ -21,7 +39,8 @@ class TorusState:
     The lift is f(x) = winding @ x + u(x); the flow equation acts on the
     lift, so any real-valued winding matrix is admissible (integer windings
     are the homotopically distinct classes).  States are frozen and derive
-    ``df`` once; writing into ``u`` after reading ``df`` is unsupported.
+    ``df`` on first read, once (a ``derived`` field); writing into ``u``
+    after reading ``df`` is unsupported.
     """
 
     n: int
@@ -36,10 +55,7 @@ class TorusState:
     def h(self):
         return 2.0 * math.pi / self.resolution
 
-    @cached_property
-    def df(self):
-        from . import torus
-        return torus.first_derivatives(self)
+    df = derived(lambda s: torus.first_derivatives(s))
 
     backend = "torus"
 
@@ -54,20 +70,33 @@ def node_angles(resolution: int) -> np.ndarray:
 
 
 def second_difference(x: np.ndarray, h: float) -> np.ndarray:
-    """Centred second differences along the last axis, on interior nodes."""
-    return (x[..., 2:] - 2.0 * x[..., 1:-1] + x[..., :-2]) / h**2
+    """Centred second differences along the last axis, in x's shape, with 0
+    at the ends of each row.  The rows are differenced as one contiguous
+    run; the differences that straddle two rows land on row ends."""
+    d = np.empty(x.shape)
+    flat, run = x.reshape(-1), d.reshape(-1)[1:-1]
+    np.multiply(flat[1:-1], 2.0, out=run)
+    np.subtract(flat[2:], run, out=run)
+    run += flat[:-2]
+    run /= h**2
+    d[..., 0] = d[..., -1] = 0.0
+    return d
 
 
 @lru_cache(maxsize=None)
 def source_side(resolution: int) -> dict:
-    """(cos r, sin r) as two rows, their second differences, sin^2 r on the
-    interior nodes, the mask sin r > 1e-12 and sin r with 1 at the poles:
-    one read-only set per resolution, shared like node_angles."""
+    """(cos r, sin r) as two rows and their second differences, the mask
+    sin r > 1e-12, sin r and sin^2 r with 1 at the poles, and the factors
+    of rho' in the velocity as the rows it multiplies them by in turn:
+    (sin r, cos r, sin r), then (cos_rr r, sin_rr r, cos r).  One read-only
+    set per resolution, shared like node_angles."""
     trig = np.array((np.cos(node_angles(resolution)), np.sin(node_angles(resolution))))
-    off_pole = trig[1] > 1e-12
-    side = dict(trig=trig, trig_rr=second_difference(trig, math.pi / resolution),
-                sin_sq=trig[1, 1:-1]**2, off_pole=off_pole,
-                safe_sin=np.where(off_pole, trig[1], 1.0))
+    (cr, sr), trig_rr = trig, second_difference(trig, math.pi / resolution)
+    off_pole = sr > 1e-12
+    safe_sin = np.where(off_pole, sr, 1.0)
+    side = dict(trig=trig, trig_rr=trig_rr, off_pole=off_pole, safe_sin=safe_sin,
+                sin_sq=safe_sin**2, p_by=np.array((sr, cr, sr)),
+                p_then=np.array((*trig_rr, cr)))
     for a in side.values():
         a.flags.writeable = False
     return side
@@ -79,10 +108,12 @@ class EquivariantState:
 
     rho(0) = 0 and rho(pi) is 0 (trivial class) or pi (identity class);
     both poles are held fixed and ghost values extend the profile by odd
-    reflection about the pole values.  States are frozen and derive
-    ``rhop``, ``trig`` (cos rho, sin rho) and the projected ``frame`` once;
-    writing into ``rho`` after reading any is unsupported.  ``r`` is the
-    read-only node array that all states of a resolution share.
+    reflection about the pole values.  States are frozen and derive, each
+    on first read and once (``derived`` fields), ``rhop``, its absolute
+    value ``abs_rhop`` (lambda_1, which the step's breakdown check and the
+    spectrum share), ``trig`` (cos rho, sin rho) and the projected
+    ``frame``; writing into ``rho`` after reading any is unsupported.  ``r``
+    is the read-only node array that all states of a resolution share.
     """
 
     resolution: int              # J: number of intervals
@@ -98,20 +129,11 @@ class EquivariantState:
     def r(self):
         return node_angles(self.resolution)
 
-    @cached_property
-    def rhop(self):
-        from . import equivariant
-        return equivariant.profile_derivative(self)
-
-    @cached_property
-    def trig(self):
-        from . import equivariant
-        return equivariant.profile_trig(self)
-
-    @cached_property
-    def frame(self):
-        from . import equivariant
-        return equivariant._geometry(self)
+    # looked up in the backend module when called: wrappers there see each call
+    rhop = derived(lambda s: equivariant.profile_derivative(s))
+    abs_rhop = derived(lambda s: np.abs(s.rhop))
+    trig = derived(lambda s: equivariant.profile_trig(s))
+    frame = derived(lambda s: equivariant._geometry(s))
 
     backend = "equivariant_sphere"
 
@@ -238,3 +260,6 @@ def initial_state(config: ScenarioConfig):
     if config.backend == "torus":
         return _torus_initial(config)
     return _equivariant_initial(config)
+
+
+from . import equivariant, torus  # noqa: E402  (they import this module's names)

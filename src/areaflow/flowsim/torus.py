@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
-from ..svcore import pair_flags, phi_batch
+from ..svcore import pair_flags, pair_index, phi_batch
 from .state import CFL_MAX, MonitorRecord, TorusState
 
 # nodes per slice of the per-node algebra: 1024, 2048 and 4096 give the same
@@ -199,34 +199,54 @@ def _norm2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def pointwise_phi_stats(df: np.ndarray):
     """(min_phi, max_pair, max_lambda, flagged) over all nodes.
 
-    For n = m = 2 the invariants T = |df|_F^2 and D = det df give the
-    closed forms (l1 l2)^2 = D^2 and (1+l1^2)(1+l2^2) = 1 + T + D^2, so
-    Phi = log(1 - D^2) - log(1 + T + D^2) without per-node factorizations.
-    The largest singular value of [[a, b], [c, d]] is read as
-    (|(a + d, c - b)| + |(a - d, b + c)|) / 2, a sum of two norms that keeps
-    its digits where l1 ~ l2 (sqrt((T + sqrt(T^2 - 4 D^2)) / 2) cancels
-    there).  The norms are sqrt(x^2 + y^2), not np.hypot, which is several
-    times slower and needs no overflow guard at these magnitudes.
+    For min(m, n) = 2 the spectrum is (l1, l2, 0, ..., 0), and the
+    invariants T = |df|_F^2 and D^2 = (l1 l2)^2, the sum of the squared 2x2
+    minors (Cauchy-Binet), give (1+l1^2)(1+l2^2) = 1 + T + D^2.  Each of the
+    n - 2 zero values pairs with l1 and with l2 for -log(1+l1^2) -
+    log(1+l2^2), so Phi = log(1 - D^2) - (n - 1) log(1 + T + D^2), without
+    per-node factorizations.  The largest singular value of a square
+    [[a, b], [c, d]] is read as (|(a + d, c - b)| + |(a - d, b + c)|) / 2, a
+    sum of two norms that keeps its digits where l1 ~ l2
+    (sqrt((T + sqrt(T^2 - 4 D^2)) / 2) cancels there); otherwise l1^2 is
+    the top eigenvalue of the 2x2 Gram matrix [[p, q], [q, s]] of the short
+    side, T/2 + |((p - s)/2, q)|, a sum of non-negative terms.  The norms
+    are sqrt(x^2 + y^2), not np.hypot, which is several times slower and
+    needs no overflow guard at these magnitudes.  Spectra with three or more
+    values, or one, come from LAPACK's singular values.
     """
     m, n = df.shape[:2]
-    if (m, n) == (2, 2):
+    if min(m, n) == 2:
         # in-place updates in the order of the closed forms (same roundings,
         # fewer fresh temporaries, which dominate the cost on large grids)
         T = np.einsum("ai...,ai...->...", df, df)
-        a, b, c, d = df[0, 0], df[0, 1], df[1, 0], df[1, 1]
-        D2 = a * d
-        D2 -= b * c
-        D2 *= D2
-        two_lam = _norm2(a + d, c - b)
-        two_lam += _norm2(a - d, b + c)
+        D2 = None
+        for a, b in pair_index(m):
+            for i, j in pair_index(n):
+                minor = df[a, i] * df[b, j]
+                minor -= df[a, j] * df[b, i]
+                minor *= minor
+                D2 = minor if D2 is None else np.add(D2, minor, out=D2)
+        if m == n:
+            a, b, c, d = df[0, 0], df[0, 1], df[1, 0], df[1, 1]
+            two_lam = _norm2(a + d, c - b)
+            two_lam += _norm2(a - d, b + c)
+            max_lam = float(two_lam.max()) / 2.0
+        else:
+            short = df if m == 2 else df.swapaxes(0, 1)
+            g = np.einsum("ai...,bi...->ab...", short, short)
+            lam_sq = _norm2((g[0, 0] - g[1, 1]) / 2.0, g[0, 1])
+            lam_sq += T / 2.0
+            max_lam = float(np.sqrt(lam_sq.max()))
         flagged = pair_flags(D2)
         with np.errstate(invalid="ignore", divide="ignore"):
             phi = np.log1p(-D2)
             T += D2
-            phi -= np.log1p(T)
+            log_den = np.log1p(T)
+            if n > 2:
+                log_den *= n - 1
+            phi -= log_den
         min_phi = float("nan") if flagged.any() else float(phi.min())
-        return (min_phi, float(np.sqrt(D2.max())), float(two_lam.max()) / 2.0,
-                bool(flagged.any()))
+        return min_phi, float(np.sqrt(D2.max())), max_lam, bool(flagged.any())
     mats = _node_matrices(df)
     sv = np.linalg.svd(mats, compute_uv=False)   # (P, min(m, n)) descending
     lam = np.zeros((sv.shape[0], n))

@@ -449,6 +449,46 @@ def test_short_128_torus_flow_outputs_are_pinned(capsys, tmp_path):
     assert digests == SHORT_128_DIGESTS
 
 
+# Two short equivariant runs, pinned the same way: a sine run at J = 128 that
+# stops at t_max after 84 steps, off its 10-step cadence (10 records), and an
+# identity run, steady and flagged, so its final_min_phi is null.
+SHORT_EQUIVARIANT_SCENARIOS = {
+    "sine": ("""
+backend = equivariant_sphere
+resolution = 128
+initial = sine
+amplitude = 0.3
+t_max = 0.01
+cadence = 10
+""", 1, {
+        "timeseries.csv": "e749a8e34f3b005554f13266144d87d8c0d56d92a9e71c37b2b4a2273f84a5e9",
+        "verdict.json": "40e7eb1491bebbf3fb9de8e7a2606cc0db501553f6397632e7d532203ad4b1dc",
+    }),
+    "identity": ("""
+backend = equivariant_sphere
+resolution = 32
+initial = identity
+t_max = 0.05
+cadence = 10
+""", 0, {
+        "timeseries.csv": "d06f6c5789b398fb4ffb7eb138da7cf20dbc49a1058226c615f28f56eeab14c2",
+        "verdict.json": "93af5af143033cbca40c67412237a2836b73c0146dadefebf5116005275c2d89",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_EQUIVARIANT_SCENARIOS))
+def test_short_equivariant_flow_outputs_are_pinned(capsys, tmp_path, name):
+    text, want_rc, want = SHORT_EQUIVARIANT_SCENARIOS[name]
+    scenario = tmp_path / f"{name}.cfg"
+    scenario.write_text(text)
+    rc, _ = run_cli(capsys, "flow", str(scenario), "--out", str(tmp_path / "o"))
+    assert rc == want_rc   # 1: timeout at t_max; 0: steady
+    digests = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+               for name in want}
+    assert digests == want
+
+
 def test_flow_timings_go_to_manifest_only(capsys, tmp_path):
     scenario = tmp_path / "tiny.cfg"
     scenario.write_text(TINY_SCENARIO)

@@ -285,12 +285,45 @@ def test_cached_rhop_is_exact_and_belongs_to_one_state():
         out.rho = state.rho
 
 
+def test_cfl_bound_is_read_only_above_its_floor(monkeypatch):
+    """max_step >= cfl h^2 (1 + rho'^2 >= 1), so the step takes the bound's
+    reduction only for a dt above that floor, and still refuses one above
+    the bound."""
+    state = profile_state(48, lambda r: r.copy())     # identity: rho' = 1
+    bound = eq.max_step(state, 0.2)
+    assert math.isclose(bound, 2.0 * 0.2 * state.h**2, rel_tol=1e-12)
+    for dt in (bound, 1.5 * 0.2 * state.h**2):
+        assert step_equivariant(state, dt, 0.2).t == dt
+    with pytest.raises(ConfigurationError):
+        step_equivariant(state, bound * (1 + 1e-11), 0.2)
+
+    calls = []
+    original = eq.max_step
+
+    def counted(s, cfl):
+        calls.append(s.steps)
+        return original(s, cfl)
+
+    monkeypatch.setattr(eq, "max_step", counted)
+    config = ScenarioConfig(backend="equivariant_sphere", resolution=32,
+                            initial="sine", amplitude=0.3, t_max=0.05, cadence=5)
+    _, verdict = run(config)
+    assert verdict["steps"] >= 10 and calls == []
+
+
 # ---------------------------------------------------------------------------
 # profile_velocity, profile_spectrum and pointwise_phi_stats as they were
 # written before the source side was derived once per resolution and
-# (cos rho, sin rho) once per state.  Every node keeps the same operands in
-# the same order, so the step and the light monitor must return the same
-# bits.
+# (cos rho, sin rho) once per state, and profile_derivative and the step's
+# update as they were before they were formed in place.  Every node keeps
+# the same operands in the same order, so the step and the light monitor
+# must return the same bits.
+
+
+def _ref_profile_derivative(state):
+    rho = state.rho
+    ext = np.concatenate([-rho[2:0:-1], rho, 2.0 * rho[-1] - rho[-2:-4:-1]])
+    return (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * state.h)
 
 
 def _ref_profile_velocity(state):
@@ -336,6 +369,7 @@ def test_step_and_light_monitor_equal_their_references(name, J):
     state = profile_state(J, BYTE_PROFILES[name])
     dt = 0.2 * state.h**2
     for _ in range(30):
+        assert np.array_equal(eq.profile_derivative(state), _ref_profile_derivative(state))
         assert np.array_equal(eq.profile_velocity(state), _ref_profile_velocity(state))
         lam, ref_lam = eq.profile_spectrum(state), _ref_profile_spectrum(state)
         assert all(np.array_equal(a, b) for a, b in zip(lam, ref_lam))
@@ -343,7 +377,9 @@ def test_step_and_light_monitor_equal_their_references(name, J):
         stats = eq.pointwise_phi_stats(*lam)
         assert list(map(repr, stats)) == list(map(repr, _ref_pointwise_phi_stats(*ref_lam)))
         assert stats[3] == (name == "identity")
-        state = step_equivariant(state, dt, 0.2)
+        moved = step_equivariant(state, dt, 0.2)
+        assert np.array_equal(moved.rho, state.rho + dt * _ref_profile_velocity(state))
+        state = moved
 
 
 def test_phi_stats_equal_their_reference_on_random_fields():
@@ -359,3 +395,27 @@ def test_phi_stats_equal_their_reference_on_random_fields():
         assert list(map(repr, stats)) == list(map(repr, _ref_pointwise_phi_stats(lam1, lam2)))
         flagged += stats[3]
     assert 0 < flagged < 400
+
+
+def test_phi_guard_on_the_largest_pair_decides_as_every_node():
+    """The guard reads the largest pair product; fields with a NaN pair (a
+    NaN or an inf times 0), which hides the largest, or an inf pair decide
+    and report as the node-by-node reference does."""
+    rng = np.random.default_rng(27)
+    flagged = 0
+    for k in range(300):
+        lam1 = rng.uniform(0.0, 1.1, 129)
+        lam2 = rng.uniform(0.0, 1.1, 129)
+        node = rng.integers(129)
+        if k % 3 == 0:
+            lam1[node] = np.nan
+        elif k % 3 == 1:
+            lam1[node], lam2[node] = np.inf, 0.0
+        else:
+            lam2[node] = np.inf
+        with np.errstate(invalid="ignore"):
+            stats = eq.pointwise_phi_stats(lam1, lam2)
+            ref = _ref_pointwise_phi_stats(lam1, lam2)
+        assert list(map(repr, stats)) == list(map(repr, ref))
+        flagged += stats[3]
+    assert 0 < flagged < 300

@@ -186,6 +186,42 @@ def test_closed_form_phi_matches_spectrum_kernel():
         assert math.isclose(closed[2], ref[2], rel_tol=1e-13)
 
 
+@pytest.mark.parametrize("m, n", [(3, 2), (2, 3), (4, 2), (2, 4)])
+def test_two_value_phi_stats_match_spectrum_kernel(m, n):
+    """min(m, n) = 2 reads Phi, (l1 l2)_max and l1_max from the invariants
+    T, D^2 and the short side's 2x2 Gram matrix; the SVD spectra through
+    the shared kernel agree to rounding, on fields with and without a
+    flagged node and on near-conformal nodes (l1 ~ l2)."""
+    rng = np.random.default_rng(2027)
+    fields = [rng.normal(0.0, 0.2, (m, n, 9, 7)) for _ in range(6)]
+    flagged_field = rng.normal(0.0, 0.2, (m, n, 9, 7))
+    flagged_field[:, :, 4, 3] = 0.0
+    flagged_field[0, 0, 4, 3], flagged_field[1, 1, 4, 3] = 1.3, 0.9   # l1 l2 = 1.17
+    fields.append(flagged_field)
+    conformal = np.zeros((m, n, 50))
+    angle = rng.uniform(0.0, 2.0 * np.pi, 50)
+    conformal[0, 0], conformal[0, 1] = np.cos(angle), -np.sin(angle)
+    conformal[1, 0], conformal[1, 1] = np.sin(angle), np.cos(angle)
+    fields.append(0.7 * conformal + 1e-9 * rng.normal(size=conformal.shape))
+    for k, df in enumerate(fields):
+        two = torus.pointwise_phi_stats(df)
+        sv = np.linalg.svd(torus._node_matrices(df), compute_uv=False)
+        lam = np.zeros((sv.shape[0], n))            # n values, zero beyond 2
+        lam[:, :2] = sv
+        pair = lam[:, 0] * lam[:, 1]
+        flagged = bool(svcore.pair_flags(pair**2).any())
+        with np.errstate(invalid="ignore"):
+            min_phi = float("nan") if flagged else float(svcore.phi_batch(lam).min())
+        ref = (min_phi, float(pair.max()), float(lam.max()), flagged)
+        assert two[3] == ref[3] == (k == 6)
+        if ref[3]:
+            assert math.isnan(two[0]) and math.isnan(ref[0])
+        else:
+            assert math.isclose(two[0], ref[0], rel_tol=1e-13)
+        assert math.isclose(two[1], ref[1], rel_tol=1e-13)
+        assert math.isclose(two[2], ref[2], rel_tol=1e-14)
+
+
 def test_first_derivatives_run_once_per_state(monkeypatch):
     calls = []
     original = torus.first_derivatives

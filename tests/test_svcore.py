@@ -286,6 +286,28 @@ def test_one_guard_flags_the_same_edge_sample():
     assert disagree == []
 
 
+@pytest.mark.parametrize("m, n", [(3, 2), (2, 3)])
+def test_two_value_torus_monitor_flags_the_same_edge_sample(m, n):
+    """The edge sample above, each spectrum fed as a one-node m x n df
+    diag(l1, l2): the torus monitor at min(m, n) = 2 decides by
+    (l1 l2)^2 too (LAPACK's singular values, 2 ulp off, decided 12 of them
+    differently at each shape)."""
+    rng = np.random.default_rng(24)
+    l1 = rng.uniform(1.0, 2.0, 2000)
+    l2 = _EDGE / l1
+    step = rng.integers(-1, 2, l1.size)
+    l2 = np.where(step < 0, np.nextafter(l2, 0.0), np.where(step > 0, np.nextafter(l2, 2.0), l2))
+    flagged = svcore.pair_flags((l1 * l2) ** 2)
+    df = np.zeros((m, n, 1, 1))
+    disagree = []
+    for a, b, f in zip(l1.tolist(), l2.tolist(), flagged.tolist()):
+        df[0, 0], df[1, 1] = a, b
+        if torus.pointwise_phi_stats(df)[3] != f:
+            disagree.append((a, b))
+    assert 0 < flagged.sum() < l1.size
+    assert disagree == []
+
+
 _LIMIT = 1.0 - svcore.PAIR_PRODUCT_GUARD
 
 
