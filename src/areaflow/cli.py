@@ -90,7 +90,10 @@ def _parse_profile(token: str) -> criteria.MapProfile:
 
 def _cmd_criteria(args) -> int:
     profile = _parse_profile(args.profile)
+    started = _now()
+    t0 = time.perf_counter()
     result = criteria.dilation_trick(profile, args.theorem)
+    elapsed = time.perf_counter() - t0
     payload = result.to_json()
     payload["citation"] = (
         f"{result.criterion} curvature-comparison criterion with target dilation"
@@ -99,13 +102,15 @@ def _cmd_criteria(args) -> int:
     sys.stdout.write(out.decode())
     if args.out:
         _write_outputs(args.out, {"verdict.json": out}, "criteria",
-                       {"profile": args.profile, "theorem": args.theorem})
+                       {"profile": args.profile, "theorem": args.theorem,
+                        "elapsed_s": elapsed},
+                       started=started)
     return 0
 
 
 def _cmd_flow(args) -> int:
     started = _now()
-    config = parse_scenario(args.scenario)
+    config = parse_scenario(Path(args.scenario))
     t0 = time.perf_counter()
     records, verdict = run_flow(config)
     elapsed = time.perf_counter() - t0

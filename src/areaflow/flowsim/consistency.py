@@ -18,9 +18,9 @@ is subtracted to land on the normal-parametrization operator the formulas
 are stated in.  Ambient curvature vanishes on the flat torus.
 
 Differences (the time stencil, coordinate gradients, d g) run on the whole
-grid, in space through the step's padded stencil (`_centered_diffs`).  The
+grid, in space through the step's stencil (`torus.centered_diffs`).  The
 per-node algebra (the QR frames and their contractions, the covariant
-contraction of |grad S|^2) runs in `torus.node_blocks`.
+contraction of |grad S|^2) runs in node blocks (`torus.per_node`).
 """
 
 from __future__ import annotations
@@ -29,19 +29,6 @@ import numpy as np
 
 from .state import ScenarioConfig, TorusState, initial_state
 from . import torus
-
-
-def _centered_diffs(field, h):
-    """d[k] = (f(x + e_k) - f(x - e_k)) / 2h along each grid axis k of a
-    (components, ...grid) field f, through the step's padded stencil: the
-    slice form of (np.roll(f, -1, 1 + k) - np.roll(f, 1, 1 + k)) / 2h."""
-    n = field.ndim - 1
-    p = torus._padded(field, n)
-    d = np.empty((n,) + field.shape)
-    for k in range(n):
-        np.subtract(torus._shifted(p, {k: 1}), torus._shifted(p, {k: -1}), out=d[k])
-        d[k] /= 2.0 * h
-    return d
 
 
 def _metric_fields(df):
@@ -68,12 +55,8 @@ def _algebraic_sides(state: TorusState):
     as rows (trace, square, |grad S|^2) of one (3, P) array; the QR frames
     are formed one node block at a time."""
     m, n = state.m, state.n
-    df = state.df.reshape(m, n, -1)
-    d2 = torus.second_derivatives(state).reshape(m, n, n, -1)
-    sides = np.empty((3, df.shape[-1]))
-    for nodes in torus.node_blocks(df.shape[-1]):
-        sides[:, nodes] = _frame_contractions(df[..., nodes], d2[..., nodes])
-    return sides
+    return torus.per_node(_frame_contractions, state.df.reshape(m, n, -1),
+                          torus.second_derivatives(state).reshape(m, n, n, -1))
 
 
 def _frame_contractions(df, d2):
@@ -95,13 +78,10 @@ def _measured_grad_sq(g, ginv, shat, h):
     coordinate components; g is differenced once on the whole grid, for the
     Christoffel symbols and d Shat = -d g, and contracted in node blocks."""
     n = g.shape[0]
-    dg = _centered_diffs(g.reshape((n * n,) + g.shape[2:]), h).reshape(n, n, n, -1)
-    ginv, shat = ginv.reshape(n, n, -1), shat.reshape(n, n, -1)
-    grad_sq = np.empty(dg.shape[-1])
-    for nodes in torus.node_blocks(grad_sq.size):
-        grad_sq[nodes] = _covariant_grad_sq(dg[..., nodes], ginv[..., nodes],
-                                            shat[..., nodes])
-    return grad_sq
+    # dg[i, j, k] -> the view dg[k, i, j]
+    dg = torus.centered_diffs(g.reshape((n * n,) + g.shape[2:]), h).reshape(n, n, n, -1)
+    return torus.per_node(_covariant_grad_sq, np.moveaxis(dg, 2, 0),
+                          ginv.reshape(n, n, -1), shat.reshape(n, n, -1))
 
 
 def _covariant_grad_sq(dg, ginv, shat):
@@ -109,8 +89,10 @@ def _covariant_grad_sq(dg, ginv, shat):
     gamma = 0.5 * (np.einsum("lm...,kmi...->lki...", ginv, dg)
                    + np.einsum("lm...,imk...->lki...", ginv, dg)
                    - np.einsum("lm...,mki...->lki...", ginv, dg))
-    covd = -dg - np.einsum("lki...,lj...->kij...", gamma, shat) \
-        - np.einsum("lkj...,il...->kij...", gamma, shat)
+    # C order also for a strided dg: covd's layout sets the last einsum's sums
+    covd = np.negative(dg, order="C")
+    covd -= np.einsum("lki...,lj...->kij...", gamma, shat)
+    covd -= np.einsum("lkj...,il...->kij...", gamma, shat)
     return np.einsum("ka...,ib...,jc...,kij...,abc...->...",
                      ginv, ginv, ginv, covd, covd)
 
@@ -143,10 +125,10 @@ def consistency_residuals(state: TorusState, dt: float):
     sq = np.sqrt(np.linalg.det(np.moveaxis(np.moveaxis(g, 0, -1), 0, -1)))
 
     def measured(u, du):
-        grad = _centered_diffs(u[None], h)[:, 0]
+        grad = torus.centered_diffs(u[None], h)[0]
         adv = np.einsum("i...,i...->...", v, grad)
         # Laplace-Beltrami in divergence form, (1/sqrt g) d_i (sqrt g g^ij d_j u)
-        dw = _centered_diffs(sq * np.einsum("ij...,j...->i...", ginv, grad), h)
+        dw = torus.centered_diffs(sq * np.einsum("ij...,j...->i...", ginv, grad), h)
         lap = sum(dw[i, i] for i in range(n)) / sq
         return du - adv - lap
 

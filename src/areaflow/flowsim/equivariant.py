@@ -71,48 +71,43 @@ def profile_trig(state: EquivariantState) -> np.ndarray:
     return trig
 
 
-def _geometry(state: EquivariantState):
+def frame(state: EquivariantState):
     """Per-node frames and projected second-derivative vectors at theta = 0.
 
     Second derivatives along the meridian are the centred differences of
     the embedding that the step reads, on the interior nodes; tangents are
     assembled from the (fourth-order) profile derivative, which keeps the
     theta-trace term second-order accurate at the pole-adjacent nodes.
+    At theta = 0 each vector lies either in the meridian components
+    (0, 1, 3, 4) or in the theta components (2, 5), so X_rr and X_tt are
+    projected on n1, n2 and t1 only and X_rt on t2 only: the coefficients
+    on the other plane's units are exact zeros.
     """
     J = state.resolution
     src, trig, rhop = source_side(J), state.trig, state.rhop
     (cr, sr), (cp, sp) = src["trig"], trig
-    zeros = np.zeros(J + 1)
-    X_rr = np.zeros((J + 1, 6))
-    X_rr[:, [0, 1, 3, 4]] = np.concatenate(
-        (src["trig_rr"], second_difference(trig, state.h))).T
-    pr = np.stack([-sr, cr, zeros], axis=-1)
-    qr = np.stack([-sp, cp, zeros], axis=-1)
-    X_r = np.concatenate([pr, rhop[:, None] * qr], axis=-1)
-    X_tt = np.stack([zeros, -sr, zeros, zeros, -sp, zeros], axis=-1)
-    X_rt = np.stack([zeros, zeros, cr, zeros, zeros, rhop * cp], axis=-1)
-    X_t = np.stack([zeros, zeros, sr, zeros, zeros, sp], axis=-1)
-    n1 = np.stack([cr, sr, zeros, zeros, zeros, zeros], axis=-1)
-    n2 = np.stack([zeros, zeros, zeros, cp, sp, zeros], axis=-1)
     g_rr = 1.0 + rhop**2
     g_tt = sr**2 + sp**2
     # pole rows are coordinate-singular (X_rr is 0 there); callers mask them
     safe_tt = np.where(g_tt > 1e-300, g_tt, 1.0)
-    t1 = X_r / np.sqrt(g_rr)[:, None]
-    t2 = X_t / np.sqrt(safe_tt)[:, None]
-
-    def project(V):
-        for unit in (n1, n2, t1, t2):
-            V = V - np.einsum("ij,ij->i", V, unit)[:, None] * unit
-        return V
-
-    II_rr = project(X_rr)
-    II_tt = project(X_tt)
-    II_rt = project(X_rt)
-    nu = np.concatenate([-rhop[:, None] * pr, qr], axis=-1) / np.sqrt(g_rr)[:, None]
-    mu = np.stack([zeros, zeros, -sp, zeros, zeros, sr], axis=-1) / np.sqrt(safe_tt)[:, None]
-    return {"g_rr": g_rr, "g_tt": g_tt, "II_rr": II_rr,
-            "II_tt": II_tt, "II_rt": II_rt, "nu": nu, "mu": mu}
+    X_rr, X_tt, n1, n2, t1, nu, X_rt, t2, mu = np.zeros((9, J + 1, 6))
+    X_rr[:, [0, 1, 3, 4]] = np.concatenate(
+        (src["trig_rr"], second_difference(trig, state.h))).T
+    X_tt[:, 1], X_tt[:, 4] = -sr, -sp
+    n1[:, 0], n1[:, 1] = cr, sr
+    n2[:, 3], n2[:, 4] = cp, sp
+    t1[:, 0], t1[:, 1], t1[:, 3], t1[:, 4] = -sr, cr, -rhop * sp, rhop * cp   # X_r
+    nu[:, 0], nu[:, 1], nu[:, 3], nu[:, 4] = rhop * sr, -rhop * cr, -sp, cp
+    X_rt[:, 2], X_rt[:, 5] = cr, rhop * cp
+    t2[:, 2], t2[:, 5] = sr, sp                                                # X_t
+    mu[:, 2], mu[:, 5] = -sp, sr
+    for unit, norm_sq in ((t1, g_rr), (nu, g_rr), (t2, safe_tt), (mu, safe_tt)):
+        unit /= np.sqrt(norm_sq)[:, None]
+    for V, units in ((X_rr, (n1, n2, t1)), (X_tt, (n1, n2, t1)), (X_rt, (t2,))):
+        for unit in units:
+            V -= np.einsum("ij,ij->i", V, unit)[:, None] * unit
+    return {"g_rr": g_rr, "g_tt": g_tt, "II_rr": X_rr,
+            "II_tt": X_tt, "II_rt": X_rt, "nu": nu, "mu": mu}
 
 
 def normal_velocity(state: EquivariantState):

@@ -133,7 +133,7 @@ class EquivariantState:
     rhop = derived(lambda s: equivariant.profile_derivative(s))
     abs_rhop = derived(lambda s: np.abs(s.rhop))
     trig = derived(lambda s: equivariant.profile_trig(s))
-    frame = derived(lambda s: equivariant._geometry(s))
+    frame = derived(lambda s: equivariant.frame(s))
 
     backend = "equivariant_sphere"
 
@@ -191,17 +191,15 @@ class ScenarioConfig:
 
 
 def parse_scenario(source) -> ScenarioConfig:
-    """Parse a plain-text key = value scenario (path or string).
+    """Parse a plain-text key = value scenario: a pathlib.Path is read as a
+    file, a str is the scenario text itself.
 
     Lines starting with # are comments; keys are the ScenarioConfig fields,
     each cast to its annotated type.
     """
     from typing import get_type_hints
     field_types = get_type_hints(ScenarioConfig)
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text()
-    else:
-        text = str(source)
+    text = source.read_text() if isinstance(source, Path) else source
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

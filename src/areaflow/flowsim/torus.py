@@ -5,12 +5,12 @@
 with periodic centered differences on the lift f = winding @ x + u.
 Constant and linear (pure winding) maps are fixed points.
 
-Grid stencils (the step, `first_derivatives`, `second_derivatives`) read
+Grid stencils (the step, `centered_diffs`, `second_derivatives`) read
 neighbours and run on the whole grid.  The per-node algebra of the cadence
 |A|^2 (`second_fundamental_sq`) and of criterion 11's QR frames runs over
-the flattened node axis in slices of `NODE_BLOCK` nodes (`node_blocks`),
-so no (P, ...) stack of the whole grid is held; every such operation is
-per node, so the values are those of one whole-grid evaluation.
+the flattened node axis in slices of `NODE_BLOCK` nodes (`per_node`), so
+no (P, ...) stack of the whole grid is held; every such operation is per
+node, so the values are those of one whole-grid evaluation.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ from .state import CFL_MAX, MonitorRecord, TorusState
 NODE_BLOCK = 2048
 
 
-def node_blocks(count: int):
-    """Consecutive slices of NODE_BLOCK nodes (the last may be shorter)
-    covering a flattened node axis of the given length."""
-    for start in range(0, count, NODE_BLOCK):
-        yield slice(start, min(start + NODE_BLOCK, count))
+def per_node(fn, *fields):
+    """fn on consecutive slices of NODE_BLOCK nodes (the last may be shorter)
+    of fields with the flattened node axis last, its results joined along
+    that axis; a tuple result becomes the rows of one array."""
+    count = fields[0].shape[-1]
+    return np.concatenate([fn(*(f[..., start:start + NODE_BLOCK] for f in fields))
+                           for start in range(0, count, NODE_BLOCK)], axis=-1)
 
 
 def _padded(u: np.ndarray, n: int) -> np.ndarray:
@@ -58,17 +60,24 @@ def _shifted(p: np.ndarray, shift: dict) -> np.ndarray:
         for i in range(p.ndim - 1))]
 
 
+def centered_diffs(field: np.ndarray, h: float) -> np.ndarray:
+    """d[a, k, ...grid] = (f^a(x + e_k) - f^a(x - e_k)) / 2h along each grid
+    axis k of a periodic (components, ...grid) field f: the slice form of
+    (np.roll(f, -1, 1 + k) - np.roll(f, 1, 1 + k)) / 2h."""
+    n = field.ndim - 1
+    p = _padded(field, n)
+    d = np.empty(field.shape[:1] + (n,) + field.shape[1:])
+    for k in range(n):
+        dk = d[:, k]
+        np.subtract(_shifted(p, {k: 1}), _shifted(p, {k: -1}), out=dk)
+        dk /= 2.0 * h
+    return d
+
+
 def first_derivatives(state: TorusState) -> np.ndarray:
     """df[a, i, ...grid] of the lift (winding + centered residual)."""
-    u, h = state.u, state.h
-    n, m = state.n, state.m
-    p = _padded(u, n)
-    df = np.empty((m, n) + u.shape[1:])
-    for i in range(n):
-        di = df[:, i]
-        np.subtract(_shifted(p, {i: 1}), _shifted(p, {i: -1}), out=di)
-        di /= 2.0 * h
-        di += state.winding[:, i][(slice(None),) + (None,) * n]
+    df = centered_diffs(state.u, state.h)
+    df += state.winding[(...,) + (None,) * state.n]
     return df
 
 
@@ -308,11 +317,8 @@ def second_fundamental_sq(df: np.ndarray, d2: np.ndarray) -> np.ndarray:
     |A|^2 = g^{ik} g^{jl} <f_ij, (I_m + df df^T)^{-1} f_kl>.
     """
     m, n = df.shape[:2]
-    df_p, d2_p = df.reshape(m, n, -1), d2.reshape(m, n, n, -1)
-    a2 = np.empty(df_p.shape[-1])
-    for nodes in node_blocks(a2.size):
-        a2[nodes] = _a2_closed_form(df_p[..., nodes], d2_p[..., nodes])
-    return a2.reshape(df.shape[2:])
+    return per_node(_a2_closed_form, df.reshape(m, n, -1),
+                    d2.reshape(m, n, n, -1)).reshape(df.shape[2:])
 
 
 def _a2_closed_form(df: np.ndarray, d2: np.ndarray) -> np.ndarray:

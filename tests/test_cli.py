@@ -503,6 +503,46 @@ def test_flow_timings_go_to_manifest_only(capsys, tmp_path):
         assert key not in verdict and key not in csv_text
 
 
+def test_criteria_timings_go_to_manifest_only(capsys, tmp_path, monkeypatch):
+    from areaflow import cli, criteria
+    argv = ("criteria", "hopf_s3_s2", "--theorem", "13")
+    _, plain = run_cli(capsys, *argv)
+    events, search = [], criteria.dilation_trick
+
+    def stamp():
+        events.append("now")
+        return f"stamp {len(events)}"
+
+    def traced_search(*args):
+        events.append("search")
+        return search(*args)
+
+    monkeypatch.setattr(cli, "_now", stamp)
+    monkeypatch.setattr(criteria, "dilation_trick", traced_search)
+    rc, out = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert rc == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # started is read just before the search, not when the files are written
+    assert manifest["started"] == f"stamp {events.index('search')}"
+    assert manifest["config"]["elapsed_s"] > 0
+    assert out == plain == (tmp_path / "verdict.json").read_text()
+    assert "elapsed_s" not in out
+
+
+@pytest.mark.parametrize("text", ["resolution = 32", "backend = torus\nresolution = 32\n"],
+                         ids=["one-line", "multi-line"])
+def test_scenario_strings_are_parsed_not_opened(text):
+    from areaflow.flowsim import parse_scenario
+    assert parse_scenario(text).resolution == 32
+
+
+def test_flow_missing_scenario_is_config_error(capsys, tmp_path):
+    rc = main(["flow", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and captured.err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line", ["wibble = 3", "plots = true", "cadence = 0", "cadence = -3",
                                   "n = 0", "m = 0", "amplitude = nan", "t_max = nan",
                                   "lambda_stop = inf", "monotonicity_c = nan",

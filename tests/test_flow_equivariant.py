@@ -214,7 +214,7 @@ def test_phi_stats_run_once_per_state_and_once_more_for_the_final_record(monkeyp
 
 def test_mu_check_runs_with_every_record_and_never_in_the_step(monkeypatch):
     checked, framed = [], []
-    original, geometry = eq.normal_velocity, eq._geometry
+    original, geometry = eq.normal_velocity, eq.frame
 
     def counted(state):
         checked.append(state.t)
@@ -225,7 +225,7 @@ def test_mu_check_runs_with_every_record_and_never_in_the_step(monkeypatch):
         return geometry(state)
 
     monkeypatch.setattr(eq, "normal_velocity", counted)
-    monkeypatch.setattr(eq, "_geometry", counted_geometry)
+    monkeypatch.setattr(eq, "frame", counted_geometry)
     config = ScenarioConfig(backend="equivariant_sphere", resolution=32,
                             initial="sine", amplitude=0.3, t_max=0.05,
                             cadence=7)

@@ -314,6 +314,48 @@ def test_padded_stencils_match_roll_bit_for_bit(n, m, resolution):
                           _roll_second(state.u, state.h, n))
 
 
+def _per_axis_first_derivatives(state):
+    """df axis by axis into one preallocated stack, the winding added per
+    axis after the division: the byte reference for `first_derivatives`."""
+    n, u = state.n, state.u
+    df = np.empty((state.m, n) + u.shape[1:])
+    for i in range(n):
+        di = df[:, i]
+        np.subtract(np.roll(u, -1, 1 + i), np.roll(u, 1, 1 + i), out=di)
+        di /= 2.0 * state.h
+        di += state.winding[:, i][(slice(None),) + (None,) * n]
+    return df
+
+
+@pytest.mark.parametrize("n, m, resolution", [(1, 2, 17), (1, 1, 12), (3, 2, 9), (3, 1, 8)])
+def test_centered_diffs_match_roll_for_any_component_count(n, m, resolution):
+    """The one centered first difference, on the n^2 metric entries (not m
+    components), and first_derivatives' broadcast winding add."""
+    state = _rough_state(n, m, resolution, seed=13, winding_scale=0.4)
+    g, _ = torus.induced_metric(state.df)
+    entries = g.reshape((n * n,) + g.shape[2:])
+    diffs = torus.centered_diffs(entries, state.h)
+    assert diffs.shape == (n * n, n) + g.shape[2:]
+    assert np.array_equal(diffs, _roll_first(entries, state.h, n))
+    assert np.any(state.winding != 0)
+    assert np.array_equal(torus.first_derivatives(state), _per_axis_first_derivatives(state))
+
+
+def test_per_node_joins_tuple_results_in_block_order(monkeypatch):
+    monkeypatch.setattr(torus, "NODE_BLOCK", 4)
+    x = np.arange(20.0).reshape(2, 10)
+    y = np.arange(10.0, 20.0)
+    blocks = []
+
+    def fn(a, b):
+        blocks.append(b.tolist())
+        return a[0] + b, a[1] * b
+
+    joined = torus.per_node(fn, x, y)
+    assert blocks == [y[:4].tolist(), y[4:8].tolist(), y[8:].tolist()]
+    assert np.array_equal(joined, np.stack([x[0] + y, x[1] * y]))
+
+
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (3, 3)])
 @pytest.mark.parametrize("winding_scale", [0.0, 0.7])
 def test_closed_form_a2_matches_qr_frames(n, m, winding_scale):
@@ -359,6 +401,22 @@ def test_blocked_per_node_algebra_equals_one_block(monkeypatch, n, m, resolution
     assert blocked.pop("record") == whole.pop("record")
     for key in whole:
         assert np.array_equal(blocked[key], whole[key]), key
+
+
+# the 12^3 grids are large enough for np.einsum's iteration order to follow
+# a strided operand's layout (8^3 and 10^3 are not)
+@pytest.mark.parametrize("n, m, resolution", [(2, 2, 24), (3, 2, 12), (3, 3, 12)])
+def test_grad_sq_on_the_strided_dg_view_equals_the_contiguous_route(n, m, resolution):
+    """|grad S|^2 contracted on the moveaxis view of d g has the bits of the
+    same contraction on a C-contiguous dg[k, i, j]: np.einsum sums in its
+    operands' memory order."""
+    state = _rough_state(n, m, resolution, seed=7, winding_scale=0.5)
+    g, ginv, shat = consistency._metric_fields(state.df)
+    P = resolution**n
+    dg = np.stack([(np.roll(g, -1, 2 + k) - np.roll(g, 1, 2 + k)) / (2.0 * state.h)
+                   for k in range(n)]).reshape(n, n, n, P)
+    ref = consistency._covariant_grad_sq(dg, ginv.reshape(n, n, P), shat.reshape(n, n, P))
+    assert np.array_equal(consistency._measured_grad_sq(g, ginv, shat, state.h), ref)
 
 
 def test_blocked_monitor_bounds_its_memory(monkeypatch, traced_peak):
