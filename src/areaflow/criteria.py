@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .geometry import CurvatureModel, cp, curvature_bounds, model_to_str, parse_model, sphere
 from .svcore import spectrum, two_dilation
 
@@ -44,7 +46,10 @@ class MapProfile:
     sup_two_dilation: float = field(init=False)
 
     def __post_init__(self):
-        sup = max(two_dilation(s) for s in self.spectra)
+        with np.errstate(over="ignore"):
+            sup = max(two_dilation(s) for s in self.spectra)
+        if not math.isfinite(sup):
+            raise ValueError("the sup 2-dilation of the spectra is out of floating-point range")
         object.__setattr__(self, "sup_two_dilation", float(sup))
 
 

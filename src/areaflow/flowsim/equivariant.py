@@ -24,18 +24,71 @@ with nu unchanged.
 
 Singular values: lambda_1 = |rho'|, lambda_2 = |sin rho / sin r| with the
 pole limit lambda_2 = |rho'| at r in {0, pi}.
+
+The backend owns its grid (``source_side``), initial data and mu self-check.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError, GraphicalBreakdownError
 from ..svcore import pair_flags
-from .state import (CFL_MAX, EquivariantState, MonitorRecord, second_difference,
-                    source_side)
+from .state import CFL_MAX, EquivariantState, MonitorRecord, ScenarioConfig
 
 RHO_PRIME_BREAKDOWN = 1e3
+
+
+def second_difference(x: np.ndarray, h: float) -> np.ndarray:
+    """Centred second differences along the last axis, in x's shape, with 0
+    at the ends of each row.  The rows are differenced as one contiguous
+    run; the differences that straddle two rows land on row ends."""
+    d = np.empty(x.shape)
+    flat, run = x.reshape(-1), d.reshape(-1)[1:-1]
+    np.multiply(flat[1:-1], 2.0, out=run)
+    np.subtract(flat[2:], run, out=run)
+    run += flat[:-2]
+    run /= h**2
+    d[..., 0] = d[..., -1] = 0.0
+    return d
+
+
+@lru_cache(maxsize=None)
+def source_side(resolution: int) -> dict:
+    """The grid: nodes r_j = j pi / J, (cos r, sin r) as two rows and their
+    second differences, the mask sin r > 1e-12, sin r and sin^2 r with 1 at
+    the poles, and the factors of rho' in the velocity as the rows it
+    multiplies them by in turn: (sin r, cos r, sin r), then (cos_rr r,
+    sin_rr r, cos r).  One read-only set per resolution J, shared by all."""
+    r = np.linspace(0.0, math.pi, resolution + 1)
+    trig = np.array((np.cos(r), np.sin(r)))
+    (cr, sr), trig_rr = trig, second_difference(trig, math.pi / resolution)
+    off_pole = sr > 1e-12
+    safe_sin = np.where(off_pole, sr, 1.0)
+    side = dict(r=r, trig=trig, trig_rr=trig_rr, off_pole=off_pole, safe_sin=safe_sin,
+                sin_sq=safe_sin**2, p_by=np.array((sr, cr, sr)),
+                p_then=np.array((*trig_rr, cr)))
+    for a in side.values():
+        a.flags.writeable = False
+    return side
+
+
+def initial(config: ScenarioConfig) -> EquivariantState:
+    """Initial profile on the grid nodes: amplitude sin r, r or 0."""
+    J = config.resolution
+    r = source_side(J)["r"]
+    if config.initial == "sine":
+        rho = config.amplitude * np.sin(r)
+    elif config.initial == "identity":
+        rho = r.copy()
+    elif config.initial == "zero":
+        rho = np.zeros(J + 1)
+    else:
+        raise ConfigurationError(f"unknown equivariant initial data {config.initial!r}")
+    return EquivariantState(resolution=J, rho=rho)
 
 
 def _extended(state: EquivariantState):
@@ -123,6 +176,13 @@ def normal_velocity(state: EquivariantState):
     h_nu[0] = h_nu[-1] = 0.0
     h_mu[0] = h_mu[-1] = 0.0
     return h_nu, h_mu, h_norm
+
+
+def mu_orthogonality(state: EquivariantState) -> float:
+    """Largest |<H, mu>| / |H| on the interior nodes, taken with each record."""
+    _, h_mu, h_norm = normal_velocity(state)
+    floor = 1e-12 + 1e-9 * state.h**2
+    return float((np.abs(h_mu[1:-1]) / (np.abs(h_norm[1:-1]) + floor)).max())
 
 
 def profile_velocity(state: EquivariantState) -> np.ndarray:

@@ -12,14 +12,6 @@ from . import equivariant, torus
 from .state import ScenarioConfig, initial_state
 
 
-def _mu_rel(state):
-    """Largest |<H, mu>| / |H| on the interior nodes of an equivariant state:
-    the symmetry self-check taken with each monitor record."""
-    _, h_mu, h_norm = equivariant.normal_velocity(state)
-    floor = 1e-12 + 1e-9 * state.h**2
-    return float((np.abs(h_mu[1:-1]) / (np.abs(h_norm[1:-1]) + floor)).max())
-
-
 def fitted_decay_rate(times, min_phis):
     """Least-squares slope of log(-min_phi) over the tail half of the run.
 
@@ -66,7 +58,7 @@ def run(config: ScenarioConfig, state=None):
         light = lambda s: equivariant.pointwise_phi_stats(*equivariant.profile_spectrum(s))
         monitor = lambda s: equivariant.equivariant_monitors(s)
         velocity = lambda s: equivariant.profile_velocity(s)
-        mu_check = _mu_rel
+        mu_check = lambda s: equivariant.mu_orthogonality(s)
     tol = config.monotonicity_c * (state.h**2 + dt)
     steady_tol = config.steady_c * state.h**2
 

@@ -1,10 +1,9 @@
-"""Flow states, monitor records, and scenario configuration."""
+"""What both flow backends share: states, monitor records, scenario configuration."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -60,48 +59,6 @@ class TorusState:
     backend = "torus"
 
 
-@lru_cache(maxsize=None)
-def node_angles(resolution: int) -> np.ndarray:
-    """r_j = j pi / J: one read-only array per resolution, shared by every
-    state of that resolution."""
-    r = np.linspace(0.0, math.pi, resolution + 1)
-    r.flags.writeable = False
-    return r
-
-
-def second_difference(x: np.ndarray, h: float) -> np.ndarray:
-    """Centred second differences along the last axis, in x's shape, with 0
-    at the ends of each row.  The rows are differenced as one contiguous
-    run; the differences that straddle two rows land on row ends."""
-    d = np.empty(x.shape)
-    flat, run = x.reshape(-1), d.reshape(-1)[1:-1]
-    np.multiply(flat[1:-1], 2.0, out=run)
-    np.subtract(flat[2:], run, out=run)
-    run += flat[:-2]
-    run /= h**2
-    d[..., 0] = d[..., -1] = 0.0
-    return d
-
-
-@lru_cache(maxsize=None)
-def source_side(resolution: int) -> dict:
-    """(cos r, sin r) as two rows and their second differences, the mask
-    sin r > 1e-12, sin r and sin^2 r with 1 at the poles, and the factors
-    of rho' in the velocity as the rows it multiplies them by in turn:
-    (sin r, cos r, sin r), then (cos_rr r, sin_rr r, cos r).  One read-only
-    set per resolution, shared like node_angles."""
-    trig = np.array((np.cos(node_angles(resolution)), np.sin(node_angles(resolution))))
-    (cr, sr), trig_rr = trig, second_difference(trig, math.pi / resolution)
-    off_pole = sr > 1e-12
-    safe_sin = np.where(off_pole, sr, 1.0)
-    side = dict(trig=trig, trig_rr=trig_rr, off_pole=off_pole, safe_sin=safe_sin,
-                sin_sq=safe_sin**2, p_by=np.array((sr, cr, sr)),
-                p_then=np.array((*trig_rr, cr)))
-    for a in side.values():
-        a.flags.writeable = False
-    return side
-
-
 @dataclass(frozen=True)
 class EquivariantState:
     """Rotationally symmetric sphere-pair profile rho(r) on r_j = j pi / J.
@@ -113,7 +70,7 @@ class EquivariantState:
     value ``abs_rhop`` (lambda_1, which the step's breakdown check and the
     spectrum share), ``trig`` (cos rho, sin rho) and the projected
     ``frame``; writing into ``rho`` after reading any is unsupported.  ``r``
-    is the read-only node array that all states of a resolution share.
+    is the read-only node array of ``equivariant.source_side``.
     """
 
     resolution: int              # J: number of intervals
@@ -127,7 +84,7 @@ class EquivariantState:
 
     @property
     def r(self):
-        return node_angles(self.resolution)
+        return equivariant.source_side(self.resolution)["r"]
 
     # looked up in the backend module when called: wrappers there see each call
     rhop = derived(lambda s: equivariant.profile_derivative(s))
@@ -219,45 +176,10 @@ def parse_scenario(source) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
-def _torus_initial(config: ScenarioConfig) -> TorusState:
-    n, m, N = config.n, config.m, config.resolution
-    axes = [np.arange(N) * (2.0 * math.pi / N) for _ in range(n)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    u = np.zeros((m,) + (N,) * n)
-    winding = np.zeros((m, n))
-    if config.initial == "sine":
-        # f^a = amplitude * sin(x^a) on the shared axes
-        for a in range(m):
-            u[a] = config.amplitude * np.sin(grid[a % n])
-    elif config.initial == "linear":
-        # lift f = amplitude * x; pure winding, zero residual
-        for a in range(min(m, n)):
-            winding[a, a] = config.amplitude
-    elif config.initial == "constant":
-        pass
-    else:
-        raise ConfigurationError(f"unknown torus initial data {config.initial!r}")
-    return TorusState(n=n, m=m, resolution=N, winding=winding, u=u)
-
-
-def _equivariant_initial(config: ScenarioConfig) -> EquivariantState:
-    J = config.resolution
-    r = node_angles(J)
-    if config.initial == "sine":
-        rho = config.amplitude * np.sin(r)
-    elif config.initial == "identity":
-        rho = r.copy()
-    elif config.initial == "zero":
-        rho = np.zeros(J + 1)
-    else:
-        raise ConfigurationError(f"unknown equivariant initial data {config.initial!r}")
-    return EquivariantState(resolution=J, rho=rho)
-
-
 def initial_state(config: ScenarioConfig):
     if config.backend == "torus":
-        return _torus_initial(config)
-    return _equivariant_initial(config)
+        return torus.initial(config)
+    return equivariant.initial(config)
 
 
 from . import equivariant, torus  # noqa: E402  (they import this module's names)

@@ -2,8 +2,8 @@
 
     df^a/dt = g^{ij} d2_{ij} f^a,     g_ij = delta_ij + sum_b d_i f^b d_j f^b,
 
-with periodic centered differences on the lift f = winding @ x + u.
-Constant and linear (pure winding) maps are fixed points.
+with periodic centered differences on the lift f = winding @ x + u (grid and
+initial data: `initial`).  Constant and linear (pure winding) maps are fixed points.
 
 Grid stencils (the step, `centered_diffs`, `second_derivatives`) read
 neighbours and run on the whole grid.  The per-node algebra of the cadence
@@ -15,11 +15,13 @@ node, so the values are those of one whole-grid evaluation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigurationError, DivergenceError
 from ..svcore import pair_flags, pair_index, phi_batch
-from .state import CFL_MAX, MonitorRecord, TorusState
+from .state import CFL_MAX, MonitorRecord, ScenarioConfig, TorusState
 
 # nodes per slice of the per-node algebra: 1024, 2048 and 4096 give the same
 # peak RSS on the torus_refine work; 4096 raises the cadence monitor's traced
@@ -170,6 +172,27 @@ def flow_velocity(state: TorusState) -> np.ndarray:
         return v
     _, ginv = induced_metric(state.df)
     return np.einsum("ij...,aij...->a...", ginv, second_derivatives(state))
+
+
+def initial(config: ScenarioConfig) -> TorusState:
+    n, m, N = config.n, config.m, config.resolution
+    axes = [np.arange(N) * (2.0 * math.pi / N) for _ in range(n)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    u = np.zeros((m,) + (N,) * n)
+    winding = np.zeros((m, n))
+    if config.initial == "sine":
+        # f^a = amplitude * sin(x^a) on the shared axes
+        for a in range(m):
+            u[a] = config.amplitude * np.sin(grid[a % n])
+    elif config.initial == "linear":
+        # lift f = amplitude * x; pure winding, zero residual
+        for a in range(min(m, n)):
+            winding[a, a] = config.amplitude
+    elif config.initial == "constant":
+        pass
+    else:
+        raise ConfigurationError(f"unknown torus initial data {config.initial!r}")
+    return TorusState(n=n, m=m, resolution=N, winding=winding, u=u)
 
 
 def max_step(state: TorusState, cfl: float) -> float:

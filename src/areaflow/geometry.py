@@ -40,6 +40,16 @@ class CurvatureModel:
             raise ValueError("only spheres take a radius argument")
         if not 0 < self.scale < math.inf:
             raise ValueError("scale must be positive and finite")
+        # r^2 and scale^2 must neither overflow nor round to 0, nor the
+        # curvatures overflow, nor those of a curved model round to 0
+        try:
+            sec_min, sec_max, ricci = curvature_bounds(self)
+        except (OverflowError, ZeroDivisionError):
+            sec_min = sec_max = ricci = math.inf
+        if not (math.isfinite(sec_max) and math.isfinite(ricci)
+                and (sec_min > 0 or self.kind == "torus")):
+            raise ValueError(f"the curvature of {model_to_str(self)} is out of "
+                             "floating-point range")
 
     @property
     def structures(self) -> int:

@@ -564,6 +564,9 @@ BAD_PROFILES = {
     "no_rows": {"source": "sphere(3)", "target": "sphere(2)", "spectra": []},
     "short_row": {"source": "s(5)", "target": "s(3)", "spectra": [[0.5, 0.4]]},
     "long_row": {"source": "s(5)", "target": "s(3)", "spectra": [[0.5, 0.4, 0.1] + [0.0] * 5]},
+    "dilation_overflow": {"source": "s(3)", "target": "s(2)", "spectra": [1e200, 1e200, 0.0]},
+    "target_curvature_overflow": {"source": "s(3)", "target": "s(2) scaled 1e-200",
+                                  "spectra": [[0.5, 0.5, 0.0]]},
 }
 
 
@@ -579,6 +582,12 @@ BAD_PROFILES = {
     ("curvature", "torus(2)", "--plane", "0.5"),
     ("curvature", "cp(1)", "--plane", "0.3"),
     ("curvature", "hp(1)", "--plane", "0", "0", "0"),
+    # curvature numbers that divide by zero, overflow, or print as Infinity
+    ("curvature", "s(2) scaled 1e-200"),
+    ("curvature", "s(2, 1e-200)"),
+    ("curvature", "s(2, 1e200)"),
+    ("curvature", "cp(1) scaled 1e200"),
+    ("curvature", "s(2) scaled 1e-160"),
 ], ids=lambda argv: "-".join(argv[:2]).replace("{tmp}/", "").replace("{tmp}", "dir"))
 def test_malformed_input_is_config_error(capsys, tmp_path, argv):
     for name, data in BAD_PROFILES.items():
@@ -604,8 +613,8 @@ def test_import_does_no_table_work():
     angles: work done at import time is paid by every command's startup."""
     code = ("import areaflow.cli\n"
             "from areaflow import svcore\n"
-            "from areaflow.flowsim import state\n"
-            "print(len(svcore._PAIR_TABLES), state.node_angles.cache_info().currsize)\n")
+            "from areaflow.flowsim import equivariant\n"
+            "print(len(svcore._PAIR_TABLES), equivariant.source_side.cache_info().currsize)\n")
     src = str(Path(areaflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,14 @@ def test_profile_from_json():
     assert profile.sup_two_dilation == 0.5 * 0.4
     flat = {"source": "sphere(3)", "target": "sphere(2)", "spectra": [0.5, 0.4, 0.0]}
     assert cr.profile_from_json(flat).sup_two_dilation == 0.2
+
+
+def test_an_overflowing_sup_two_dilation_is_refused_without_a_warning():
+    spec = cr.spectrum([1e200, 1e200, 0.0], m=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="2-dilation"):
+            cr.MapProfile("overflow", geo.sphere(3), geo.sphere(2), (spec,))
 
 
 NAMED = [("hopf_s3_s2", None), ("hopf_s7_s4", None), ("hopf_s15_s8", None),

@@ -9,7 +9,7 @@ from areaflow.errors import (ConfigurationError, DivergenceError,
 from areaflow.flowsim import (EquivariantState, ScenarioConfig, initial_state,
                               run, step_equivariant)
 from areaflow.flowsim import equivariant as eq
-from areaflow.flowsim.state import source_side
+from areaflow.flowsim.equivariant import source_side
 from areaflow.svcore import pair_flags
 
 

@@ -146,6 +146,25 @@ def test_parse_model_refuses_a_scale_or_radius_that_is_not_finite_and_positive(t
         geo.parse_model(text)
 
 
+@pytest.mark.parametrize("kind, radius, scale", [
+    ("sphere", 1e-200, 1.0), ("sphere", 1e200, 1.0),    # r^2 rounds to 0, overflows
+    ("cp", 1.0, 1e-200), ("cp", 1.0, 1e200),            # scale^2 likewise
+    ("sphere", 1.0, 1e-160),                            # 1 / scale^2 overflows
+    ("sphere", 1e150, 1e150),                           # a round sphere's curvature rounds to 0
+    ("torus", 1.0, 1e-200),                             # 0 / 0
+])
+def test_a_model_whose_curvature_leaves_the_float_range_is_refused(kind, radius, scale):
+    with pytest.raises(ValueError, match="floating-point range"):
+        geo.CurvatureModel(kind, 2, radius=radius, scale=scale)
+
+
+def test_rescale_refuses_a_model_whose_curvature_leaves_the_float_range():
+    # rescale builds through the same constructor
+    for model, rho in ((geo.sphere(2), 1e-200), (geo.cp(1), 1e200), (geo.sphere(2, 1e150), 1e150)):
+        with pytest.raises(ValueError, match="floating-point range"):
+            geo.rescale(model, rho)
+
+
 def test_only_spheres_carry_a_radius():
     # model_to_str writes no radius for cp, hp or torus, so none may be stored
     with pytest.raises(ValueError, match="only spheres"):
