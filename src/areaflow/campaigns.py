@@ -343,31 +343,36 @@ def triple_weight_values_expanded(li, lj, lk):
 
 def _pair_factors(lam):
     """Per-index and per-pair factors of the regrouping weights, rows last:
-    sq = l^2 and 1 + l^2 of shape (n, B), and of shape (n, n, B)
+    sq = l^2 and 1 + l^2 of shape (n, B), and, one row per pair a < b in
+    ``pair_index`` order, of shape (n (n - 1) / 2, B)
 
         (l_a - l_b)^2,  l_a^2 l_b^2,  l_a l_b,  1 - l_a l_b,
-        2 (1 + l_a^2)(1 + l_b^2),  1 - l_a^2 l_b^2.
+        2 (1 + l_a^2)(1 + l_b^2),  1 - l_a^2 l_b^2,
 
-    A product of two factors has the same bits in either order, so
-    l_a^2 l_b^2 serves both (a, b) and (b, a)."""
+    and last ``at``, the row of the pair {a, b} in either order.  Each factor
+    has the same bits at (a, b) and (b, a): a product of two factors in
+    either order, doubling exactly, and (l_a - l_b)^2 = (l_b - l_a)^2."""
     lt = np.ascontiguousarray(lam.T)
+    n = lt.shape[0]
+    iA, jA = np.triu_indices(n, 1)
+    at = {pair: A for A, (i, j) in enumerate(pair_index(n)) for pair in ((i, j), (j, i))}
     sq = lt**2
     one_sq = 1 + sq
-    a, b = lt[:, None], lt[None, :]
-    sq_a, sq_b = sq[:, None], sq[None, :]
+    a, b = lt[iA], lt[jA]
     prod = a * b
-    prod_sq = sq_a * sq_b
+    prod_sq = sq[iA] * sq[jA]
     return (sq, one_sq, (a - b) ** 2, prod_sq, prod, 1 - prod,
-            2 * one_sq[:, None] * one_sq[None, :], 1 - prod_sq)
+            2 * one_sq[iA] * one_sq[jA], 1 - prod_sq, at)
 
 
 def _triple_weight(F, i, j, k):
     """The regrouping weight at (l_i, l_j, l_k) in the factored form of
     ``verifier.triple_weight``, from the ``_pair_factors`` table F."""
-    sq, one_sq, diff_sq, prod_sq, prod, one_prod, den2, one_prod_sq = F
-    num = diff_sq[i, j] * (1 + prod_sq[i, j] * sq[k]) \
-        + 2 * prod[i, j] * (1 - prod[i, j] * sq[k]) * one_prod[i, j]
-    den = den2[i, j] * one_prod_sq[i, k] * one_prod_sq[j, k]
+    sq, one_sq, diff_sq, prod_sq, prod, one_prod, den2, one_prod_sq, at = F
+    ij = at[i, j]
+    num = diff_sq[ij] * (1 + prod_sq[ij] * sq[k]) \
+        + 2 * prod[ij] * (1 - prod[ij] * sq[k]) * one_prod[ij]
+    den = den2[ij] * one_prod_sq[at[i, k]] * one_prod_sq[at[j, k]]
     return one_sq[k] * num / den
 
 
@@ -388,7 +393,7 @@ def _regrouped_sum(lam, X, W):
     total = np.zeros(lam.shape[0], dtype=row_terms.dtype)
     for A, (i, j) in enumerate(pair_index(n)):
         total += row_terms[:, A]
-        total += (sq[i] + sq[j]) / den2[i, j] * Wt[i, j]
+        total += (sq[i] + sq[j]) / den2[A] * Wt[i, j]
     for i, j in pair_index(n):
         for k in range(j + 1, n):
             total += _triple_weight(F, i, j, k) * Wt[i, j]

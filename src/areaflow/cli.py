@@ -215,7 +215,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -48,7 +48,7 @@ def run(config: ScenarioConfig, state=None):
     if state.backend == "torus":
         dt = torus.max_step(state, config.cfl)
         step = lambda s: torus.step_torus(s, dt, config.cfl)
-        light = lambda s: torus.pointwise_phi_stats(s.df)
+        light = lambda s: torus.pointwise_phi_stats(torus.StateNodes(s, config.lambda_stop))
         monitor = lambda s: torus.torus_monitors(s)
         velocity = lambda s: torus.flow_velocity(s)
         mu_check = None

@@ -38,8 +38,9 @@ class TorusState:
     The lift is f(x) = winding @ x + u(x); the flow equation acts on the
     lift, so any real-valued winding matrix is admissible (integer windings
     are the homotopically distinct classes).  States are frozen and derive
-    ``df`` on first read, once (a ``derived`` field); writing into ``u``
-    after reading ``df`` is unsupported.
+    ``padded`` (``u`` with a periodic ghost layer; a step stores it for the
+    state it makes) and ``df`` on first read, once (``derived`` fields);
+    writing into ``u`` after reading either is unsupported.
     """
 
     n: int
@@ -54,6 +55,7 @@ class TorusState:
     def h(self):
         return 2.0 * math.pi / self.resolution
 
+    padded = derived(lambda s: torus.ghost_padded(s.u))
     df = derived(lambda s: torus.first_derivatives(s))
 
     backend = "torus"

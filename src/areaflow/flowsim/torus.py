@@ -5,17 +5,22 @@
 with periodic centered differences on the lift f = winding @ x + u (grid and
 initial data: `initial`).  Constant and linear (pure winding) maps are fixed points.
 
-Grid stencils (the step, `centered_diffs`, `second_derivatives`) read
-neighbours and run on the whole grid.  The per-node algebra of the cadence
-|A|^2 (`second_fundamental_sq`) and of criterion 11's QR frames runs over
-the flattened node axis in slices of `NODE_BLOCK` nodes (`per_node`), so
-no (P, ...) stack of the whole grid is held; every such operation is per
-node, so the values are those of one whole-grid evaluation.
+Each state holds its residual once with a periodic ghost layer (`padded`),
+flattened into one run from its first node to its last (`_run`).  Every
+stencil term is one contiguous slice of that run, and df, d2 f, the step
+and the light monitor do their per-node algebra on run-shaped arrays; the
+ghost positions inside a run hold finite values, and reductions read the
+node view (`_nodes`).  The per-node algebra of the cadence |A|^2 and of
+criterion 11's QR frames runs in slices of `NODE_BLOCK` nodes (`per_node`),
+so no (P, ...) stack of the whole grid is held.  All of it is per node, so
+the values are those of the whole-grid np.roll formulas, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,81 +43,99 @@ def per_node(fn, *fields):
                            for start in range(0, count, NODE_BLOCK)], axis=-1)
 
 
-def _padded(u: np.ndarray, n: int) -> np.ndarray:
-    """u with one periodic ghost layer on each of its n grid axes.
+@lru_cache(maxsize=None)
+def _run(resolution: int, n: int):
+    """(strides, start, size) of the run of a flattened ghost-padded grid:
+    node x sits at start + sum_k x_k strides[k]; size spans first to last."""
+    strides = tuple((resolution + 2) ** (n - 1 - k) for k in range(n))
+    return strides, sum(strides), (resolution - 1) * sum(strides) + 1
 
-    The ghosts are copied by slice assignment, one axis after the other
-    over the full extent of the axes already padded, so the corners the
-    cross differences read are filled too.
-    """
+
+def _shift(flat: np.ndarray, run, offset: int = 0) -> np.ndarray:
+    """The run of flat (..., (N + 2)^n) at the nodes x + shift, offset =
+    sum_k shift_k strides[k]: one contiguous slice per row."""
+    return flat[..., run[1] + offset:run[1] + run[2] + offset]
+
+
+def _nodes(x: np.ndarray, resolution: int, n: int) -> np.ndarray:
+    """The (..., N, ..., N) node view of a C-contiguous run-shaped (..., S)
+    array x, which is the view's base."""
+    return np.ndarray(x.shape[:-1] + (resolution,) * n, x.dtype, x, 0, x.strides[:-1]
+                      + tuple(s * x.itemsize for s in _run(resolution, n)[0]))
+
+
+def ghost_padded(u: np.ndarray) -> np.ndarray:
+    """u (components, N, ..., N) with one periodic ghost layer on each grid
+    axis, a state's `padded` residual.  The ghosts are copied by slice
+    assignment, one axis after the other over the full extent of the axes
+    already padded, so the corners the cross differences read are filled
+    too: every ghost is a copy of a node."""
     p = np.empty(u.shape[:1] + tuple(s + 2 for s in u.shape[1:]))
-    p[(slice(None),) + (slice(1, -1),) * n] = u
-    for i in range(n):
+    p[(slice(None),) + (slice(1, -1),) * (u.ndim - 1)] = u
+    for i in range(u.ndim - 1):
         lead = (slice(None),) * (1 + i)
         p[lead + (0,)] = p[lead + (-2,)]
         p[lead + (-1,)] = p[lead + (1,)]
     return p
 
 
-def _shifted(p: np.ndarray, shift: dict) -> np.ndarray:
-    """View of the padded p at the nodes x + shift, shift = {grid axis: +-1}:
-    the slice form of np.roll(u, -shift[i], 1 + i) taken over those axes."""
-    return p[(slice(None),) + tuple(
-        slice(1 + shift.get(i, 0), p.shape[1 + i] - 1 + shift.get(i, 0))
-        for i in range(p.ndim - 1))]
+def _first_differences(p: np.ndarray, h: float) -> np.ndarray:
+    """(k, n, S) runs of (f^a(x + e_k) - f^a(x - e_k)) / 2h for the
+    ghost-padded (k, N + 2, ...) field p."""
+    run = _run(p.shape[1] - 2, p.ndim - 1)
+    flat = p.reshape(p.shape[0], -1)
+    d = np.empty((p.shape[0], p.ndim - 1, run[2]))
+    for k, s in enumerate(run[0]):
+        np.subtract(_shift(flat, run, s), _shift(flat, run, -s), out=d[:, k])
+        d[:, k] /= 2.0 * h
+    return d
 
 
 def centered_diffs(field: np.ndarray, h: float) -> np.ndarray:
     """d[a, k, ...grid] = (f^a(x + e_k) - f^a(x - e_k)) / 2h along each grid
-    axis k of a periodic (components, ...grid) field f: the slice form of
-    (np.roll(f, -1, 1 + k) - np.roll(f, 1, 1 + k)) / 2h."""
-    n = field.ndim - 1
-    p = _padded(field, n)
-    d = np.empty(field.shape[:1] + (n,) + field.shape[1:])
-    for k in range(n):
-        dk = d[:, k]
-        np.subtract(_shifted(p, {k: 1}), _shifted(p, {k: -1}), out=dk)
-        dk /= 2.0 * h
-    return d
+    axis k of a periodic (components, ...grid) field f: the values of
+    (np.roll(f, -1, 1 + k) - np.roll(f, 1, 1 + k)) / 2h, as a node view."""
+    return _nodes(_first_differences(ghost_padded(field), h), field.shape[1], field.ndim - 1)
 
 
 def first_derivatives(state: TorusState) -> np.ndarray:
-    """df[a, i, ...grid] of the lift (winding + centered residual)."""
-    df = centered_diffs(state.u, state.h)
-    df += state.winding[(...,) + (None,) * state.n]
-    return df
+    """df[a, i, ...grid] of the lift (winding + centered residual): the node
+    view of its (m, n, S) run, df.base."""
+    d = _first_differences(state.padded, state.h)
+    d += state.winding[..., None]
+    return _nodes(d, state.resolution, state.n)
 
 
-def _second_differences(state: TorusState, slot) -> None:
-    """Write d2_ij f for i <= j, centered and cross-centered, into the
-    (m, ...grid) array slot(i, j), asked for when that difference is formed."""
-    h, n = state.h, state.n
-    p = _padded(state.u, n)
-    two_u = 2.0 * state.u
+def _second_differences(state: TorusState) -> dict:
+    """{(i, j): the (m, S) run of d2_ij f} for i <= j.  Each is allocated
+    when formed: one block for all, or a temporary for 2f, made the
+    allocator fault fresh pages in at every step on a 128^2 grid."""
+    h, run = state.h, _run(state.resolution, state.n)
+    s, flat = run[0], state.padded.reshape(state.m, -1)
+    at = lambda offset=0: _shift(flat, run, offset)
+    d2 = {}
     # in-place updates in the order of (f+ - 2f + f-) / h^2 and
     # (f++ - f+- - f-+ + f--) / (4 h^2): the same roundings, no temporaries
-    for i in range(n):
-        d = slot(i, i)
-        np.subtract(_shifted(p, {i: 1}), two_u, out=d)
-        d += _shifted(p, {i: -1})
+    for i in range(state.n):
+        d = d2[i, i] = np.multiply(at(), 2.0)
+        np.subtract(at(s[i]), d, out=d)
+        d += at(-s[i])
         d /= h**2
-        for j in range(i + 1, n):
-            d = slot(i, j)
-            np.subtract(_shifted(p, {i: 1, j: 1}), _shifted(p, {i: 1, j: -1}), out=d)
-            d -= _shifted(p, {i: -1, j: 1})
-            d += _shifted(p, {i: -1, j: -1})
+        for j in range(i + 1, state.n):
+            d = d2[i, j] = np.subtract(at(s[i] + s[j]), at(s[i] - s[j]))
+            d -= at(s[j] - s[i])
+            d += at(-s[i] - s[j])
             d /= 4.0 * h**2
+    return d2
 
 
 def second_derivatives(state: TorusState) -> np.ndarray:
-    """d2f[a, i, j, ...grid] by centered (and cross-centered) differences."""
-    n, u = state.n, state.u
-    d2 = np.empty((state.m, n, n) + u.shape[1:])
-    _second_differences(state, lambda i, j: d2[:, i, j])
-    for i in range(n):
-        for j in range(i + 1, n):
-            d2[:, j, i] = d2[:, i, j]
-    return d2
+    """d2f[a, i, j, ...grid] by centered (and cross-centered) differences:
+    the node view of its (m, n, n, S) runs."""
+    d2 = np.empty((state.m, state.n, state.n, _run(state.resolution, state.n)[2]))
+    for (i, j), d in _second_differences(state).items():
+        d2[:, i, j] = d2[:, j, i] = d
+    return _nodes(d2, state.resolution, state.n)
 
 
 def _inverse(g: np.ndarray) -> np.ndarray:
@@ -140,13 +163,15 @@ def induced_metric(df: np.ndarray):
 
 
 def flow_velocity(state: TorusState) -> np.ndarray:
-    """g^{ij} d2_{ij} f^a for every component and node.
+    """g^{ij} d2_{ij} f^a for every component and node: the node view of
+    its (m, S) run.
 
     For n = 2 this is (g_11 f_xx - 2 g_01 f_xy + g_00 f_yy) / det g, read
     from the metric entries without forming g^{-1} or the d2 stack.
     """
+    df = state.df.base
     if state.n == 2:
-        x, y = state.df[:, 0], state.df[:, 1]
+        x, y = df[:, 0], df[:, 1]
         g00, g11, g01 = x[0] * x[0], y[0] * y[0], x[0] * y[0]
         for a in range(1, state.m):
             g00 += x[a] * x[a]
@@ -155,23 +180,24 @@ def flow_velocity(state: TorusState) -> np.ndarray:
         g00 += 1.0
         g11 += 1.0
         # the difference arrays are this call's own, so they are scaled in
-        # place (products commute bitwise: the roundings of the formula);
-        # each is allocated when it is formed, because one block for all
-        # three made the allocator fault fresh pages in at every step
-        d2 = {}
-        _second_differences(state, lambda i, j: d2.setdefault((i, j), np.empty(state.u.shape)))
+        # place (products commute bitwise: the roundings of the formula)
+        d2 = _second_differences(state)
         v = d2[0, 0]
         v *= g11
         d2[0, 1] *= 2.0 * g01
         v -= d2[0, 1]
         d2[1, 1] *= g00
         v += d2[1, 1]
-        det = g00 * g11
-        det -= g01 * g01
-        v /= det
-        return v
-    _, ginv = induced_metric(state.df)
-    return np.einsum("ij...,aij...->a...", ginv, second_derivatives(state))
+        # det g = g00 g11 - g01^2 in g11's array: a fresh array for it made
+        # the allocator fault fresh pages in at every step on a 128^2 grid
+        g11 *= g00
+        g01 *= g01
+        g11 -= g01
+        v /= g11
+    else:
+        _, ginv = induced_metric(df)
+        v = np.einsum("ij...,aij...->a...", ginv, second_derivatives(state).base)
+    return _nodes(v, state.resolution, state.n)
 
 
 def initial(config: ScenarioConfig) -> TorusState:
@@ -200,18 +226,25 @@ def max_step(state: TorusState, cfl: float) -> float:
 
 
 def step_torus(state: TorusState, dt: float, cfl: float = CFL_MAX) -> TorusState:
-    """One explicit Euler step; dt must respect dt <= cfl h^2 / n, cfl <= 0.25."""
+    """One explicit Euler step; dt must respect dt <= cfl h^2 / n, cfl <= 0.25.
+    The divergence check reads the next padded residual, whose ghosts are
+    copies of nodes."""
     if not 0 < cfl <= CFL_MAX:
         raise ConfigurationError(f"cfl must lie in (0, {CFL_MAX}]")
     if dt > max_step(state, cfl) * (1 + 1e-12):
         raise ConfigurationError(
             f"dt = {dt:g} violates dt <= cfl h^2 / n = {max_step(state, cfl):g}")
-    u_new = state.u + dt * flow_velocity(state)
-    if not np.all(np.isfinite(u_new)):
+    v = flow_velocity(state).base
+    v *= dt
+    v += _shift(state.padded.reshape(state.m, -1), _run(state.resolution, state.n))
+    p = ghost_padded(_nodes(v, state.resolution, state.n))
+    if not np.all(np.isfinite(p)):
         raise DivergenceError("non-finite values in torus flow")
-    return TorusState(n=state.n, m=state.m, resolution=state.resolution,
-                      winding=state.winding, u=u_new,
-                      t=state.t + dt, steps=state.steps + 1)
+    out = TorusState(n=state.n, m=state.m, resolution=state.resolution, winding=state.winding,
+                     u=p[(slice(None),) + (slice(1, -1),) * state.n],
+                     t=state.t + dt, steps=state.steps + 1)
+    vars(out)["padded"] = p   # its derived field, formed here
+    return out
 
 
 def _node_matrices(df: np.ndarray) -> np.ndarray:
@@ -228,8 +261,23 @@ def _norm2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(x, out=x)
 
 
-def pointwise_phi_stats(df: np.ndarray):
-    """(min_phi, max_pair, max_lambda, flagged) over all nodes.
+# l1^2 >= T/2 settles a stop test where sqrt(max T / 2) clears lambda_stop by
+# this factor, far above the roundings between it and the exact route, and
+# max T lies far above the subnormal range, where those roundings are relative
+STOP_BOUND_MARGIN = 1.0 + 1e-9
+STOP_BOUND_T_MIN = 2.0**-900
+
+
+class StateNodes(NamedTuple):
+    """`pointwise_phi_stats` over a state's nodes, on the run of its df.  Where
+    the bound settles max_lambda >= lambda_stop, max_lambda is the bound."""
+    state: TorusState
+    lambda_stop: float | None = None
+
+
+def pointwise_phi_stats(df):
+    """(min_phi, max_pair, max_lambda, flagged) over all nodes of df, an
+    (m, n, ...grid) field or a `StateNodes`.
 
     For min(m, n) = 2 the spectrum is (l1, l2, 0, ..., 0), and the
     invariants T = |df|_F^2 and D^2 = (l1 l2)^2, the sum of the squared 2x2
@@ -241,11 +289,21 @@ def pointwise_phi_stats(df: np.ndarray):
     sum of two norms that keeps its digits where l1 ~ l2
     (sqrt((T + sqrt(T^2 - 4 D^2)) / 2) cancels there); otherwise l1^2 is
     the top eigenvalue of the 2x2 Gram matrix [[p, q], [q, s]] of the short
-    side, T/2 + |((p - s)/2, q)|, a sum of non-negative terms.  The norms
-    are sqrt(x^2 + y^2), not np.hypot, which is several times slower and
-    needs no overflow guard at these magnitudes.  Spectra with three or more
-    values, or one, come from LAPACK's singular values.
+    side, T/2 + |((p - s)/2, q)|, a sum of non-negative terms.  Both exceed
+    T/2, which settles a stop test where it can.  The norms are
+    sqrt(x^2 + y^2), not np.hypot, which is several times slower and needs
+    no overflow guard at these magnitudes.  Rounding x^2 is monotone in
+    x >= 0, so the guard flags the largest D^2 iff it flags any; a NaN D^2
+    hides the largest and sends the guard to every node.  Spectra with
+    three or more values, or one, come from LAPACK's singular values.
     """
+    nodes, lambda_stop = (lambda x: x), None
+    if isinstance(df, StateNodes):
+        state, lambda_stop = df
+        df = state.df
+        if min(state.m, state.n) == 2:
+            df = df.base
+            nodes = lambda x: _nodes(x, state.resolution, state.n)
     m, n = df.shape[:2]
     if min(m, n) == 2:
         # in-place updates in the order of the closed forms (same roundings,
@@ -258,18 +316,23 @@ def pointwise_phi_stats(df: np.ndarray):
                 minor -= df[a, j] * df[b, i]
                 minor *= minor
                 D2 = minor if D2 is None else np.add(D2, minor, out=D2)
-        if m == n:
+        top = nodes(D2).max()
+        flagged = bool(pair_flags(top) if top == top else pair_flags(nodes(D2)).any())
+        t_max = math.nan if lambda_stop is None else float(nodes(T).max())
+        if STOP_BOUND_T_MIN <= t_max < math.inf \
+                and math.sqrt(t_max / 2.0) > lambda_stop * STOP_BOUND_MARGIN:
+            max_lam = math.sqrt(t_max / 2.0)
+        elif m == n:
             a, b, c, d = df[0, 0], df[0, 1], df[1, 0], df[1, 1]
             two_lam = _norm2(a + d, c - b)
             two_lam += _norm2(a - d, b + c)
-            max_lam = float(two_lam.max()) / 2.0
+            max_lam = float(nodes(two_lam).max()) / 2.0
         else:
             short = df if m == 2 else df.swapaxes(0, 1)
             g = np.einsum("ai...,bi...->ab...", short, short)
             lam_sq = _norm2((g[0, 0] - g[1, 1]) / 2.0, g[0, 1])
             lam_sq += T / 2.0
-            max_lam = float(np.sqrt(lam_sq.max()))
-        flagged = pair_flags(D2)
+            max_lam = float(np.sqrt(nodes(lam_sq).max()))
         with np.errstate(invalid="ignore", divide="ignore"):
             phi = np.log1p(-D2)
             T += D2
@@ -277,8 +340,8 @@ def pointwise_phi_stats(df: np.ndarray):
             if n > 2:
                 log_den *= n - 1
             phi -= log_den
-        min_phi = float("nan") if flagged.any() else float(phi.min())
-        return min_phi, float(np.sqrt(D2.max())), max_lam, bool(flagged.any())
+        min_phi = math.nan if flagged else float(nodes(phi).min())
+        return min_phi, float(np.sqrt(top)), max_lam, flagged
     mats = _node_matrices(df)
     sv = np.linalg.svd(mats, compute_uv=False)   # (P, min(m, n)) descending
     lam = np.zeros((sv.shape[0], n))
@@ -357,8 +420,9 @@ def _a2_closed_form(df: np.ndarray, d2: np.ndarray) -> np.ndarray:
 
 
 def torus_monitors(state: TorusState) -> MonitorRecord:
-    """Phi stats and sup |A|^2, the latter in closed form."""
-    min_phi, max_pair, max_lam, flagged = pointwise_phi_stats(state.df)
-    sup_a2 = float(second_fundamental_sq(state.df, second_derivatives(state)).max())
+    """Phi stats and sup |A|^2, the latter in closed form, on the runs."""
+    min_phi, max_pair, max_lam, flagged = pointwise_phi_stats(StateNodes(state))
+    a2 = second_fundamental_sq(state.df.base, second_derivatives(state).base)
+    sup_a2 = float(_nodes(a2, state.resolution, state.n).max())
     return MonitorRecord(t=state.t, min_phi=min_phi, max_two_dilation=max_pair,
                          max_lambda=max_lam, sup_a2=sup_a2, flagged=flagged)

@@ -449,6 +449,48 @@ def test_short_128_torus_flow_outputs_are_pinned(capsys, tmp_path):
     assert digests == SHORT_128_DIGESTS
 
 
+# torus_sine_05's settings at resolution 32, run to convergence, with m = 2
+# (1,621 steps) and m = 3 (1,718 steps, max lambda by the Gram-matrix
+# route): the pins cover the step on which a run converges, which the light
+# step's stop test decides.
+CONVERGING_32_SCENARIO = """
+backend = torus
+n = 2
+m = {m}
+resolution = 32
+initial = sine
+amplitude = 0.5
+cfl = 0.2
+t_max = 8.0
+lambda_stop = 1e-3
+cadence = 50
+"""
+CONVERGING_32_DIGESTS = {
+    2: (1621, {
+        "timeseries.csv": "ff2419da98c47248dfe64ba4dfcfca3d5be44dfbb61ef4c5fa9f346844b3fe0f",
+        "verdict.json": "8103cb78a5173d053e7b99bd033b9d6230ad788488e806f15c9290d063b05874",
+    }),
+    3: (1718, {
+        "timeseries.csv": "e304fcb32e9f4f44347a2fac1cdcaef33420ecec0f94b63e65911668966e7cb8",
+        "verdict.json": "21ea988d05a01f3f741be9ba092cd227ca5159c098a2b6f5658cda7aca696eb6",
+    }),
+}
+
+
+@pytest.mark.parametrize("m", sorted(CONVERGING_32_DIGESTS))
+def test_converging_32_torus_flow_outputs_are_pinned(capsys, tmp_path, m):
+    steps, want = CONVERGING_32_DIGESTS[m]
+    scenario = tmp_path / "converging_32.cfg"
+    scenario.write_text(CONVERGING_32_SCENARIO.format(m=m))
+    rc, out = run_cli(capsys, "flow", str(scenario), "--out", str(tmp_path / "o"))
+    verdict = json.loads(out)
+    assert rc == 0 and verdict["outcome"] == "converged"
+    assert verdict["steps"] == steps and verdict["monotonicity_violations"] == 0
+    digests = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+               for name in want}
+    assert digests == want
+
+
 # Two short equivariant runs, pinned the same way: a sine run at J = 128 that
 # stops at t_max after 84 steps, off its 10-step cadence (10 records), and an
 # identity run, steady and flagged, so its final_min_phi is null.
@@ -597,6 +639,26 @@ def test_malformed_input_is_config_error(capsys, tmp_path, argv):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_too_large_to_allocate_is_config_error(capsys, tmp_path, monkeypatch):
+    """numpy's MemoryError (n = 6 at resolution 64 asks for 512 GiB) exits 2
+    with one error line.  The allocation is stubbed: with overcommit a real
+    request may be granted and the process then killed."""
+    from areaflow.flowsim import torus
+
+    def refuse(config):
+        raise MemoryError("Unable to allocate 512. GiB for an array")
+
+    monkeypatch.setattr(torus, "initial", refuse)
+    scenario = tmp_path / "big.cfg"
+    scenario.write_text("backend = torus\nn = 6\nm = 2\nresolution = 64\n")
+    rc = main(["flow", str(scenario), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 512. GiB for an array\n"
     assert not (tmp_path / "out").exists()
 
 

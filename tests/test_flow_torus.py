@@ -341,6 +341,105 @@ def test_centered_diffs_match_roll_for_any_component_count(n, m, resolution):
     assert np.array_equal(torus.first_derivatives(state), _per_axis_first_derivatives(state))
 
 
+@pytest.mark.parametrize("n, m, resolution", [(1, 2, 9), (1, 1, 12), (2, 2, 9), (2, 3, 9),
+                                              (3, 2, 9), (3, 3, 8)])
+@pytest.mark.parametrize("winding_scale", [0.0, 0.6])
+def test_run_slices_match_roll_bit_for_bit(n, m, resolution, winding_scale):
+    """The stencils' flat slices of one ghost-padded run against np.roll, for
+    n = 1 to 3 (cross terms at n = 3), odd grids and nonzero winding; the
+    velocity off n = 2 against g^-1 contracted with the np.roll stack; and
+    the step's padded residual against one padded afresh from its nodes."""
+    state = _rough_state(n, m, resolution, seed=23, winding_scale=winding_scale)
+    ref_df = _roll_first(state.u, state.h, n) \
+        + state.winding[(slice(None), slice(None)) + (None,) * n]
+    ref_d2 = _roll_second(state.u, state.h, n)
+    assert np.array_equal(state.df, ref_df)
+    assert np.array_equal(torus.second_derivatives(state), ref_d2)
+    assert np.array_equal(torus.centered_diffs(state.u, state.h), _roll_first(state.u, state.h, n))
+    velocity = torus.flow_velocity(state)
+    if n != 2:
+        _, ginv = torus.induced_metric(ref_df)
+        assert np.array_equal(velocity, np.einsum("ij...,aij...->a...", ginv, ref_d2))
+    dt = torus.max_step(state, 0.2)
+    out = step_torus(state, dt, 0.2)
+    assert np.array_equal(out.u, state.u + dt * velocity)
+    assert np.array_equal(out.padded, torus.ghost_padded(out.u))
+
+
+def _stop_stats(state, lambda_stop):
+    return torus.pointwise_phi_stats(torus.StateNodes(state, lambda_stop))
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("winding_scale", [0.0, 0.7])
+def test_the_stop_bound_decides_as_the_exact_max_lambda(n, m, winding_scale):
+    """max_lambda < lambda_stop as the exact route decides it, at lambda_stop
+    within a few ulps of the exact value and at the bound's margin edge;
+    where the bound settles, the value is sqrt(max T / 2), elsewhere the
+    exact one, and the other three numbers are the exact route's."""
+    state = _rough_state(n, m, 12 if n == 2 else 8, seed=19, winding_scale=winding_scale)
+    exact = torus.pointwise_phi_stats(state.df)
+    bound = math.sqrt(float(np.einsum("ai...,ai...->...", state.df, state.df).max()) / 2.0)
+    assert bound < exact[2]
+    edge = bound / torus.STOP_BOUND_MARGIN
+    settled = 0
+    for centre in (exact[2], edge):
+        for k in range(5):
+            for sign in (1, -1):
+                stop = centre * (1 + sign * k * 2.0**-52)
+                stats = _stop_stats(state, stop)
+                assert (stats[2] < stop) == (exact[2] < stop)
+                assert repr(stats[:2] + stats[3:]) == repr(exact[:2] + exact[3:])
+                if bound > stop * torus.STOP_BOUND_MARGIN:
+                    settled += 1
+                    assert stats[2] == bound
+                else:
+                    assert stats[2] == exact[2]
+    assert settled >= 4
+    assert _stop_stats(state, None) == exact
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3)])
+def test_a_subnormal_max_t_runs_the_exact_route(n, m):
+    """max T below the normal range: the bound's roundings are no longer
+    relative, so the exact route decides even a stop far below the bound."""
+    state = _rough_state(n, m, 12, seed=29, winding_scale=0.5)
+    tiny = dataclasses.replace(state, u=1e-160 * state.u, winding=1e-160 * state.winding)
+    t_max = float(np.einsum("ai...,ai...->...", tiny.df, tiny.df).max())
+    assert 0.0 < t_max < np.finfo(float).tiny
+    exact = torus.pointwise_phi_stats(tiny.df)
+    stop = 1e-200
+    assert math.sqrt(t_max / 2.0) > stop * torus.STOP_BOUND_MARGIN
+    assert _stop_stats(tiny, stop) == exact
+    assert not exact[2] < stop
+
+
+def _square_d2(df):
+    """(l1 l2)^2 of each node of a 2x2 field, in the closed form's order."""
+    minor = df[0, 0] * df[1, 1]
+    minor -= df[0, 1] * df[1, 0]
+    return minor * minor
+
+
+def test_one_nan_node_and_one_flagged_node_flag_as_before():
+    """The guard reads the largest D^2 once; a NaN node hides it, so the
+    guard then reads every node, and the flags are those of every node."""
+    rng = np.random.default_rng(31)
+    base = rng.normal(0.0, 0.2, (2, 2, 9, 7))
+    with_nan, both = base.copy(), base.copy()
+    with_nan[:, :, 2, 5] = np.nan
+    both[:, :, 2, 5] = np.nan
+    both[:, :, 6, 1] = [[1.3, 0.2], [-0.1, 0.9]]   # l1 l2 = det = 1.19
+    flagged_only = base.copy()
+    flagged_only[:, :, 6, 1] = both[:, :, 6, 1]
+    with np.errstate(invalid="ignore"):
+        for df, want in ((base, False), (with_nan, False), (both, True), (flagged_only, True)):
+            min_phi, max_pair, _, flagged = torus.pointwise_phi_stats(df)
+            assert flagged == bool(svcore.pair_flags(_square_d2(df)).any()) == want
+            assert math.isnan(min_phi) == (want or df is with_nan)
+            assert math.isnan(max_pair) == np.isnan(df).any()
+
+
 def test_per_node_joins_tuple_results_in_block_order(monkeypatch):
     monkeypatch.setattr(torus, "NODE_BLOCK", 4)
     x = np.arange(20.0).reshape(2, 10)
