@@ -1,10 +1,10 @@
 """Desk-scale graphical mean curvature flow.
 
-Two backends: periodic flat-torus grids (the exact nonparametric graph
+Two backends, each one table of operations in `state.BACKENDS` that the
+runner drives: periodic flat-torus grids (the exact nonparametric graph
 system, zero ambient curvature) and an equivariant sphere-pair profile
-(rotationally symmetric maps between 2-spheres reduced to one function of
-the polar angle).  Both track the monotone quantity Phi, the pointwise
-spectra, and the second-fundamental-form norm.
+(rotationally symmetric maps between 2-spheres, one function of the polar
+angle).  Both track the monotone quantity Phi, the spectra and |A|^2.
 """
 
 from .state import (EquivariantState, MonitorRecord, ScenarioConfig,

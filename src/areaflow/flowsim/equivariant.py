@@ -76,6 +76,11 @@ def source_side(resolution: int) -> dict:
     return side
 
 
+def check_config(config: ScenarioConfig):
+    if (config.n, config.m) != (2, 2):
+        raise ConfigurationError("equivariant backend is the sphere pair n = m = 2")
+
+
 def initial(config: ScenarioConfig) -> EquivariantState:
     """Initial profile on the grid nodes: amplitude sin r, r or 0."""
     J = config.resolution
@@ -312,3 +317,16 @@ def equivariant_monitors(state: EquivariantState) -> MonitorRecord:
     sup_a2 = float(second_fundamental_norm_sq(state).max())
     return MonitorRecord(t=state.t, min_phi=min_phi, max_two_dilation=max_pair,
                          max_lambda=max_lam, sup_a2=sup_a2, flagged=flagged)
+
+
+# state.BACKENDS' entry: each operation looks its function up here when called
+OPERATIONS = {
+    "validate": lambda config: check_config(config),
+    "initial": lambda config: initial(config),
+    "time_step": lambda state, config: config.cfl * state.h**2,
+    "step": lambda state, dt, config: step_equivariant(state, dt, config.cfl),
+    "light": lambda state, config: pointwise_phi_stats(*profile_spectrum(state)),
+    "monitor": lambda state: equivariant_monitors(state),
+    "velocity": lambda state: profile_velocity(state),
+    "self_check": ("mu_orthogonality_max_rel", lambda state: mu_orthogonality(state)),
+}

@@ -7,9 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..errors import DivergenceError
-from . import equivariant, torus
-from .state import ScenarioConfig, initial_state
+from ..errors import ConfigurationError, DivergenceError
+from .state import BACKENDS, ScenarioConfig, initial_state
 
 
 def fitted_decay_rate(times, min_phis):
@@ -38,39 +37,29 @@ def run(config: ScenarioConfig, state=None):
     Returns (records, verdict): the cadence-sampled MonitorRecord series and
     a dict with the outcome, the count of min-Phi monotonicity violations
     beyond C (h^2 + dt), the fitted tail decay rate of -min Phi, and the
-    equivariant symmetry self-check when applicable.
+    backend's self-check when it has one.
     """
     # a caller's state is copied, so the fields derived during the run are
     # freed with the run rather than left cached on the caller's object
     state = initial_state(config) if state is None else replace(state)
-    # the backend's operations, chosen once; each is looked up through its
-    # module at call time, so wrappers installed there see every call
-    if state.backend == "torus":
-        dt = torus.max_step(state, config.cfl)
-        step = lambda s: torus.step_torus(s, dt, config.cfl)
-        light = lambda s: torus.pointwise_phi_stats(torus.StateNodes(s, config.lambda_stop))
-        monitor = lambda s: torus.torus_monitors(s)
-        velocity = lambda s: torus.flow_velocity(s)
-        mu_check = None
-    else:
-        dt = config.cfl * state.h**2
-        step = lambda s: equivariant.step_equivariant(s, dt, config.cfl)
-        light = lambda s: equivariant.pointwise_phi_stats(*equivariant.profile_spectrum(s))
-        monitor = lambda s: equivariant.equivariant_monitors(s)
-        velocity = lambda s: equivariant.profile_velocity(s)
-        mu_check = lambda s: equivariant.mu_orthogonality(s)
+    if (state.backend, state.resolution) != (config.backend, config.resolution):
+        raise ConfigurationError(f"state: {state.backend} at resolution {state.resolution}; "
+                                 f"config: {config.backend} at resolution {config.resolution}")
+    ops = BACKENDS[config.backend]   # each entry looks its function up when called
+    check_key, self_check = ops["self_check"] or (None, None)
+    dt = ops["time_step"](state, config)
     tol = config.monotonicity_c * (state.h**2 + dt)
     steady_tol = config.steady_c * state.h**2
 
-    records, mu_rels = [], []
+    records, checks = [], []
 
     def record(s):
         # returns the record's light numbers: the monitor computed them with
         # the same pointwise_phi_stats call, so light is not run again
-        rec = monitor(s)
+        rec = ops["monitor"](s)
         records.append(rec)
-        if mu_check is not None:
-            mu_rels.append(mu_check(s))
+        if self_check is not None:
+            checks.append(self_check(s))
         return rec.min_phi, rec.max_lambda, rec.flagged
 
     prev_phi, _, ever_flagged = record(state)
@@ -82,7 +71,7 @@ def run(config: ScenarioConfig, state=None):
 
     while state.t < config.t_max - 1e-15:
         try:
-            state = step(state)
+            state = ops["step"](state, dt, config)
         except DivergenceError:
             # state still holds the last healthy state
             outcome = "diverged"
@@ -90,7 +79,7 @@ def run(config: ScenarioConfig, state=None):
         if state.steps % config.cadence == 0:
             min_phi, max_lam, flagged = record(state)
         else:
-            min_phi, _, max_lam, flagged = light(state)
+            min_phi, _, max_lam, flagged = ops["light"](state, config)
         ever_flagged = ever_flagged or flagged
         if not (math.isnan(min_phi) or math.isnan(prev_phi)):
             drop = prev_phi - min_phi
@@ -106,7 +95,7 @@ def run(config: ScenarioConfig, state=None):
 
     if records[-1].t != state.t:
         record(state)
-    if outcome == "timeout" and float(np.abs(velocity(state)).max()) <= steady_tol:
+    if outcome == "timeout" and float(np.abs(ops["velocity"](state)).max()) <= steady_tol:
         outcome = "steady"
 
     final_phi = records[-1].min_phi
@@ -126,8 +115,8 @@ def run(config: ScenarioConfig, state=None):
         # NaN is the flagged sentinel; JSON carries it as null
         "final_min_phi": None if math.isnan(final_phi) else final_phi,
     }
-    if mu_check is not None:
-        verdict["mu_orthogonality_max_rel"] = max(mu_rels)
+    if self_check is not None:
+        verdict[check_key] = max(checks)
     return records, verdict
 
 

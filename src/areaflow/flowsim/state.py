@@ -51,10 +51,7 @@ class TorusState:
     t: float = 0.0
     steps: int = 0
 
-    @property
-    def h(self):
-        return 2.0 * math.pi / self.resolution
-
+    h = property(lambda s: 2.0 * math.pi / s.resolution)
     padded = derived(lambda s: torus.ghost_padded(s.u))
     df = derived(lambda s: torus.first_derivatives(s))
 
@@ -68,11 +65,11 @@ class EquivariantState:
     rho(0) = 0 and rho(pi) is 0 (trivial class) or pi (identity class);
     both poles are held fixed and ghost values extend the profile by odd
     reflection about the pole values.  States are frozen and derive, each
-    on first read and once (``derived`` fields), ``rhop``, its absolute
-    value ``abs_rhop`` (lambda_1, which the step's breakdown check and the
+    on first read and once (``derived`` fields), the read-only nodes ``r``
+    of ``equivariant.source_side``, ``rhop``, its absolute value
+    ``abs_rhop`` (lambda_1, which the step's breakdown check and the
     spectrum share), ``trig`` (cos rho, sin rho) and the projected
-    ``frame``; writing into ``rho`` after reading any is unsupported.  ``r``
-    is the read-only node array of ``equivariant.source_side``.
+    ``frame``; writing into ``rho`` after reading any is unsupported.
     """
 
     resolution: int              # J: number of intervals
@@ -80,15 +77,9 @@ class EquivariantState:
     t: float = 0.0
     steps: int = 0
 
-    @property
-    def h(self):
-        return math.pi / self.resolution
-
-    @property
-    def r(self):
-        return equivariant.source_side(self.resolution)["r"]
-
+    h = property(lambda s: math.pi / s.resolution)
     # looked up in the backend module when called: wrappers there see each call
+    r = derived(lambda s: equivariant.source_side(s.resolution)["r"])
     rhop = derived(lambda s: equivariant.profile_derivative(s))
     abs_rhop = derived(lambda s: np.abs(s.rhop))
     trig = derived(lambda s: equivariant.profile_trig(s))
@@ -127,10 +118,10 @@ class ScenarioConfig:
     steady_c: float = 1.0          # steady threshold C*h^2; artifact calibration
 
     def __post_init__(self):
-        if self.backend not in ("torus", "equivariant_sphere"):
-            raise ConfigurationError(f"unknown backend {self.backend!r}")
-        if self.backend == "equivariant_sphere" and (self.n, self.m) != (2, 2):
-            raise ConfigurationError("equivariant backend is the sphere pair n = m = 2")
+        if self.backend not in BACKENDS:
+            raise ConfigurationError(f"unknown backend {self.backend!r} "
+                                     f"(one of: {', '.join(sorted(BACKENDS))})")
+        BACKENDS[self.backend]["validate"](self)
         if not 0 < self.cfl <= CFL_MAX:
             raise ConfigurationError(f"cfl must lie in (0, {CFL_MAX}]")
         if self.resolution < 8:
@@ -179,9 +170,10 @@ def parse_scenario(source) -> ScenarioConfig:
 
 
 def initial_state(config: ScenarioConfig):
-    if config.backend == "torus":
-        return torus.initial(config)
-    return equivariant.initial(config)
+    return BACKENDS[config.backend]["initial"](config)
 
 
 from . import equivariant, torus  # noqa: E402  (they import this module's names)
+
+# the one map from a backend name to its table of operations (docs/decisions.md)
+BACKENDS = {"torus": torus.OPERATIONS, "equivariant_sphere": equivariant.OPERATIONS}

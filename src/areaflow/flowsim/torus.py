@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -268,16 +267,9 @@ STOP_BOUND_MARGIN = 1.0 + 1e-9
 STOP_BOUND_T_MIN = 2.0**-900
 
 
-class StateNodes(NamedTuple):
-    """`pointwise_phi_stats` over a state's nodes, on the run of its df.  Where
-    the bound settles max_lambda >= lambda_stop, max_lambda is the bound."""
-    state: TorusState
-    lambda_stop: float | None = None
-
-
-def pointwise_phi_stats(df):
-    """(min_phi, max_pair, max_lambda, flagged) over all nodes of df, an
-    (m, n, ...grid) field or a `StateNodes`.
+def pointwise_phi_stats(df, lambda_stop=None):
+    """(min_phi, max_pair, max_lambda, flagged) of df, an (m, n, ...grid) field or a
+    `TorusState`; max_lambda is the bound below where it settles >= lambda_stop.
 
     For min(m, n) = 2 the spectrum is (l1, l2, 0, ..., 0), and the
     invariants T = |df|_F^2 and D^2 = (l1 l2)^2, the sum of the squared 2x2
@@ -297,10 +289,9 @@ def pointwise_phi_stats(df):
     hides the largest and sends the guard to every node.  Spectra with
     three or more values, or one, come from LAPACK's singular values.
     """
-    nodes, lambda_stop = (lambda x: x), None
-    if isinstance(df, StateNodes):
-        state, lambda_stop = df
-        df = state.df
+    nodes = lambda x: x
+    if isinstance(df, TorusState):
+        state, df = df, df.df
         if min(state.m, state.n) == 2:
             df = df.base
             nodes = lambda x: _nodes(x, state.resolution, state.n)
@@ -421,8 +412,21 @@ def _a2_closed_form(df: np.ndarray, d2: np.ndarray) -> np.ndarray:
 
 def torus_monitors(state: TorusState) -> MonitorRecord:
     """Phi stats and sup |A|^2, the latter in closed form, on the runs."""
-    min_phi, max_pair, max_lam, flagged = pointwise_phi_stats(StateNodes(state))
+    min_phi, max_pair, max_lam, flagged = pointwise_phi_stats(state)
     a2 = second_fundamental_sq(state.df.base, second_derivatives(state).base)
     sup_a2 = float(_nodes(a2, state.resolution, state.n).max())
     return MonitorRecord(t=state.t, min_phi=min_phi, max_two_dilation=max_pair,
                          max_lambda=max_lam, sup_a2=sup_a2, flagged=flagged)
+
+
+# state.BACKENDS' entry: each operation looks its function up here when called
+OPERATIONS = {
+    "validate": lambda config: None,
+    "initial": lambda config: initial(config),
+    "time_step": lambda state, config: max_step(state, config.cfl),
+    "step": lambda state, dt, config: step_torus(state, dt, config.cfl),
+    "light": lambda state, config: pointwise_phi_stats(state, config.lambda_stop),
+    "monitor": lambda state: torus_monitors(state),
+    "velocity": lambda state: flow_velocity(state),
+    "self_check": None,
+}

@@ -14,6 +14,7 @@ from areaflow.cli import main
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+CLI_MD = Path(__file__).resolve().parents[1] / "docs" / "cli.md"
 
 
 def schema(name):
@@ -576,6 +577,23 @@ def test_criteria_timings_go_to_manifest_only(capsys, tmp_path, monkeypatch):
 def test_scenario_strings_are_parsed_not_opened(text):
     from areaflow.flowsim import parse_scenario
     assert parse_scenario(text).resolution == 32
+
+
+def test_the_backend_lists_name_the_registered_backends():
+    """The verdict schema's enum and the scenario key table in docs/cli.md
+    name exactly the backends of the table, and the docs quote the
+    unknown-backend message."""
+    from areaflow.errors import ConfigurationError
+    from areaflow.flowsim.state import BACKENDS, ScenarioConfig
+    assert sorted(schema("flow_verdict.schema.json")["properties"]["backend"]["enum"]) \
+        == sorted(BACKENDS)
+    text = CLI_MD.read_text()
+    line = next(line for line in text.splitlines() if line.startswith("backend = "))
+    listed = line.split("#", 1)[1].split("|")
+    assert sorted(name.strip() for name in listed) == sorted(BACKENDS)
+    with pytest.raises(ConfigurationError) as err:
+        ScenarioConfig(backend="x")
+    assert f"`{err.value}`" in text
 
 
 def test_flow_missing_scenario_is_config_error(capsys, tmp_path):

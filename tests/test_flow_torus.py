@@ -247,9 +247,9 @@ def test_phi_stats_run_once_per_state_and_once_more_for_the_final_record(monkeyp
     calls = []
     original = torus.pointwise_phi_stats
 
-    def counted(df):
+    def counted(*args):
         calls.append(1)
-        return original(df)
+        return original(*args)
 
     monkeypatch.setattr(torus, "pointwise_phi_stats", counted)
     config = ScenarioConfig(backend="torus", resolution=16, initial="sine",
@@ -366,10 +366,6 @@ def test_run_slices_match_roll_bit_for_bit(n, m, resolution, winding_scale):
     assert np.array_equal(out.padded, torus.ghost_padded(out.u))
 
 
-def _stop_stats(state, lambda_stop):
-    return torus.pointwise_phi_stats(torus.StateNodes(state, lambda_stop))
-
-
 @pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2)])
 @pytest.mark.parametrize("winding_scale", [0.0, 0.7])
 def test_the_stop_bound_decides_as_the_exact_max_lambda(n, m, winding_scale):
@@ -387,7 +383,7 @@ def test_the_stop_bound_decides_as_the_exact_max_lambda(n, m, winding_scale):
         for k in range(5):
             for sign in (1, -1):
                 stop = centre * (1 + sign * k * 2.0**-52)
-                stats = _stop_stats(state, stop)
+                stats = torus.pointwise_phi_stats(state, stop)
                 assert (stats[2] < stop) == (exact[2] < stop)
                 assert repr(stats[:2] + stats[3:]) == repr(exact[:2] + exact[3:])
                 if bound > stop * torus.STOP_BOUND_MARGIN:
@@ -396,7 +392,7 @@ def test_the_stop_bound_decides_as_the_exact_max_lambda(n, m, winding_scale):
                 else:
                     assert stats[2] == exact[2]
     assert settled >= 4
-    assert _stop_stats(state, None) == exact
+    assert torus.pointwise_phi_stats(state, None) == exact
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (2, 3)])
@@ -410,7 +406,7 @@ def test_a_subnormal_max_t_runs_the_exact_route(n, m):
     exact = torus.pointwise_phi_stats(tiny.df)
     stop = 1e-200
     assert math.sqrt(t_max / 2.0) > stop * torus.STOP_BOUND_MARGIN
-    assert _stop_stats(tiny, stop) == exact
+    assert torus.pointwise_phi_stats(tiny, stop) == exact
     assert not exact[2] < stop
 
 
