@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -96,46 +97,48 @@ def polynomial_degree_bound(n: int, m: int) -> float:
 
 def _hypotheses(criterion: str, source: CurvatureModel, target: CurvatureModel):
     """The curvature numbers a verdict prints, and the criterion's hypotheses
-    on rescale(target, rho) as rows (a, b, strict, text): each means
+    on rescale(target, rho) as exact rows (a, b, strict, text): each means
     a rho^2 - b > 0 (strict) or >= 0, since rescaling divides every target
     curvature by rho^2.  `text` is the row's `failed` message."""
     if not (source.dim >= target.dim >= 2):
         raise ValueError("need dim(source) >= dim(target) >= 2")
     s1_min, _, ric1 = curvature_bounds(source)
     s2_min, s2_max, ric2 = curvature_bounds(target)
+    q1_min, q2_min, q2_max, e1, e2 = map(Fraction, (s1_min, s2_min, s2_max, ric1, ric2))
     if criterion == "sectional":
         bound = sphere_pair_bound(source.dim, target.dim)
         numbers = {"n": source.dim, "m": target.dim, "bound": bound,
                    "source_sec_min": s1_min, "target_sec_max": s2_max}
-        rows = [(s1_min - 1.0, 0.0, False, "source sectional curvature must be >= 1"),
-                (bound, s2_max, True, "target sectional curvature must be < bound")]
+        rows = [(q1_min - 1, 0, False, "source sectional curvature must be >= 1"),
+                (Fraction(bound), q2_max, True, "target sectional curvature must be < bound")]
     else:
         numbers = {"source_ricci": ric1, "target_ricci": ric2,
                    "source_sec_min": s1_min, "target_sec_min": s2_min}
-        rows = [(ric1, ric2, False, "source Einstein constant must dominate the target's"),
-                (s1_min, -s2_min, True, "sectional curvature sums must be positive")]
+        rows = [(e1, e2, False, "source Einstein constant must dominate the target's"),
+                (q1_min, -q2_min, True, "sectional curvature sums must be positive")]
     return numbers, rows
 
 
 def _holds(row, rho_sq) -> bool:
-    """Whether a rho^2 - b > 0 (strict) or >= 0 at rho^2 = rho_sq.  A
-    non-strict row between two nonzero numbers (the Einstein constants)
-    allows a slack of 1e-12 relative to the larger side: its sharp case
-    arrives through sqrt/square round trips.  With a zero side it is an
-    exact sign test (sec1 >= 1, a flat source)."""
+    """Whether a rho^2 - b > 0 (strict) or >= 0 at the exact rho^2 = rho_sq."""
     a, b, strict, _ = row
-    if strict:
-        return a * rho_sq > b
-    slack = 1e-12 * max(abs(a * rho_sq), abs(b)) if a and b else 0.0
-    return a * rho_sq >= b - slack
+    return a * rho_sq > b if strict else a * rho_sq >= b
+
+
+def _float(x, name):
+    """The exact x >= 0 rounded once to print; refused by name if x > 0 rounds to 0 or inf."""
+    rounded = float(x) if x < 2**1024 - 2**970 else math.inf   # from there it rounds to 2^1024
+    if 0 < x < math.inf and not 0 < rounded < math.inf:
+        raise ValueError(f"{name} is too {'large' if rounded else 'small'} for a float")
+    return rounded
 
 
 def _rho_sq_range(rows):
-    """The rho^2 range (lo, hi) on which every row holds, and None; or None
-    and the reason it is empty.  A row with a > 0 gives the lower end b/a,
-    one with a < 0 and b < 0 the upper end b/a; a row with a = 0 holds for
-    every rho or for none, and any other row for none."""
-    lo, hi, lo_text, hi_text = 0.0, math.inf, None, None
+    """The exact rho^2 range (lo, hi) on which every row holds, and None; or
+    None and the reason it is empty.  A row with a > 0 gives the lower end
+    b/a, one with a < 0 and b < 0 the upper end b/a; a row with a = 0 holds
+    for every rho or for none, and any other row for none."""
+    lo, hi, lo_text, hi_text = 0, math.inf, None, None
     for row in rows:
         a, b, _, text = row
         if a > 0:
@@ -144,11 +147,11 @@ def _rho_sq_range(rows):
         elif a < 0 and b < 0:
             if b / a < hi:
                 hi, hi_text = b / a, text
-        elif a or not _holds(row, 1.0):
+        elif a or not _holds(row, 1):
             return None, f"no rescaling of the target meets \"{text}\""
     if not lo < hi:
-        return None, (f"\"{lo_text}\" needs rho^2 >= {lo:.6g} and \"{hi_text}\" "
-                      f"needs rho^2 <= {hi:.6g}")
+        return None, (f"\"{lo_text}\" needs rho^2 >= {_float(lo, 'a lower rho^2 end'):.6g} "
+                      f"and \"{hi_text}\" needs rho^2 <= {_float(hi, 'an upper rho^2 end'):.6g}")
     return (lo, hi), None
 
 
@@ -158,7 +161,7 @@ def check_criterion(criterion: str, source: CurvatureModel, target: CurvatureMod
     criterion = THEOREM_NAMES[str(criterion)]
     numbers, rows = _hypotheses(criterion, source, target)
     details = {**numbers, "source": model_to_str(source), "target": model_to_str(target)}
-    missed = [row[3] for row in rows if not _holds(row, 1.0)]
+    missed = [row[3] for row in rows if not _holds(row, 1)]
     if missed:
         details["failed"] = missed[0]
     return Verdict(not missed, criterion, details)
@@ -200,44 +203,45 @@ def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
     certifies exactly the maps whose sup 2-dilation lies below it.  It is
     None when that range is empty or starts at 0.  Returns rho = None when
     the interval is empty; its details then name the side that blocks.
-    Otherwise the witness is checked on the same rows at its rho^2, and the
-    details add the curvature numbers of the profile's own models; an
-    interval too thin for the witness names the row it misses.
+    Otherwise the witness is checked exactly on the same rows at its rho^2,
+    and the details add the curvature numbers of the profile's own models;
+    an interval too thin for the witness names the row it misses.  A
+    printed number that leaves the float range raises ValueError.
     """
     criterion = THEOREM_NAMES[str(criterion)]
     numbers, rows = _hypotheses(criterion, profile.source, profile.target)
     curvature, blocked = _rho_sq_range(rows)
     sup = profile.sup_two_dilation
-    certified = 1.0 / curvature[0] if curvature is not None and curvature[0] > 0 else None
+    cap = _float(1 / Fraction(sup), "the area-decreasing cap 1/sup") if sup > 0 else math.inf
+    certified = None
+    if curvature is not None:
+        lo, hi = map(_float, curvature, ("the lower rho^2 end", "the upper rho^2 end"))
+        certified = _float(1 / Fraction(lo), "the certified 2-dilation bound") if lo > 0 else None
     details = {"sup_two_dilation": sup, "profile": profile.name,
                "source": model_to_str(profile.source),
                "target": model_to_str(profile.target),
                "certified_two_dilation_bound": certified}
-    cap = 1.0 / sup if sup > 0 else math.inf
     if curvature is None or (certified is not None and not sup < certified):
         details["area_decreasing_rho_sq_max"] = _json_end(cap)
         if curvature is None:
-            details.update(curvature_rho_sq=None,
-                           failed=f"the curvature side blocks: {blocked}")
+            details.update(curvature_rho_sq=None, failed=f"the curvature side blocks: {blocked}")
         else:
-            lo, hi = curvature
             details.update(curvature_rho_sq=[lo, _json_end(hi)],
                            failed=f"the area-decreasing side blocks: it needs rho^2 < 1/sup "
                                   f"= {cap:.6g}, the curvature side rho^2 >= {lo:.6g}, so only "
                                   f"a sup 2-dilation below {certified:.6g} is certified")
         return DilationResult(None, None, "hypotheses not met", criterion, details)
-    lo, hi = curvature[0], min(curvature[1], cap)
-    interval = (lo, hi)
+    lo, hi = interval = (lo, min(hi, cap))
     if math.isinf(hi):
         rho_sq = 2.0 * lo if lo > 0 else 1.0
-    elif lo == 0.0:
-        rho_sq = hi / 2.0
     else:
-        rho_sq = math.sqrt(lo * hi)
+        rho_sq = math.sqrt(lo * hi) if lo > 0 else hi / 2.0
+    if not 0 < rho_sq < math.inf:
+        raise ValueError(f"the witness rho^2 for the interval {interval} leaves the float range")
     details.update(numbers)
     # sup * rho^2 < 1 is the row (-sup, -1, strict): its upper end is 1/sup
-    area = (-sup, -1.0, True, "the rescaled map must be area-decreasing")
-    missed = [row[3] for row in (*rows, area) if not _holds(row, rho_sq)]
+    area = (-Fraction(sup), -1, True, "the rescaled map must be area-decreasing")
+    missed = [row[3] for row in (*rows, area) if not _holds(row, Fraction(rho_sq))]
     if missed:
         # the open interval can be too thin for the witness at fp resolution
         details["failed"] = (f"the rho^2 interval is too thin for a witness: "

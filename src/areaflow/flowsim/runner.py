@@ -42,9 +42,10 @@ def run(config: ScenarioConfig, state=None):
     # a caller's state is copied, so the fields derived during the run are
     # freed with the run rather than left cached on the caller's object
     state = initial_state(config) if state is None else replace(state)
-    if (state.backend, state.resolution) != (config.backend, config.resolution):
+    if any(getattr(state, k) != getattr(config, k) for k in ("backend", "resolution", "n", "m")):
         raise ConfigurationError(f"state: {state.backend} at resolution {state.resolution}; "
-                                 f"config: {config.backend} at resolution {config.resolution}")
+                                 f"config: {config.backend} at resolution {config.resolution}; "
+                                 f"(n, m) = ({state.n}, {state.m}) and ({config.n}, {config.m})")
     ops = BACKENDS[config.backend]   # each entry looks its function up when called
     check_key, self_check = ops["self_check"] or (None, None)
     dt = ops["time_step"](state, config)

@@ -86,6 +86,7 @@ class EquivariantState:
     frame = derived(lambda s: equivariant.frame(s))
 
     backend = "equivariant_sphere"
+    n = m = 2
 
 
 @dataclass(frozen=True)

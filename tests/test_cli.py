@@ -163,6 +163,34 @@ def test_criteria_name_the_side_that_blocks(capsys, tmp_path):
     assert details["failed"].startswith("the curvature side blocks")
 
 
+# Numbers positive and finite in exact arithmetic that leave the float range
+# when printed: lo = Ric2/Ric1 = 5e-601 rounds to 0, 1/sup = 1e310 overflows,
+# and the witness sqrt(lo * hi) of (5e199, 1e202) overflows in its product.
+OUT_OF_FLOAT_RANGE = {
+    "lower_end": ({"source": "s(3, 1e-150)", "target": "s(2, 1e150)",
+                   "spectra": [[0.5, 0.5, 0]]}, "ricci",
+                  "error: the lower rho^2 end is too small for a float"),
+    "cap": ({"source": "s(3)", "target": "s(2)", "spectra": [[1e-155, 1e-155, 0]]},
+            "sectional", "error: the area-decreasing cap 1/sup is too large for a float"),
+    "witness": ({"source": "s(3)", "target": "s(2) scaled 1e-100",
+                 "spectra": [[1e-101, 1e-101, 0]]}, "ricci",
+                "error: the witness rho^2 for the interval (5e+199, 1e+202) leaves the "
+                "float range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_FLOAT_RANGE))
+def test_criteria_refuses_a_number_beyond_float_range(capsys, tmp_path, case):
+    profile, theorem, error = OUT_OF_FLOAT_RANGE[case]
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    rc = main(["criteria", f"@{path}", "--theorem", theorem])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == error + "\n"
+
+
 # sha256 of stdout for each argv of the README criteria/curvature loop: every
 # named profile under both theorems and one model of each kind.  A digest
 # changes only with a behaviour change that CHANGES.md names.
@@ -295,7 +323,7 @@ README_VERIFY_DIGESTS = {
     "oracle --samples 1500 --seed 3 --tol=-1e6":
         "abcc2c063c86b784b229afa12a8362e2a705e7f4f7d8a39e33b3c1f1e4d3ea09",
     "master --samples 1500 --seed 3 --tol 1e6":
-        "9806df672384b568d158a4b454e796db8ea394cd3588f085c3483f0edf8b3496",
+        "e639cbb07c9ce55008b0bd4912073f13eda5ea0a42e7fe55da4f1f1b26a9095e",
     "master --samples 1500 --seed 3 --tol=-1e6":
         "452e878620a1b2adf71756190bdc307439db069924023cc82bddf8202123350f",
     "pair_claim --samples 1500 --seed 3 --tol 1e6":

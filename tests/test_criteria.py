@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,8 +61,7 @@ def test_sectional_criterion_sphere_pairs():
 
 
 def test_rows_with_a_zero_side_compare_exactly():
-    # the Einstein slack absorbs round trips between two nonzero numbers;
-    # sec1 >= 1 has none
+    # sec1 >= 1 is decided exactly, on the printed source curvature
     below = geo.sphere(3, radius=1 + 1e-13)
     assert geo.curvature_bounds(below)[0] < 1.0
     check = cr.check_criterion("sectional", below, geo.sphere(2))
@@ -75,18 +75,23 @@ def test_rows_with_a_zero_side_compare_exactly():
     assert cr.dilation_trick(profile, "ricci").details["curvature_rho_sq"] is None
 
 
-def test_einstein_slack_is_relative():
-    # Ric(S^3, scale 1e5) = 2e-10; the target's Einstein constant exceeds it
-    # by 2e-5 relative, far above rounding, so the check fails at any scale
+def test_sharp_einstein_row_holds_with_no_slack():
+    # Ric(S^9) = Ric(S^3 scaled 0.5) = 8.0 exactly: the non-strict row holds
+    # at its end, and its rho^2 range starts at exactly 1
+    source, sharp = geo.sphere(9), geo.sphere(3, scale=0.5)
+    check = cr.check_criterion("ricci", source, sharp)
+    assert check.ok and check.details["source_ricci"] == check.details["target_ricci"] == 8.0
+    assert cr._rho_sq_range(cr._hypotheses("ricci", source, sharp)[1])[0][0] == 1
+    # a target Einstein constant one ulp above 8.0 fails
+    above = geo.sphere(3, scale=math.nextafter(0.5, 0.0))
+    check = cr.check_criterion("ricci", source, above)
+    assert check.details["target_ricci"] == math.nextafter(8.0, math.inf)
+    assert check.details["failed"] == "source Einstein constant must dominate the target's"
+    assert cr._rho_sq_range(cr._hypotheses("ricci", source, above)[1])[0][0] > 1
+    # Ric(S^3, scale 1e5) = 2e-10 against a target 2e-5 relative above it
     source = geo.sphere(3, scale=1e5)
     above = geo.sphere(2, scale=1e5 / math.sqrt(2) * (1 - 1e-5))
-    check = cr.check_criterion("ricci", source, above)
-    assert check.details["failed"] == "source Einstein constant must dominate the target's"
-    lo = cr._rho_sq_range(cr._hypotheses("ricci", source, above)[1])[0][0]
-    assert lo > 1
-    # equal Einstein constants reached through a sqrt round trip still hold
-    assert cr.check_criterion("ricci", source, geo.sphere(2, scale=1e5 / math.sqrt(2))).ok
-    assert cr.check_criterion("ricci", geo.sphere(3), geo.sphere(2, scale=1 / math.sqrt(2))).ok
+    assert not cr.check_criterion("ricci", source, above).ok
 
 
 def test_ricci_criterion_examples():
@@ -104,12 +109,16 @@ def test_ricci_criterion_examples():
 
 
 def test_ricci_criterion_sphere_to_cp_scalings():
-    # the Einstein comparison forces rho^2 >= (n+1)/n for S^{2n+1} -> CP^n
+    # the Einstein comparison forces rho^2 >= (n+1)/n for S^{2n+1} -> CP^n;
+    # at the sqrt-rounded scale the verdict is the printed comparison against
+    # the source's 2n: n = 1 and n = 4 hold (1.9999999999999996,
+    # 7.999999999999998) and n = 2 fails (4.000000000000001)
     for n in (1, 2, 4):
         source = geo.sphere(2 * n + 1)
         forced = cr.check_criterion("ricci", source,
                                     geo.rescale(geo.cp(n), math.sqrt((n + 1) / n)))
-        assert forced.ok
+        details = forced.details
+        assert forced.ok == (details["source_ricci"] >= details["target_ricci"]) == (n != 2)
         slightly_less = math.sqrt((2 * n + 1) / (2 * n))
         assert not cr.check_criterion("ricci", source,
                                       geo.rescale(geo.cp(n), slightly_less)).ok
@@ -269,33 +278,50 @@ def test_verdict_is_trivial_exactly_below_the_certified_bound():
             assert result.interval_sq is not None
             assert math.isclose(sup, bound, rel_tol=1e-12)
             exceptions += 1
-    assert 0 < exceptions < 300  # 19 of the 300 boundary twins at seed 3
+    assert 0 < exceptions < 300  # 33 of the 300 boundary twins at seed 3
 
 
 # a row a rho^2 - b > 0 (or >= 0) with a, b zero or of magnitude in
-# [1e-2, 1e3]: a relative margin of 1e-9 then exceeds the Einstein slack
+# [1e-2, 1e3], held exactly as Fractions: every end lies within the probed
+# decades, and exact arithmetic decides each probe, the ends included
 _COEFF = st.one_of(st.just(0.0), st.floats(1e-2, 1e3), st.floats(-1e3, -1e-2))
 
 
 @given(st.lists(st.tuples(_COEFF, _COEFF, st.booleans()), min_size=1, max_size=4),
        st.floats(-6.0, 6.0))
 def test_rho_sq_range_is_where_every_row_holds(rows, log_x):
-    rows = [(a, b, strict, f"row {i}") for i, (a, b, strict) in enumerate(rows)]
+    rows = [(Fraction(a), Fraction(b), strict, f"row {i}")
+            for i, (a, b, strict) in enumerate(rows)]
     found, why = cr._rho_sq_range(rows)
     ends = [b / a for a, b, _, _ in rows if a]
-    probes = [10.0 ** log_x, *(end * (1 + side * 1e-9) for end in ends if end > 0
-                               for side in (-1, 1))]
+    probes = [Fraction(10.0 ** log_x), *(end * (1 + side * Fraction(1, 10**9))
+                                         for end in ends if end > 0 for side in (-1, 1))]
     for x in probes:
-        if any(abs(x - end) <= 1e-10 * x for end in ends):
-            continue  # on an end, rounding decides
-        inside = found is not None and found[0] < x < found[1]
-        assert all(cr._holds(row, x) for row in rows) == inside
+        if x not in ends:  # an end is probed row by row below
+            inside = found is not None and found[0] < x < found[1]
+            assert all(cr._holds(row, x) for row in rows) == inside
+    # at its own end a non-strict row holds and a strict row does not
+    for row in rows:
+        a, b, strict, _ = row
+        if a:
+            assert cr._holds(row, b / a) != strict
     if found is None:
         # the row no rescaling meets, or the two rows whose ends cross
         named = re.findall(r'"(row \d)"', why)
         assert len(named) == (1 if why.startswith("no rescaling") else 2)
     else:
         assert why is None
+
+
+def test_rows_hold_exact_numbers():
+    # every decision reads exact numbers: a float in a row would bring back
+    # rounding into the comparisons
+    named = [cr.named_spectrum(name, n=n) for name, n in NAMED]
+    for profile in named + _random_profiles(3, 20):
+        for theorem in ("sectional", "ricci"):
+            _, rows = cr._hypotheses(theorem, profile.source, profile.target)
+            for a, b, _, _ in rows:
+                assert all(type(x) in (int, Fraction) for x in (a, b)), (theorem, a, b)
 
 
 def test_check_on_the_rescaled_target_follows_the_rho_sq_range():

@@ -14,6 +14,7 @@ registered here runs through `runner.run` and `areaflow flow`.
 import ast
 import importlib.util
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -291,6 +292,17 @@ def test_run_refuses_a_state_at_another_resolution():
         run(ScenarioConfig(backend="torus", resolution=32), state)
 
 
+def test_run_refuses_a_torus_state_of_another_shape():
+    state = initial_state(ScenarioConfig(backend="torus", n=3, m=2, resolution=8))
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "state: torus at resolution 8; config: torus at resolution 8; "
+            "(n, m) = (3, 2) and (2, 2)")):
+        run(ScenarioConfig(backend="torus", resolution=8), state)
+    # an equivariant state is the sphere pair n = m = 2 of its config
+    state = initial_state(ScenarioConfig(backend="equivariant_sphere", resolution=16))
+    assert (state.n, state.m) == (2, 2)
+
+
 def test_unknown_backend_lists_the_registered_ones():
     with pytest.raises(ConfigurationError) as err:
         ScenarioConfig(backend="x")
@@ -311,6 +323,7 @@ class CurveState:
 
     h = property(lambda s: 2.0 * math.pi / s.resolution)
     backend = "curve"
+    n = m = 1
 
 
 def _curve_differences(state):
