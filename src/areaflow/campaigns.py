@@ -8,12 +8,12 @@ checked row by row in BLOCK-row slices, so results are independent of how
 chunks are scheduled and of the block size.
 
 Every kernel computes in the dtype of its inputs, so on the float64 draws
-the gap kernels run in float64 (``master_gaps`` and ``pair_claim_gaps`` on
-forms whose terms do not cancel).  Only ``key_identity_residuals`` and the
-regroup, ricci and triple_weight checks cast to ``np.longdouble`` (LD, 80-bit
-on x86): each compares large terms, or two evaluations, that float64 rounds
-close to its tolerance where pair products up to 0.999 make
-(S_ii + S_jj)^-1 large.
+the gap kernels run in float64 (``master_gaps``, ``pair_claim_gaps`` and
+``ricci_gaps`` on forms whose terms do not cancel).  Only
+``key_identity_residuals`` and the regroup and triple_weight checks cast to
+``np.longdouble`` (LD, 80-bit on x86): each compares two evaluations of one
+quantity, that float64 rounds close to its tolerance where pair products up
+to 0.999 make (S_ii + S_jj)^-1 large.
 
 Every sampler and kernel takes 2 <= m <= n, the shapes the suites sweep;
 ``run_config`` refuses any other configuration.
@@ -431,12 +431,15 @@ def m2_claim_displays(lam):
     return pair, triple_weight_values(l1, l2, 0)
 
 
-def ricci_gaps(lam, sec1, sec2, sigma):
-    """(gap, bound) for the sigma-pinched Ricci lower bound on R_S."""
+def ricci_gaps(lam, sec1, sec2, sigma, m):
+    """(gap, bound) for the sigma-pinched Ricci lower bound on R_S.  The gap
+    is the regrouped sum of the slacks e = sigma - sec2 on sec2's m x m
+    block, exactly 0 where sec2 = sigma (docs/decisions.md)."""
     n = lam.shape[1]
     bound = _regrouped_sum(lam, sec1.sum(axis=2) - (n - 1) * sigma[:, None],
                            sec1 + sigma[:, None, None])
-    return curvature_terms(lam, sec1, sec2) - bound, bound
+    e = pad_sec2(_sym_zero_diag(sigma[:, None, None] - sec2[:, :m, :m]), n)
+    return _regrouped_sum(lam, e.sum(axis=2), -e), bound
 
 
 def log_det_gradient_sq(lam, h):
@@ -802,8 +805,7 @@ def _ricci_draw(rng, size, n, m):
 def _ricci_check(sample, n, m):
     """Lower bound of R_S under the sigma-pinched Ricci hypotheses; also
     requires the bound itself to be non-negative."""
-    gaps, bounds = ricci_gaps(*[sample[k].astype(LD)
-                                for k in ("lambda", "sec1", "sec2", "sigma")])
+    gaps, bounds = ricci_gaps(*[sample[k] for k in ("lambda", "sec1", "sec2", "sigma")], m)
     return gaps, {"bound_min": float(bounds.min())}
 
 

@@ -203,9 +203,9 @@ def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
     certifies exactly the maps whose sup 2-dilation lies below it.  It is
     None when that range is empty or starts at 0.  Returns rho = None when
     the interval is empty; its details then name the side that blocks.
-    Otherwise the witness is checked exactly on the same rows at its rho^2,
-    and the details add the curvature numbers of the profile's own models;
-    an interval too thin for the witness names the row it misses.  A
+    Otherwise the witness (then each printed end, if it misses a row) is
+    checked exactly on the rows; details add the profile's own curvature
+    numbers, or, when all three miss, the row that the witness misses.  A
     printed number that leaves the float range raises ValueError.
     """
     criterion = THEOREM_NAMES[str(criterion)]
@@ -241,14 +241,17 @@ def dilation_trick(profile: MapProfile, criterion: str) -> DilationResult:
     details.update(numbers)
     # sup * rho^2 < 1 is the row (-sup, -1, strict): its upper end is 1/sup
     area = (-Fraction(sup), -1, True, "the rescaled map must be area-decreasing")
-    missed = [row[3] for row in (*rows, area) if not _holds(row, Fraction(rho_sq))]
-    if missed:
-        # the open interval can be too thin for the witness at fp resolution
+    def missed(x):
+        return [row[3] for row in (*rows, area) if not _holds(row, Fraction(x))]
+
+    # an open interval a few floats wide can miss its geometric mean but hold a printed end
+    witness = next((x for x in (rho_sq, lo, hi) if 0 < x < math.inf and not missed(x)), None)
+    if witness is None:
         details["failed"] = (f"the rho^2 interval is too thin for a witness: "
-                             f"rho^2 = {rho_sq!r} misses \"{missed[0]}\"")
+                             f"rho^2 = {rho_sq!r} misses \"{missed(rho_sq)[0]}\"")
         return DilationResult(None, interval, "hypotheses not met", criterion, details)
     verdict = f"homotopically trivial by the {criterion} criterion"
-    return DilationResult(math.sqrt(rho_sq), interval, verdict, criterion, details)
+    return DilationResult(math.sqrt(witness), interval, verdict, criterion, details)
 
 
 def _constant_profile(name, source, target, lam, m=None):

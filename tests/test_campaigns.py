@@ -442,12 +442,51 @@ def test_float64_sectional_and_gradient_match_exact_route(n, m):
                   <= LOG_DET_GRADIENT_ULPS * EPS * (1 + _q_max(glam)) ** 3 * _h_norm_sq(h))
 
 
-FLOAT64_SUITES = ("oracle", "pinch", "gradient_bound", "sectional")
+# ricci_gaps in float64 against the exact route.  The gap is the regrouped
+# sum of the slacks e = sigma - sec2 on the m x m block, each rounded once:
+# its row terms carry one factor q_A and its pair and triple weights are
+# bounded by 1 + max_A q_A, and a rounding of S shifts each weight by about
+# EPS q_A times itself, so the error is bounded by EPS (1 + max_A q_A)^2
+# times the slack sum sum_ik e_ik (every e_ik >= 0).  The tight family
+# sec2 = sigma has every slack 0, so its gap is exactly 0 in both routes.
+# Measured worst (seeds 1-8 and 11, 48 to 64 rows, every ricci
+# configuration): 0.34 units.
+RICCI_ULPS = 2
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (5, 5)])
+def test_float64_ricci_gaps_match_exact_route(n, m):
+    """The ricci check's gaps against verifier.ricci_lower_bound_gap on the
+    same float inputs as exact Fractions.  The first rows are the tight
+    family sec2 = sigma, then the boundary stratum."""
+    count = 48
+    sample = cp._ricci_draw(cp._rng(11, "ricci", n, m, 0), count, n, m)
+    gaps, _ = cp._ricci_check(sample, n, m)
+    assert gaps.dtype == np.float64
+    lam, sigma, sec1, sec2 = (sample[k] for k in ("lambda", "sigma", "sec1", "sec2"))
+    exact = np.vectorize(Fraction, otypes=[object])
+    tight = count // 8
+    err = []
+    for b in range(count):
+        curv = verifier.CurvatureSample(n, m, exact(sec1[b]), exact(sec2[b, :m, :m]))
+        rest = verifier.restriction_from_lambdas(list(exact(lam[b])))
+        ref, _ = verifier.ricci_lower_bound_gap(rest, curv, Fraction(sigma[b]))
+        if b < tight:
+            assert ref == 0 and gaps[b] == 0.0, b
+        else:
+            err.append(abs(Fraction(gaps[b]) - ref))
+    slack_sum = (m * (m - 1) * sigma - sec2.sum(axis=(1, 2)))[tight:]
+    assert np.all(np.array(err, dtype=float)
+                  <= RICCI_ULPS * EPS * (1 + _q_max(lam[tight:])) ** 2 * slack_sum)
+
+
+FLOAT64_SUITES = ("oracle", "pinch", "gradient_bound", "sectional", "ricci")
 
 
 def test_float64_kernels_do_not_read_longdouble(monkeypatch):
     """master_gaps, pair_claim_gaps and the checks of the oracle, pinch,
-    gradient_bound and sectional suites compute in float64 whatever LD is."""
+    gradient_bound, sectional and ricci suites compute in float64 whatever
+    LD is."""
     def evaluate(n, m):
         rng = np.random.default_rng(9)
         lam = cp.sample_spectra(rng, 256, n, m)
@@ -471,15 +510,14 @@ def test_float64_kernels_do_not_read_longdouble(monkeypatch):
         assert before[1] == after[1]
 
 
-def test_longdouble_is_read_by_four_checks_only():
-    """Only the key identity and the regroup, triple_weight and ricci checks
-    cast to LD; every other function follows its inputs' dtype."""
+def test_longdouble_is_read_by_three_checks_only():
+    """Only the key identity and the regroup and triple_weight checks cast
+    to LD; every other function follows its inputs' dtype."""
     tree = ast.parse(inspect.getsource(cp))
     readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                and any(isinstance(node, ast.Name) and node.id == "LD"
                        for node in ast.walk(fn))}
-    assert readers == {"key_identity_residuals", "_regroup_check", "_triple_weight_check",
-                       "_ricci_check"}
+    assert readers == {"key_identity_residuals", "_regroup_check", "_triple_weight_check"}
 
 
 def _pair_loop_reference(lam, h):
@@ -615,6 +653,32 @@ def test_master_curvature_terms_cancel_exactly(n, m):
         assert gap == verifier.master_inequality_gap(rest, H, flat)
         curved += verifier.curvature_term(rest, curv) != 0
     assert curved
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 4)])
+def test_ricci_gap_is_the_regrouped_sum_of_its_slacks(n, m):
+    """On spectra of rank <= m, R_S minus the sigma-pinched Ricci bound is
+    the regrouped sum of the slacks e = sigma - sec2 on the m x m block (0
+    elsewhere), X_i = sum_k e_ik and W = -e, in exact arithmetic and for any
+    sigma; so the tight family sec2 = sigma has gap 0 term by term."""
+    nonzero = 0
+    for b, (lam, _, sec1, sec2) in enumerate(cp.exact_samples(6, 8, n, m)):
+        sigma = Fraction(b + 1, 3)
+        if b % 2:    # the tight family
+            sec2 = np.where(np.eye(m, dtype=bool), Fraction(0), sigma)
+        e = np.full((n, n), Fraction(0), dtype=object)
+        e[:m, :m] = sigma - sec2
+        np.fill_diagonal(e, Fraction(0))
+        rest = verifier.restriction_from_lambdas(lam)
+        curv = verifier.CurvatureSample(n, m, sec1, sec2)
+        bound = verifier._regrouped_sum(rest, lambda i: curv.ric1(i) - (n - 1) * sigma,
+                                        lambda i, j: sec1[i, j] + sigma)
+        gap = verifier.curvature_term(rest, curv) - bound
+        assert isinstance(gap, Fraction)
+        assert gap == verifier._regrouped_sum(rest, lambda i: sum(e[i]), lambda i, j: -e[i, j])
+        assert gap == 0 or not b % 2
+        nonzero += gap != 0
+    assert nonzero
 
 
 def _master_gaps_with_curvature(lam, h, sec1, sec2):

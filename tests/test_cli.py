@@ -251,8 +251,10 @@ README_LOOP_DIGESTS = {
 
 
 # Verdicts the README loop never reaches (all 22 block on the
-# area-decreasing side): a witness under each theorem, and a rho^2 interval
-# too thin for its witness.  Spectra are written with 17 digits.
+# area-decreasing side): a witness under each theorem, a witness at the
+# printed lower end of an interval two floats wide, whose geometric mean
+# misses a row, and a rho^2 interval too thin for any witness.  Spectra are
+# written with 17 digits.
 PROFILE_DIGESTS = {
     ("sectional_witness", "sectional"): (
         {"source": "s(4)", "target": "cp(2) scaled 1.1",
@@ -266,7 +268,12 @@ PROFILE_DIGESTS = {
         {"source": "cp(3) scaled 1.0617181278349546",
          "target": "cp(2) scaled 1.1107590000066985",
          "spectra": [[1.2080362778892992, 1.2080362778892992, 0.0, 0.0, 0.0, 0.0]]},
-        "ffb7afd86a03373d1c20ebbd3ce48ac165ca8acb165b1ce9661a4831d2b488b1"),
+        "3bb2245ae519ad792700d4cf29e4f3ab9fde5c37b1ae854a892e4cf5e1a45b52"),
+    ("thin_interval", "ricci"): (
+        {"source": "cp(1) scaled 1.2188802662360581",
+         "target": "sphere(2, 0.88869723041673676) scaled 0.9663312148929617",
+         "spectra": [[1.4091226154518743, 1.4091226154518743]]},
+        "4d53952cdc59456801cb26835be4f5c211d6584ec87396e12735b55c5c8bdf7d"),
 }
 
 
@@ -299,7 +306,7 @@ README_EXACT_DIGESTS = {
     "triple_weight": "692fa4aaa028e0b3cbd9e93b5d083a9a5cb5a40d10bbae9b556ef26b15c1abef",
     "regroup": "4a00c00d201f0ff7d24a9e43f91e817385f1781d0f334e50ff41762d2c5c4209",
     "sectional": "8f8649e23dcb7cced12cfb7db54ad875d4a724f27f1db1cd77403737a07b6fc7",
-    "ricci": "c23e59307d7794a44d6cae2ade5965b769702bd2c3d17fb5b4dd1707159af633",
+    "ricci": "105ae0cda9264cfce90c60e118c60da19aaa2f6bb618fc30829361584dad8964",
 }
 
 
@@ -351,9 +358,9 @@ README_VERIFY_DIGESTS = {
     "sectional --samples 1500 --seed 3 --tol=-1e6":
         "a4bb322156f4ba512f7c2510e26039dc6288f7b02634e738face6957e72a24ab",
     "ricci --samples 1500 --seed 3 --tol 1e6":
-        "a3be85cbcc491884e5d80b0387944460b86a6d04fb2e8c4e55c908a6a8abcbb7",
+        "c53e5228e679aedc2b952fe2c237384c8c12acb2e78ba527441866453357821b",
     "ricci --samples 1500 --seed 3 --tol=-1e6":
-        "6c3dc0780f30f96363f7335ab1411a55fe613274f18d01a58d49d3e5a43f642f",
+        "45338a58cca1f14639c2086410324f6f6ca142025196b5187a5048c2befdd2a2",
     "pinch --n 4 --samples 20000 --seed 3 --tol=-1":
         "e7be5544a42176ebd4e070c5021779fb14dc2de1c4e3592c4cf5dc0e13ff2dbc",
     "master --n 4 --m 3 --samples 20000 --seed 5":

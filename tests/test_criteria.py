@@ -273,12 +273,13 @@ def test_verdict_is_trivial_exactly_below_the_certified_bound():
             if trivial == (bound is not None and sup < bound):
                 continue
             # the one exception: sup lies below 1/lo by rounding only, the rho^2
-            # interval is too thin for the witness, and dilation_trick refuses it
+            # interval is too thin for the witness and both printed ends, and
+            # dilation_trick refuses it
             assert profile.name == "boundary" and not trivial
             assert result.interval_sq is not None
             assert math.isclose(sup, bound, rel_tol=1e-12)
             exceptions += 1
-    assert 0 < exceptions < 300  # 33 of the 300 boundary twins at seed 3
+    assert 0 < exceptions < 300  # 21 of the 300 boundary twins at seed 3
 
 
 # a row a rho^2 - b > 0 (or >= 0) with a, b zero or of magnitude in
@@ -365,14 +366,16 @@ def test_verdicts_print_the_profile_and_name_what_fails():
 
 
 def test_blocked_verdicts_name_a_row():
-    # the thin twin: the witness rho^2 misses the area-decreasing row
-    source = geo.parse_model("cp(3) scaled 1.0617181278349546")
-    target = geo.parse_model("cp(2) scaled 1.1107590000066985")
-    lam = [1.2080362778892992] * 2 + [0.0] * 4
+    # a thin interval: the witness rho^2 and both printed ends miss the
+    # area-decreasing row
+    source = geo.parse_model("cp(1) scaled 1.2188802662360581")
+    target = geo.parse_model("sphere(2, 0.88869723041673676) scaled 0.9663312148929617")
+    lam = [1.4091226154518743] * 2
     thin = cr.dilation_trick(cr.MapProfile("thin", source, target,
-                                           (cr.spectrum(lam, m=4),)), "ricci")
-    assert thin.rho is None and thin.interval_sq is not None
-    assert thin.details["target"] == "cp(2) scaled 1.1107590000066985"
+                                           (cr.spectrum(lam, m=2),)), "ricci")
+    assert thin.rho is None
+    assert thin.interval_sq == (0.5036193751175232, 0.5036193751175233)
+    assert thin.details["target"] == "sphere(2, 0.88869723041673676) scaled 0.9663312148929617"
     assert thin.details["failed"].startswith("the rho^2 interval is too thin")
     assert thin.details["failed"].endswith('misses "the rescaled map must be area-decreasing"')
     # a flat source: no rescaling of the target meets one row

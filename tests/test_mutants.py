@@ -117,12 +117,12 @@ CASES = [
     ("pair_term_negated", "pair_claim", 3, 2),
     ("pair_term_negated", "master", 2, 2),
     ("sec2_sign", "regroup", 3, 2),
-    ("sec2_sign", "ricci", 3, 2),
     ("sectional_coeff_x0.99", "sectional", 3, 2),
     ("pair_factor_swapped", "regroup", 3, 2),
     ("pair_factor_swapped", "triple_weight", 3, 3),
     ("triple_weight_x1.001", "triple_weight", 3, 3),
     ("triple_weight_x1.001", "regroup", 3, 2),
+    ("triple_weight_x1.001", "ricci", 3, 2),
     ("master_gap_nan", "master", 3, 2),
     ("key_identity_nan", "pair_claim", 3, 2),
 ]
